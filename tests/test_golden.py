@@ -1,0 +1,54 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each case runs one command through ``kakeya.cli.main`` on inputs under
+``tests/golden/`` and compares its ``--out`` file with the stored file of
+the same name.  A change to the program that alters any of these bytes must
+say why in CHANGES.md; ``python tests/test_golden.py`` rewrites the stored
+outputs from the current code, in the order below (``gen`` outputs first,
+since later cases read them).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from kakeya.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: output file name -> CLI arguments; ``*.json`` arguments name files in GOLDEN
+CASES = {
+    "small_angle_n2.config.json": ["gen", "--config", "small_angle_n2.gen.json"],
+    "small_angle_n3.config.json": ["gen", "--config", "small_angle_n3.gen.json"],
+    "general_n3.config.json": ["gen", "--config", "general_n3.gen.json"],
+    "small_angle_n2.certify.json": [
+        "certify", "--config", "small_angle_n2.config.json", "--delta", "0.2"
+    ],
+    "small_angle_n3.certify.json": [
+        "certify", "--config", "small_angle_n3.config.json", "--delta", "0.1"
+    ],
+    "general_n3.reduce.json": [
+        "reduce", "--config", "general_n3.config.json", "--epsilon", "3.75"
+    ],
+    "wedge_n2.reduce.json": [
+        "reduce", "--config", "wedge_n2.config.json", "--nu", "1.0", "--epsilon", "3.0"
+    ],
+}
+
+
+def _run(name: str, out: Path) -> int:
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
+    return main([*argv, "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert _run(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        if _run(case, GOLDEN / case) != 0:
+            raise SystemExit(f"{case}: command failed")
