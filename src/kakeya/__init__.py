@@ -42,7 +42,6 @@ from .geometry import (
     curve_indicator,
     fatten_axis_parallel,
     frame_map,
-    subdivide_cube,
     tube_indicator,
     tube_intersects_cube,
     wedge_volume,

@@ -76,24 +76,6 @@ class Constants:
 
 
 @dataclass(frozen=True, eq=False)
-class StepBound:
-    """Explicit subcube Loomis-Whitney bound at one scale."""
-
-    w: float
-    delta: float
-    subcubes: tuple  # ((Cube, counts tuple), ...)
-    numeric_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "delta": self.delta,
-            "numeric_bound": self.numeric_bound,
-            "subcube_count": len(self.subcubes),
-        }
-
-
-@dataclass(frozen=True, eq=False)
 class StepVerification:
     lhs: float
     rhs: float
@@ -113,7 +95,10 @@ class StepVerification:
 
 @dataclass(frozen=True, eq=False)
 class StepDetail:
-    """Audit record for one ladder rung (omitted above the detail budget)."""
+    """Subcube Loomis-Whitney bound for one ladder rung.
+
+    Certificates omit a rung's detail above the detail budget.
+    """
 
     w: float
     subcube_side: float
@@ -131,12 +116,6 @@ class StepDetail:
             ],
             "numeric_bound": self.numeric_bound,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class CubeCover:
-    cubes: tuple
-    multiplicity: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +243,20 @@ def step_numeric_bound(n: int, c_lw: float, w: float, counts: np.ndarray) -> flo
     return c_lw * w**n * float(np.sum(prods))
 
 
-def step_bound(families, cube: Cube, delta: float) -> StepBound:
+def _step_detail(families, cube: Cube, delta: float, w: float, c_lw: float) -> StepDetail:
+    """Tile the cube at scale w, count members per subcube, and bound the rung."""
+    n = len(families)
+    los, sub_side, counts = _subcube_counts(families, cube, delta, w)
+    hists = []
+    for j in range(n):
+        vals, freq = np.unique(counts[j].astype(int), return_counts=True)
+        hists.append({int(v): int(c) for v, c in zip(vals, freq)})
+    return StepDetail(
+        w, sub_side, los.shape[0], tuple(hists), step_numeric_bound(n, c_lw, w, counts)
+    )
+
+
+def step_bound(families, cube: Cube, delta: float) -> StepDetail:
     """Per-subcube Loomis-Whitney bound for one scale step.
 
     Requires cube side >= delta^-1 W, a shared base radius, and member
@@ -276,13 +268,7 @@ def step_bound(families, cube: Cube, delta: float) -> StepBound:
     if cube.side < w / delta * (1.0 - 1e-12):
         raise ValidationError("step requires cube side >= delta^-1 W")
     _validate_small_angle(families, delta)
-    consts = Constants.for_dimension(n)
-    los, sub_side, counts = _subcube_counts(families, cube, delta, w)
-    subcubes = tuple(
-        (Cube(lo, sub_side), tuple(int(c) for c in counts[:, i]))
-        for i, lo in enumerate(los)
-    )
-    return StepBound(w, delta, subcubes, step_numeric_bound(n, consts.c_lw, w, counts))
+    return _step_detail(families, cube, delta, w, Constants.for_dimension(n).c_lw)
 
 
 def verify_step_inequality(
@@ -311,17 +297,19 @@ def verify_step_inequality(
     return StepVerification(lhs, rhs, bound, lhs / bound, degenerate=False)
 
 
-def cover_for_arbitrary_s(cube: Cube, delta: float, m_steps: int) -> CubeCover:
-    """Cover the cube by axis-aligned cubes of side delta^-m_steps."""
+def cover_for_arbitrary_s(cube: Cube, delta: float, m_steps: int):
+    """Cover the cube by axis-aligned cubes of side delta^-m_steps.
+
+    Returns ``(los, side)``: the cover cubes' min corners, shape (count, n),
+    and their common side.
+    """
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
     if m_steps < 0:
         raise ValidationError("m_steps must be >= 0")
     side = delta ** (-m_steps)
     per_side = max(1, math.ceil(cube.side / side - 1e-12))
-    n = cube.n
-    offsets = subcube_grid(Cube(cube.min_corner, per_side * side), per_side)
-    return CubeCover(tuple(Cube(lo, side) for lo in offsets), per_side**n)
+    return subcube_grid(Cube(cube.min_corner, per_side * side), per_side), side
 
 
 def scale_count(s: float, delta: float) -> int:
@@ -360,36 +348,24 @@ def certify_multiscale(
     _check_curve_spans(families, cube)
     consts = Constants.for_dimension(n)
     m_steps = scale_count(cube.side, delta)
-    cover = cover_for_arbitrary_s(cube, delta, m_steps)
+    cover_los, _ = cover_for_arbitrary_s(cube, delta, m_steps)
+    multiplicity = cover_los.shape[0]
     counts = tuple(
         f.total_weight for f in sorted(families, key=lambda fam: fam.axis)
     )
     p = 1.0 / (n - 1.0)
     count_product = float(np.prod([c**p for c in counts]))
-    final_bound = cover.multiplicity * consts.c_step**m_steps * count_product
+    final_bound = multiplicity * consts.c_step**m_steps * count_product
     ladder = tuple(delta ** (-k) for k in range(m_steps + 1))
     chain_cube = Cube(cube.min_corner, ladder[-1])
     details = []
     for k in range(m_steps):
         w_k = ladder[k]
-        per_side, sub_side = subdivision_counts(chain_cube, delta, w_k)
+        per_side, _ = subdivision_counts(chain_cube, delta, w_k)
         if per_side**n > detail_budget:
             details.append(None)
-            continue
-        _, _, step_counts = _subcube_counts(families, chain_cube, delta, w_k)
-        hists = []
-        for j in range(n):
-            vals, freq = np.unique(step_counts[j].astype(int), return_counts=True)
-            hists.append({int(v): int(c) for v, c in zip(vals, freq)})
-        details.append(
-            StepDetail(
-                w_k,
-                sub_side,
-                step_counts.shape[1],
-                tuple(hists),
-                step_numeric_bound(n, consts.c_lw, w_k, step_counts),
-            )
-        )
+        else:
+            details.append(_step_detail(families, chain_cube, delta, w_k, consts.c_lw))
     return Certificate(
         n=n,
         delta=delta,
@@ -398,7 +374,7 @@ def certify_multiscale(
         c_lw=consts.c_lw,
         c_step=consts.c_step,
         counts=counts,
-        covering_multiplicity=cover.multiplicity,
+        covering_multiplicity=multiplicity,
         final_bound=final_bound,
         epsilon_exponent=math.log(consts.c_step) / math.log(1.0 / delta),
         step_details=tuple(details),

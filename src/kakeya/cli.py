@@ -15,13 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import certifier, experiments, reduction, serialization
 from .errors import NonConvergence, PropertyViolation, ValidationError
 from .evaluator import GridSpec, evaluate_overlap, evaluate_refined, exact_overlap_2d
 from .generators import generate, random_lw_instance
-from .loomis_whitney import Box, ProjectionFunction, verify_lw
+from .loomis_whitney import verify_lw
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,6 +46,17 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+
+
+def _stanza(data, command: str, keys) -> dict:
+    """The command's stanza (or the whole file), checked to hold ``keys``."""
+    stanza = data.get(command, data) if isinstance(data, dict) else data
+    if not isinstance(stanza, dict):
+        raise ValidationError(f"{command} stanza must be an object")
+    missing = [k for k in keys if k not in stanza]
+    if missing:
+        raise ValidationError(f"{command} stanza needs {', '.join(missing)}")
+    return stanza
 
 
 def _write_output(obj: dict, out: str | None) -> None:
@@ -109,13 +118,12 @@ def _cmd_exact2d(args) -> int:
     return EXIT_OK
 
 
-def _resolve_delta(args) -> float:
+def _resolve_delta(args, n: int) -> float:
     if args.delta is not None:
         if not (0.0 < args.delta < 1.0):
             raise ValidationError("delta must lie in (0, 1)")
         return args.delta
     if args.epsilon is not None:
-        n = args._config_n
         consts = certifier.Constants.for_dimension(n)
         return certifier.delta_for_epsilon(args.epsilon, consts)
     raise ValidationError("need --delta or --epsilon")
@@ -123,8 +131,7 @@ def _resolve_delta(args) -> float:
 
 def _cmd_certify(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
-    args._config_n = config.n
-    delta = _resolve_delta(args)
+    delta = _resolve_delta(args, config.n)
     certificate = certifier.certify_multiscale(config.families, config.cube, delta)
     out = {"schema_version": serialization.SCHEMA_VERSION, **certificate.to_json()}
     _write_output(out, args.out)
@@ -144,23 +151,11 @@ def _cmd_certify(args) -> int:
 def _cmd_verify_lw(args) -> int:
     results = []
     if args.config:
-        data = _load_config_file(args.config)
-        fns = [
-            ProjectionFunction(
-                Box(
-                    np.asarray(f["box"]["min_corner"], dtype=float),
-                    np.asarray(f["box"]["sides"], dtype=float),
-                ),
-                np.asarray(f["values"], dtype=float),
-            )
-            for f in data["functions"]
-        ]
-        box = Box(
-            np.asarray(data["box"]["min_corner"], dtype=float),
-            np.asarray(data["box"]["sides"], dtype=float),
-        )
+        fns, box = serialization.lw_inputs_from_json(_load_config_file(args.config))
         results.append(verify_lw(fns, box, GridSpec(args.grid)))
     else:
+        if args.trials < 1:
+            raise ValidationError("--trials must be >= 1")
         for trial in range(args.trials):
             fns, box, grid = random_lw_instance(args.n, args.seed + trial)
             results.append(verify_lw(fns, box, grid))
@@ -179,8 +174,7 @@ def _cmd_verify_lw(args) -> int:
 
 def _cmd_verify_step(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
-    args._config_n = config.n
-    delta = _resolve_delta(args)
+    delta = _resolve_delta(args, config.n)
     check = certifier.verify_step_inequality(
         config.families, config.cube, delta, GridSpec(args.grid), threads=args.threads
     )
@@ -194,6 +188,8 @@ def _cmd_verify_step(args) -> int:
 
 def _cmd_reduce(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
+    if args.epsilon is None:
+        raise ValidationError("need --epsilon")
     if args.nu is not None:
         if config.direction_sets is None:
             raise ValidationError("transversal reduction needs direction_sets in the config")
@@ -201,8 +197,6 @@ def _cmd_reduce(args) -> int:
             config.families, config.cube, list(config.direction_sets), args.nu, args.epsilon
         )
     else:
-        if args.epsilon is None:
-            raise ValidationError("need --epsilon")
         problems = reduction.reduce_general_to_small_angle(
             config.families, config.cube, args.epsilon
         )
@@ -215,8 +209,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_config_file(args.config)
-    stanza = data.get("sweep", data)
+    keys = ("template", "s_values") + (() if args.delta is not None else ("delta",))
+    stanza = _stanza(_load_config_file(args.config), "sweep", keys)
     template = serialization.genspec_from_json(stanza["template"])
     if args.seed is not None:
         from dataclasses import replace
@@ -255,8 +249,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    data = _load_config_file(args.config)
-    stanza = data.get("search", data)
+    keys = ("n", "counts", "cube", "budget") + (() if args.seed is not None else ("seed",))
+    stanza = _stanza(_load_config_file(args.config), "search", keys)
     cube = serialization.cube_from_json(stanza["cube"])
     result = experiments.extremal_search(
         int(stanza["n"]),

@@ -129,15 +129,6 @@ def sweep_scale(
 
 
 @dataclass(frozen=True, eq=False)
-class SearchState:
-    families: tuple
-    ratio: float
-    best_ratio: float
-    iteration: int
-    temperature: float
-
-
-@dataclass(frozen=True, eq=False)
 class SearchTracePoint:
     iteration: int
     restart: int
@@ -212,6 +203,8 @@ def extremal_search(
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
+    if any(c < 1 for c in counts):
+        raise ValidationError("every family count must be >= 1")
     limit = 1.0 / (10.0 * n) if angle_limit is None else angle_limit
     rng = np.random.default_rng(seed)
     norm = float(np.prod([c ** (1.0 / (n - 1.0)) for c in counts]))

@@ -189,6 +189,8 @@ def random_lw_instance(n: int, seed: int, *, nested: bool | None = None):
     """
     if n < 2:
         raise ValidationError("dimension must be >= 2")
+    if n > 4:
+        raise ValidationError("random Loomis-Whitney instances have dimension <= 4")
     rng = np.random.default_rng(seed)
     if nested is None:
         nested = n == 2 or seed % 2 == 0

@@ -255,9 +255,6 @@ class LinearMap:
     def apply_direction(self, direction: Direction) -> Direction:
         return Direction.normalized(self.matrix @ direction.components)
 
-    def inverse(self) -> "LinearMap":
-        return LinearMap(np.linalg.inv(self.matrix))
-
 
 # ---------------------------------------------------------------------------
 # angles
@@ -455,12 +452,6 @@ def subcube_grid(cube: Cube, k: int) -> np.ndarray:
     axes = [cube.min_corner[j] + h * np.arange(k) for j in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def subdivide_cube(cube: Cube, delta: float, w: float) -> list[Cube]:
-    """Exact tiling of the cube by equal subcubes at the step scale."""
-    k, sub_side = subdivision_counts(cube, delta, w)
-    return [Cube(corner, sub_side) for corner in subcube_grid(cube, k)]
 
 
 def fatten_axis_parallel(tube: Tube, axis: int, cube: Cube, delta: float) -> Tube:

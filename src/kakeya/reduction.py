@@ -138,7 +138,12 @@ def _transform_problem(families, cube, lmap, delta, cap_indices) -> ReducedProbl
     )
 
 
-def _reduce_with_caps(families, cube, covers, delta) -> list[ReducedProblem]:
+def _reduce_with_caps(families, cube, covers, delta, check_tuple) -> list[ReducedProblem]:
+    """One ReducedProblem per tuple of nonempty caps, one cap per axis.
+
+    ``check_tuple(combo, centers)``, unless None, vets each cap tuple before
+    its frame map is built.
+    """
     split = [split_by_caps(f, covers[f.axis]) for f in sorted(families, key=lambda f: f.axis)]
     problems = []
     nonempty = [
@@ -146,6 +151,8 @@ def _reduce_with_caps(families, cube, covers, delta) -> list[ReducedProblem]:
     ]
     for combo in itertools.product(*nonempty):
         centers = [covers[j][combo[j]].center for j in range(len(covers))]
+        if check_tuple is not None:
+            check_tuple(combo, centers)
         lmap = frame_map(centers)
         tuple_families = [split[j][combo[j]] for j in range(len(covers))]
         problems.append(_transform_problem(tuple_families, cube, lmap, delta, combo))
@@ -176,7 +183,7 @@ def reduce_general_to_small_angle(
     delta = delta_for_epsilon(eps, consts)
     rho = delta / 10.0
     covers = [cap_cover(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
-    return _reduce_with_caps(families, cube, covers, delta)
+    return _reduce_with_caps(families, cube, covers, delta, None)
 
 
 def transversal_sigma_bound(n: int, nu: float) -> float:
@@ -224,24 +231,16 @@ def transversal_reduce(
     covers = [
         cap_cover(cap, min(rho, cap.ang_radius)) for cap in direction_sets
     ]
-    split = [
-        split_by_caps(f, covers[f.axis])
-        for f in sorted(families, key=lambda f: f.axis)
-    ]
-    nonempty = [[i for i, sub in enumerate(subs) if sub.members] for subs in split]
-    problems = []
-    for combo in itertools.product(*nonempty):
-        centers = [covers[j][combo[j]].center for j in range(n)]
+
+    def check_wedge(combo, centers) -> None:
         wedge = wedge_volume(centers)
         if wedge < nu / 2.0:
             raise ValidationError(
                 f"cap tuple {combo} has center wedge {wedge:.3e} < nu/2; "
                 "the transversality precondition is violated"
             )
-        lmap = frame_map(centers)
-        tuple_families = [split[j][combo[j]] for j in range(n)]
-        problems.append(_transform_problem(tuple_families, cube, lmap, delta, combo))
-    return problems
+
+    return _reduce_with_caps(families, cube, covers, delta, check_wedge)
 
 
 def weighted_multiplicity_check(

@@ -22,6 +22,7 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ from .generators import (
     Weighted,
 )
 from .geometry import Cap, Cube, Direction, Line, LipschitzCurve, Tube
+from .loomis_whitney import Box, ProjectionFunction
 
 SCHEMA_VERSION = 1
 
@@ -56,10 +58,31 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _parser(fn):
+    """Report what malformed input raises inside ``fn`` as a ValidationError.
+
+    A missing key, a wrong type, or a value that a geometry constructor
+    rejects (a non-unit direction, a nonpositive side) is bad input, not a
+    fault of the program.
+    """
+
+    @functools.wraps(fn)
+    def parse(data, *args):
+        try:
+            return fn(data, *args)
+        except KeyError as exc:
+            raise ValidationError(f"missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(str(exc)) from None
+
+    return parse
+
+
 def cube_to_json(cube: Cube) -> dict:
     return {"min_corner": cube.min_corner.tolist(), "side": cube.side}
 
 
+@_parser
 def cube_from_json(data) -> Cube:
     _require(isinstance(data, dict) and "min_corner" in data and "side" in data,
              "cube stanza needs min_corner and side")
@@ -126,6 +149,7 @@ def config_to_json(config: Configuration) -> dict:
     return out
 
 
+@_parser
 def config_from_json(data) -> Configuration:
     _require(isinstance(data, dict), "top level must be an object")
     _require(data.get("schema_version") == SCHEMA_VERSION,
@@ -207,6 +231,7 @@ def genspec_to_json(spec: GenSpec) -> dict:
     }
 
 
+@_parser
 def genspec_from_json(data) -> GenSpec:
     _require(isinstance(data, dict), "generator spec must be an object")
     for key in ("n", "counts", "regime", "cube", "seed"):
@@ -219,6 +244,23 @@ def genspec_from_json(data) -> GenSpec:
         int(data["seed"]),
         float(data.get("radius", 1.0)),
     )
+
+
+def _box_from_json(data) -> Box:
+    return Box(
+        np.asarray(data["min_corner"], dtype=float),
+        np.asarray(data["sides"], dtype=float),
+    )
+
+
+@_parser
+def lw_inputs_from_json(data) -> tuple[list[ProjectionFunction], Box]:
+    """Loomis-Whitney inputs: {"functions": [{"box", "values"}, ...], "box"}."""
+    fns = [
+        ProjectionFunction(_box_from_json(f["box"]), np.asarray(f["values"], dtype=float))
+        for f in data["functions"]
+    ]
+    return fns, _box_from_json(data["box"])
 
 
 def dump_json(obj: dict, path) -> None:

@@ -1,3 +1,5 @@
+import pytest
+
 from kakeya.cli import main
 from kakeya.serialization import (
     config_from_json,
@@ -185,3 +187,85 @@ class TestSerializationErrors:
 
     def test_missing_file(self, tmp_path):
         assert run(["eval", "--config", tmp_path / "nope.json"]) == 1
+
+
+SEARCH_STANZA = {
+    "n": 2,
+    "counts": [2, 2],
+    "cube": {"min_corner": [-3.0, -3.0], "side": 6.0},
+    "budget": 4,
+    "seed": 17,
+}
+
+
+def edited_config(tmp_path, edit):
+    """A generated n=2 configuration with ``edit`` applied to its JSON."""
+    cfg = tmp_path / "cfg.json"
+    run(["gen", "--config", genspec_file(tmp_path), "--out", cfg])
+    data = load_json(cfg)
+    edit(data)
+    dump_json(data, cfg)
+    return cfg
+
+
+def search_file(tmp_path, **changes):
+    stanza = {k: v for k, v in {**SEARCH_STANZA, **changes}.items() if v is not None}
+    path = tmp_path / "search.json"
+    dump_json({"schema_version": 1, "search": stanza}, path)
+    return path
+
+
+def lw_file_without_functions(tmp_path):
+    path = tmp_path / "lw.json"
+    dump_json({"box": {"min_corner": [0.0, 0.0], "sides": [1.0, 1.0]}}, path)
+    return path
+
+
+def _set_member_dir(data):
+    data["families"][0]["members"][0]["dir"] = [1.0, 0.5]
+
+
+def _set_cube_side(data):
+    data["cube"]["side"] = 0.0
+
+
+def _add_direction_sets(data):
+    data["direction_sets"] = [
+        {"center": [1.0, 0.0], "ang_radius": 0.2},
+        {"center": [0.0, 1.0], "ang_radius": 0.2},
+    ]
+
+
+def sweep_file_without_template(tmp_path):
+    path = tmp_path / "sweep.json"
+    dump_json({"schema_version": 1, "sweep": {"s_values": [2.0], "delta": 0.1}}, path)
+    return path
+
+
+BAD_INPUTS = {
+    "non_unit_member_dir": lambda p: ["eval", "--config", edited_config(p, _set_member_dir)],
+    "nonpositive_cube_side": lambda p: ["eval", "--config", edited_config(p, _set_cube_side)],
+    "verify_lw_without_functions": lambda p: [
+        "verify-lw", "--config", lw_file_without_functions(p)
+    ],
+    "verify_lw_zero_trials": lambda p: ["verify-lw", "--trials", 0],
+    "verify_lw_dimension_9": lambda p: ["verify-lw", "--n", 9, "--trials", 1],
+    "search_without_cube": lambda p: ["search", "--config", search_file(p, cube=None)],
+    "search_zero_count": lambda p: [
+        "search", "--config", search_file(p, counts=[0, 2]), "--grid", 16
+    ],
+    "sweep_without_template": lambda p: ["sweep", "--config", sweep_file_without_template(p)],
+    "reduce_nu_without_epsilon": lambda p: [
+        "reduce", "--config", edited_config(p, _add_direction_sets), "--nu", 1.0
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
+    argv = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
