@@ -21,6 +21,7 @@ CASES = {
     "small_angle_n2.config.json": ["gen", "--config", "small_angle_n2.gen.json"],
     "small_angle_n3.config.json": ["gen", "--config", "small_angle_n3.gen.json"],
     "general_n3.config.json": ["gen", "--config", "general_n3.gen.json"],
+    "lipschitz_n2.config.json": ["gen", "--config", "lipschitz_n2.gen.json"],
     "small_angle_n2.certify.json": [
         "certify", "--config", "small_angle_n2.config.json", "--delta", "0.2"
     ],
@@ -33,6 +34,26 @@ CASES = {
     "wedge_n2.reduce.json": [
         "reduce", "--config", "wedge_n2.config.json", "--nu", "1.0", "--epsilon", "3.0"
     ],
+    # 300^2 and 48^3 cells: more than one 65,536-cell block, the last one partial
+    "small_angle_n2.eval.json": [
+        "eval", "--config", "small_angle_n2.config.json", "--grid", "300"
+    ],
+    "general_n3.eval.json": ["eval", "--config", "general_n3.config.json", "--grid", "48"],
+    "lipschitz_n2.eval.json": [
+        "eval", "--config", "lipschitz_n2.config.json", "--grid", "64"
+    ],
+    "small_angle_n2.refine.json": [
+        "eval", "--config", "small_angle_n2.config.json", "--refine", "--grid", "16"
+    ],
+    "lw_n3.random.json": ["verify-lw", "--n", "3", "--trials", "4", "--seed", "3"],
+    # 80^3 cells: eight blocks
+    "lw_n3.verify.json": ["verify-lw", "--config", "lw_n3.input.json", "--grid", "80"],
+    "small_angle_n2.step.json": [
+        "verify-step", "--config", "small_angle_n2.config.json", "--delta", "0.2",
+        "--grid", "128",
+    ],
+    "small_angle_n2.sweep.json": ["sweep", "--config", "small_angle_n2.sweep.input.json"],
+    "search_n2.search.json": ["search", "--config", "search_n2.input.json", "--grid", "32"],
 }
 
 
