@@ -55,7 +55,7 @@ from .loomis_whitney import unit_ball_volume
 
 MAX_STEP_DELTA = 0.9
 #: subcube-enumeration ceiling for optional per-step certificate detail
-DEFAULT_DETAIL_BUDGET = 200_000
+DETAIL_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,17 @@ def _check_step_delta(delta: float) -> None:
         )
 
 
+def _check_step(families, cube: Cube, delta: float) -> tuple[int, float]:
+    """Preconditions of one scale step; returns (n, W)."""
+    n = check_families(families)
+    _check_step_delta(delta)
+    w = _common_radius(families)
+    if cube.side < w / delta * (1.0 - 1e-12):
+        raise ValidationError("step requires cube side >= delta^-1 W")
+    _validate_small_angle(families, delta)
+    return n, w
+
+
 def _subcube_counts(families, cube: Cube, delta: float, w: float):
     """Subdivide and count members per subcube; returns (los, side, counts).
 
@@ -262,12 +273,7 @@ def step_bound(families, cube: Cube, delta: float) -> StepDetail:
     Requires cube side >= delta^-1 W, a shared base radius, and member
     angles (tubes) / Lipschitz constants (curves) at most delta.
     """
-    n = check_families(families)
-    _check_step_delta(delta)
-    w = _common_radius(families)
-    if cube.side < w / delta * (1.0 - 1e-12):
-        raise ValidationError("step requires cube side >= delta^-1 W")
-    _validate_small_angle(families, delta)
+    n, w = _check_step(families, cube, delta)
     return _step_detail(families, cube, delta, w, Constants.for_dimension(n).c_lw)
 
 
@@ -281,17 +287,11 @@ def verify_step_inequality(
     combined quadrature tolerance.  An identically-zero instance is reported
     as ratio 0 with the degenerate flag.
     """
-    n = check_families(families)
-    _check_step_delta(delta)
-    w = _common_radius(families)
-    if cube.side < w / delta * (1.0 - 1e-12):
-        raise ValidationError("step requires cube side >= delta^-1 W")
-    _validate_small_angle(families, delta)
-    consts = Constants.for_dimension(n)
+    n, w = _check_step(families, cube, delta)
     lhs = evaluate_overlap(families, cube, grid, threads=threads).value
     coarse = [w / delta] * n
     rhs = evaluate_overlap(families, cube, grid, radii=coarse, threads=threads).value
-    bound = consts.c_step * delta**n * rhs
+    bound = Constants.for_dimension(n).c_step * delta**n * rhs
     if bound == 0.0:
         return StepVerification(lhs, rhs, bound, 0.0, degenerate=True)
     return StepVerification(lhs, rhs, bound, lhs / bound, degenerate=False)
@@ -323,19 +323,14 @@ def scale_count(s: float, delta: float) -> int:
     return m
 
 
-def certify_multiscale(
-    families,
-    cube: Cube,
-    delta: float,
-    *,
-    detail_budget: int = DEFAULT_DETAIL_BUDGET,
-) -> Certificate:
+def certify_multiscale(families, cube: Cube, delta: float) -> Certificate:
     """Run the multiscale chain and emit the certified bound.
 
     Preconditions: cube side >= 1, unit base radius, member angles (tubes)
     and Lipschitz constants (curves) at most delta.  The chain is run on an
     enlarged cube of side delta^-M >= S sharing the min corner, which contains
-    the requested cube, so the bound applies to it.
+    the requested cube, so the bound applies to it.  A rung that would tile
+    more than DETAIL_BUDGET subcubes gets no step detail (None).
     """
     n = check_families(families)
     _check_step_delta(delta)
@@ -362,7 +357,7 @@ def certify_multiscale(
     for k in range(m_steps):
         w_k = ladder[k]
         per_side, _ = subdivision_counts(chain_cube, delta, w_k)
-        if per_side**n > detail_budget:
+        if per_side**n > DETAIL_BUDGET:
             details.append(None)
         else:
             details.append(_step_detail(families, chain_cube, delta, w_k, consts.c_lw))

@@ -1,10 +1,10 @@
 """Command-line interface: config ingestion, pipeline orchestration, output.
 
 Commands: gen, eval, exact2d, certify, verify-lw, verify-step, reduce, sweep,
-search.  Exit codes: 0 success, 1 validation error, 2 property violation,
-3 non-convergence / cell budget.  The default worker count comes from the
-KAKEYA_THREADS environment variable (1 if unset); outputs are deterministic
-regardless of worker count.
+search.  Exit codes: 0 success, 1 validation or usage error, 2 property
+violation, 3 non-convergence / cell budget.  ``--threads`` must be >= 1; its
+default comes from the KAKEYA_THREADS environment variable (1 if unset, at
+least 1); outputs are deterministic regardless of worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import certifier, experiments, reduction, serialization
 from .errors import NonConvergence, PropertyViolation, ValidationError
@@ -48,17 +49,6 @@ def _load_config_file(path: str) -> dict:
         )
 
 
-def _stanza(data, command: str, keys) -> dict:
-    """The command's stanza (or the whole file), checked to hold ``keys``."""
-    stanza = data.get(command, data) if isinstance(data, dict) else data
-    if not isinstance(stanza, dict):
-        raise ValidationError(f"{command} stanza must be an object")
-    missing = [k for k in keys if k not in stanza]
-    if missing:
-        raise ValidationError(f"{command} stanza needs {', '.join(missing)}")
-    return stanza
-
-
 def _write_output(obj: dict, out: str | None) -> None:
     if out:
         serialization.dump_json(obj, out)
@@ -79,8 +69,6 @@ def _cmd_gen(args) -> int:
     data = _load_config_file(args.config)
     spec = serialization.genspec_from_json(data.get("gen", data))
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
     families = generate(spec)
     config = serialization.Configuration(spec.n, spec.cube, tuple(families))
@@ -209,17 +197,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    keys = ("template", "s_values") + (() if args.delta is not None else ("delta",))
-    stanza = _stanza(_load_config_file(args.config), "sweep", keys)
-    template = serialization.genspec_from_json(stanza["template"])
+    template, s_values, delta = serialization.sweep_from_json(
+        _load_config_file(args.config), args.delta
+    )
     if args.seed is not None:
-        from dataclasses import replace
-
         template = replace(template, seed=args.seed)
-    delta = args.delta if args.delta is not None else float(stanza["delta"])
     result = experiments.sweep_scale(
         template,
-        stanza["s_values"],
+        s_values,
         delta,
         tol=args.tol,
         max_doublings=args.max_doublings,
@@ -249,19 +234,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    keys = ("n", "counts", "cube", "budget") + (() if args.seed is not None else ("seed",))
-    stanza = _stanza(_load_config_file(args.config), "search", keys)
-    cube = serialization.cube_from_json(stanza["cube"])
-    result = experiments.extremal_search(
-        int(stanza["n"]),
-        tuple(int(c) for c in stanza["counts"]),
-        cube,
-        int(stanza["budget"]),
-        args.seed if args.seed is not None else int(stanza["seed"]),
-        grid=GridSpec(args.grid),
-        annealing=bool(stanza.get("annealing", False)),
-        threads=args.threads,
-    )
+    search = serialization.search_from_json(_load_config_file(args.config), args.seed)
+    result = experiments.extremal_search(**search, grid=GridSpec(args.grid), threads=args.threads)
     out = {"schema_version": serialization.SCHEMA_VERSION, **result.to_json()}
     _write_output(out, args.out)
     if args.csv:
@@ -273,8 +247,15 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input: one ``error: ...`` line, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kakeya",
         description="Tube-family overlap integrals and multiscale bound certificates.",
     )
@@ -352,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

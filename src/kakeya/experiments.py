@@ -40,6 +40,11 @@ SWEEP_CSV_COLUMNS = (
 
 SEARCH_CSV_COLUMNS = ("iteration", "restart", "accepted_ratio", "best_ratio")
 
+#: extremal_search: restarts per budget, and the annealing temperature schedule
+_RESTARTS = 4
+_T0 = 0.1
+_COOLING = 0.95
+
 
 @dataclass(frozen=True, eq=False)
 class SweepRow:
@@ -93,11 +98,11 @@ def sweep_scale(
     *,
     tol: float = 1e-2,
     max_doublings: int = 5,
-    start_cells: int = 16,
     threads: int = 1,
 ) -> SweepResult:
     """Evaluate + certify the template configuration at each scale S.
 
+    Each value refines from evaluate_refined's default 16-cell start grid.
     Rows with non-convergent quadrature are flagged and excluded from the
     least-squares slope fit of log(ratio) against log(S).
     """
@@ -112,9 +117,7 @@ def sweep_scale(
     for s in s_values:
         cube = Cube.centered(np.zeros(template.n), s)
         families = generate(template.with_cube(cube))
-        value = evaluate_refined(
-            families, cube, tol, max_doublings, start_cells=start_cells, threads=threads
-        )
+        value = evaluate_refined(families, cube, tol, max_doublings, threads=threads)
         certificate = certify_multiscale(families, cube, delta)
         norm = _count_normalizer(families)
         ratio = value.value / norm if norm > 0.0 else 0.0
@@ -158,7 +161,7 @@ class SearchResult:
 
 
 def _perturb(rng, families, cube: Cube, angle_limit: float, step: float):
-    """Move one random member's anchor and direction inside the regime."""
+    """Move one random member's anchor and redraw its direction in the cap."""
     fams = [list(f.members) for f in families]
     j = int(rng.integers(0, len(families)))
     if not fams[j]:
@@ -168,10 +171,7 @@ def _perturb(rng, families, cube: Cube, angle_limit: float, step: float):
     tube = member.geometry
     anchor = tube.line.anchor + rng.uniform(-step, step, cube.n) * cube.side * 0.05
     anchor = np.clip(anchor, cube.min_corner, cube.max_corner)
-    if angle_limit > 0.0:
-        direction = _direction_in_cap(rng, cube.n, families[j].axis, angle_limit)
-    else:
-        direction = tube.line.direction
+    direction = _direction_in_cap(rng, cube.n, families[j].axis, angle_limit)
     fams[j][a] = FamilyMember(Tube(Line(anchor, direction), tube.radius), member.weight)
     return tuple(
         TubeFamily(f.axis, f.dim, tuple(ms), f.base_radius)
@@ -186,49 +186,40 @@ def extremal_search(
     budget: int,
     seed: int,
     *,
-    angle_limit: float | None = None,
     grid: GridSpec = GridSpec(128),
-    restarts: int = 4,
     annealing: bool = False,
-    t0: float = 0.1,
-    cooling: float = 0.95,
     threads: int = 1,
 ) -> SearchResult:
     """Maximize value / prod_j N_j^(1/(n-1)) by perturbation search.
 
-    Greedy by default (accept only improvements); with ``annealing`` worse
-    moves are accepted with probability exp(delta_ratio / T) under the cooling
-    schedule.  The budget is split evenly across restarts; the global
-    best-so-far in the trace is non-decreasing.
+    Members stay within angle 1/(10n) of their axis.  Greedy by default
+    (accept only improvements); with ``annealing`` worse moves are accepted
+    with probability exp(delta_ratio / T), T = 0.1 * 0.95^step.  The budget
+    is split evenly across 4 restarts; the global best-so-far in the trace is
+    non-decreasing.
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     if any(c < 1 for c in counts):
         raise ValidationError("every family count must be >= 1")
-    limit = 1.0 / (10.0 * n) if angle_limit is None else angle_limit
+    limit = 1.0 / (10.0 * n)
     rng = np.random.default_rng(seed)
     norm = float(np.prod([c ** (1.0 / (n - 1.0)) for c in counts]))
 
     def objective(fams) -> float:
         return evaluate_overlap(fams, cube, grid, threads=threads).value / norm
 
-    per_restart = max(1, budget // max(1, restarts))
+    per_restart = max(1, budget // _RESTARTS)
     best_families = None
     best_ratio = -math.inf
     trace = []
     iteration = 0
     restart = 0
     while iteration < budget:
-        spec = GenSpec(
-            n,
-            tuple(counts),
-            SmallAngle(limit) if limit > 0.0 else AxisParallel(),
-            cube,
-            int(rng.integers(0, 2**63)),
-        )
+        spec = GenSpec(n, tuple(counts), SmallAngle(limit), cube, int(rng.integers(0, 2**63)))
         current = tuple(generate(spec))
         current_ratio = objective(current)
-        temp = t0
+        temp = _T0
         if current_ratio > best_ratio:
             best_ratio, best_families = current_ratio, current
         trace.append(SearchTracePoint(iteration, restart, current_ratio, best_ratio))
@@ -246,6 +237,6 @@ def extremal_search(
                 best_ratio, best_families = current_ratio, current
             trace.append(SearchTracePoint(iteration, restart, current_ratio, best_ratio))
             iteration += 1
-            temp *= cooling
+            temp *= _COOLING
         restart += 1
     return SearchResult(best_families, best_ratio, tuple(trace))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluator import FamilyMember, GridSpec, TubeFamily
-from .geometry import Cube, Direction, Line, LipschitzCurve, Tube, tangent_basis
+from .geometry import Cube, Direction, Line, LipschitzCurve, Tube, lattice, tangent_basis
 from .loomis_whitney import Box, ProjectionFunction
 
 
@@ -177,26 +177,25 @@ def generate(spec: GenSpec) -> list[TubeFamily]:
     return families
 
 
-def random_lw_instance(n: int, seed: int, *, nested: bool | None = None):
+def random_lw_instance(n: int, seed: int):
     """Random nonnegative grid functions + integration box for LW checks.
 
-    Returns (functions, box, grid).  When ``nested``, the integration grid
-    refines every function grid, so the midpoint quadrature of the
-    piecewise-constant integrand is exact; otherwise grids are unrelated and
-    genuine quadrature error appears.  n = 2 is always nested: there the
-    inequality is an exact equality (ratio 1), so only an exact quadrature
-    keeps the check well-posed.  Higher n alternates by seed parity.
+    Returns (functions, box, grid).  When the instance is nested, the
+    integration grid refines every function grid, so the midpoint quadrature
+    of the piecewise-constant integrand is exact; otherwise grids are
+    unrelated and genuine quadrature error appears.  n = 2 is always nested:
+    there the inequality is an exact equality (ratio 1), so only an exact
+    quadrature keeps the check well-posed.  Higher n alternates by seed
+    parity (even seeds are nested).
     """
     if n < 2:
         raise ValidationError("dimension must be >= 2")
     if n > 4:
         raise ValidationError("random Loomis-Whitney instances have dimension <= 4")
     rng = np.random.default_rng(seed)
-    if nested is None:
-        nested = n == 2 or seed % 2 == 0
     unit = Box(np.zeros(n - 1), np.ones(n - 1))
     sizes = [int(rng.integers(2, 5)) for _ in range(n)]
-    if nested:
+    if n == 2 or seed % 2 == 0:
         lcm = math.lcm(*sizes)
         target = {2: 48, 3: 24, 4: 12}[n]
         cells = lcm * max(1, round(target / lcm))
@@ -211,15 +210,8 @@ def random_lw_instance(n: int, seed: int, *, nested: bool | None = None):
     return functions, box, GridSpec(cells)
 
 
-def enumerate_grid_axis_parallel(
-    n: int,
-    k: int,
-    spacing: float,
-    *,
-    radius: float = 1.0,
-    center=None,
-) -> list[TubeFamily]:
-    """k^(n-1) axis-parallel tubes per axis on a regular anchor grid.
+def enumerate_grid_axis_parallel(n: int, k: int, spacing: float) -> list[TubeFamily]:
+    """k^(n-1) unit axis-parallel tubes per axis on a regular anchor grid.
 
     Anchor projections form the centered grid {(i - (k-1)/2) * spacing} per
     transverse dimension, so all projected anchors are distinct.
@@ -228,16 +220,14 @@ def enumerate_grid_axis_parallel(
         raise ValidationError("k must be >= 1")
     if n < 2:
         raise ValidationError("dimension must be >= 2")
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     offsets = (np.arange(k) - (k - 1) / 2.0) * spacing
+    transverse = lattice([offsets] * (n - 1))
     families = []
     for axis in range(n):
         members = []
-        grids = np.meshgrid(*([offsets] * (n - 1)), indexing="ij")
-        transverse = np.stack([g.ravel() for g in grids], axis=1) if n > 1 else None
         for row in transverse:
-            anchor = c.copy()
+            anchor = np.zeros(n)
             anchor[[t for t in range(n) if t != axis]] += row
-            members.append(FamilyMember(Tube(Line(anchor, Direction.axis(n, axis)), radius)))
-        families.append(TubeFamily(axis, n, tuple(members), radius))
+            members.append(FamilyMember(Tube(Line(anchor, Direction.axis(n, axis)), 1.0)))
+        families.append(TubeFamily(axis, n, tuple(members), 1.0))
     return families

@@ -445,13 +445,16 @@ def subdivision_counts(cube: Cube, delta: float, w: float) -> tuple[int, float]:
     return k, cube.side / k
 
 
-def subcube_grid(cube: Cube, k: int) -> np.ndarray:
-    """Min corners of the k^n equal subcubes, shape (k^n, n), C index order."""
-    n = cube.n
-    h = cube.side / k
-    axes = [cube.min_corner[j] + h * np.arange(k) for j in range(n)]
+def lattice(axes) -> np.ndarray:
+    """Every point of the product of the 1-d ``axes``, shape (N, len(axes)), C order."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def subcube_grid(cube: Cube, k: int) -> np.ndarray:
+    """Min corners of the k^n equal subcubes, shape (k^n, n), C index order."""
+    h = cube.side / k
+    return lattice([cube.min_corner[j] + h * np.arange(k) for j in range(cube.n)])
 
 
 def fatten_axis_parallel(tube: Tube, axis: int, cube: Cube, delta: float) -> Tube:

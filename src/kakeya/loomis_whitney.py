@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluator import GridSpec
-from .geometry import _frozen
+from .evaluator import GridSpec, midpoint_sum
+from .geometry import _frozen, lattice
 
 #: relative roundoff floor folded into quadrature error estimates
 ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
@@ -168,21 +168,15 @@ def _left_midpoint(fs, box: Box, m: int) -> float:
     n = box.n
     p = 1.0 / (n - 1)
     h = box.sides / m
-    total = m**n
-    block = 1 << 16
-    partials = []
-    for start in range(0, total, block):
-        flat = np.arange(start, min(start + block, total))
-        idx = np.unravel_index(flat, (m,) * n)
-        pts = np.stack(
-            [box.min_corner[k] + (idx[k] + 0.5) * h[k] for k in range(n)], axis=1
-        )
+
+    def integrand(pts):
         vals = np.ones(pts.shape[0])
         for j in range(n):
             fj = fs[j].lookup(project(pts, j))
             vals *= fj if p == 1.0 else np.power(fj, p)
-        partials.append(float(np.sum(vals)))
-    return float(np.prod(h)) * math.fsum(partials)
+        return vals
+
+    return float(np.prod(h)) * midpoint_sum(integrand, box.min_corner, h, m)
 
 
 def lw_left(fs, box: Box, grid: GridSpec) -> float:
@@ -235,15 +229,12 @@ def ball_sum_l1(b: BallSum, ambient_dim: int) -> float:
 
 def ball_sum_to_grid(b: BallSum, box: Box, cells_per_side: int) -> ProjectionFunction:
     """Rasterize a ball sum onto a grid (cell-center sampling)."""
-    d = box.n
     h = box.sides / cells_per_side
-    axes = [
-        box.min_corner[k] + (np.arange(cells_per_side) + 0.5) * h[k] for k in range(d)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = lattice(
+        [box.min_corner[k] + (np.arange(cells_per_side) + 0.5) * h[k] for k in range(box.n)]
+    )
     vals = np.zeros(pts.shape[0])
     for center, w in zip(b.centers, b.weights):
         diff = pts - center
         vals += w * (np.einsum("ij,ij->i", diff, diff) <= b.radius**2)
-    return ProjectionFunction(box, vals.reshape((cells_per_side,) * d))
+    return ProjectionFunction(box, vals.reshape((cells_per_side,) * box.n))

@@ -159,9 +159,7 @@ def _reduce_with_caps(families, cube, covers, delta, check_tuple) -> list[Reduce
     return problems
 
 
-def reduce_general_to_small_angle(
-    families, cube: Cube, eps: float, *, consts: Constants | None = None
-) -> list[ReducedProblem]:
+def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[ReducedProblem]:
     """Split a general-angle problem (angles <= (10n)^-1) into cap tuples.
 
     Uses caps of radius delta/10 with delta = delta_for_epsilon(eps).  Each
@@ -169,7 +167,6 @@ def reduce_general_to_small_angle(
     re-validated against delta (never assumed).
     """
     n = check_families(families)
-    consts = consts or Constants.for_dimension(n)
     limit = 1.0 / (10.0 * n)
     for f in families:
         for m in f.members:
@@ -180,7 +177,7 @@ def reduce_general_to_small_angle(
                 raise ValidationError(
                     f"member angle {ang:.3e} exceeds the (10n)^-1 limit {limit:.3e}"
                 )
-    delta = delta_for_epsilon(eps, consts)
+    delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     rho = delta / 10.0
     covers = [cap_cover(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
     return _reduce_with_caps(families, cube, covers, delta, None)
@@ -197,8 +194,6 @@ def transversal_reduce(
     direction_sets: list[Cap],
     nu: float,
     eps: float,
-    *,
-    consts: Constants | None = None,
 ) -> list[ReducedProblem]:
     """Reduction under the wedge (transversality) hypothesis.
 
@@ -215,7 +210,6 @@ def transversal_reduce(
         raise ValidationError("need one direction cap per axis")
     if not (0.0 < nu <= 1.0):
         raise ValidationError("nu must lie in (0, 1]")
-    consts = consts or Constants.for_dimension(n)
     for f in sorted(families, key=lambda f: f.axis):
         cap = direction_sets[f.axis]
         for m in f.members:
@@ -225,7 +219,7 @@ def transversal_reduce(
                 raise ValidationError(
                     f"axis-{f.axis} member direction escapes its direction set"
                 )
-    delta = delta_for_epsilon(eps, consts)
+    delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     sigma = transversal_sigma_bound(n, nu)
     rho = min(nu / (100.0 * n), delta / (2.0 * sigma))
     covers = [

@@ -246,6 +246,42 @@ def genspec_from_json(data) -> GenSpec:
     )
 
 
+def _stanza(data, command: str, keys) -> dict:
+    """The command's stanza (or the whole file), checked to hold ``keys``."""
+    stanza = data.get(command, data) if isinstance(data, dict) else data
+    _require(isinstance(stanza, dict), f"{command} stanza must be an object")
+    missing = [k for k in keys if k not in stanza]
+    _require(not missing, f"{command} stanza needs {', '.join(missing)}")
+    return stanza
+
+
+@_parser
+def sweep_from_json(data, delta: float | None = None) -> tuple[GenSpec, list[float], float]:
+    """(template, s_values, delta) of a ``sweep`` stanza; ``delta`` overrides its own."""
+    keys = ("template", "s_values") + (("delta",) if delta is None else ())
+    stanza = _stanza(data, "sweep", keys)
+    return (
+        genspec_from_json(stanza["template"]),
+        [float(s) for s in stanza["s_values"]],
+        float(stanza["delta"]) if delta is None else delta,
+    )
+
+
+@_parser
+def search_from_json(data, seed: int | None = None) -> dict:
+    """``extremal_search`` arguments of a ``search`` stanza; ``seed`` overrides its own."""
+    keys = ("n", "counts", "cube", "budget") + (("seed",) if seed is None else ())
+    stanza = _stanza(data, "search", keys)
+    return {
+        "n": int(stanza["n"]),
+        "counts": tuple(int(c) for c in stanza["counts"]),
+        "cube": cube_from_json(stanza["cube"]),
+        "budget": int(stanza["budget"]),
+        "seed": int(stanza["seed"]) if seed is None else seed,
+        "annealing": bool(stanza.get("annealing", False)),
+    }
+
+
 def _box_from_json(data) -> Box:
     return Box(
         np.asarray(data["min_corner"], dtype=float),

@@ -198,10 +198,16 @@ SEARCH_STANZA = {
 }
 
 
-def edited_config(tmp_path, edit):
-    """A generated n=2 configuration with ``edit`` applied to its JSON."""
+def generated_config(tmp_path):
+    """A valid generated n=2 configuration."""
     cfg = tmp_path / "cfg.json"
     run(["gen", "--config", genspec_file(tmp_path), "--out", cfg])
+    return cfg
+
+
+def edited_config(tmp_path, edit):
+    """A generated n=2 configuration with ``edit`` applied to its JSON."""
+    cfg = generated_config(tmp_path)
     data = load_json(cfg)
     edit(data)
     dump_json(data, cfg)
@@ -236,9 +242,19 @@ def _add_direction_sets(data):
     ]
 
 
-def sweep_file_without_template(tmp_path):
+SWEEP_STANZA = {
+    "template": genspec_to_json(
+        GenSpec(2, (3, 3), SmallAngle(0.08), Cube.centered([0.0, 0.0], 4.0), seed=5)
+    ),
+    "s_values": [2.0],
+    "delta": 0.1,
+}
+
+
+def sweep_file(tmp_path, **changes):
+    stanza = {k: v for k, v in {**SWEEP_STANZA, **changes}.items() if v is not None}
     path = tmp_path / "sweep.json"
-    dump_json({"schema_version": 1, "sweep": {"s_values": [2.0], "delta": 0.1}}, path)
+    dump_json({"schema_version": 1, "sweep": stanza}, path)
     return path
 
 
@@ -254,7 +270,14 @@ BAD_INPUTS = {
     "search_zero_count": lambda p: [
         "search", "--config", search_file(p, counts=[0, 2]), "--grid", 16
     ],
-    "sweep_without_template": lambda p: ["sweep", "--config", sweep_file_without_template(p)],
+    "search_n_not_int": lambda p: ["search", "--config", search_file(p, n="two")],
+    "sweep_without_template": lambda p: ["sweep", "--config", sweep_file(p, template=None)],
+    "sweep_delta_not_number": lambda p: ["sweep", "--config", sweep_file(p, delta="abc")],
+    "sweep_s_value_not_number": lambda p: ["sweep", "--config", sweep_file(p, s_values=["x"])],
+    "threads_zero": lambda p: ["eval", "--config", generated_config(p), "--threads", 0],
+    "threads_negative": lambda p: ["eval", "--config", generated_config(p), "--threads", -3],
+    "grid_not_int": lambda p: ["eval", "--config", generated_config(p), "--grid", "abc"],
+    "unknown_command": lambda p: ["evaluate", "--config", generated_config(p)],
     "reduce_nu_without_epsilon": lambda p: [
         "reduce", "--config", edited_config(p, _add_direction_sets), "--nu", 1.0
     ],
@@ -268,4 +291,5 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
     assert run([*argv, "--out", tmp_path / "out.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "out.json").exists()

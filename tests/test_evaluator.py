@@ -87,9 +87,11 @@ class TestEvaluateOverlap:
             )
             for j in range(2)
         ]
-        v1 = evaluate_overlap(fams, cube2, GridSpec(128), threads=1)
-        v8 = evaluate_overlap(fams, cube2, GridSpec(128), threads=8)
-        assert v1.value == v8.value
+        # 128^2 cells fit one block; 300^2 span two, the second one partial
+        for m in (128, 300):
+            v1 = evaluate_overlap(fams, cube2, GridSpec(m), threads=1)
+            v8 = evaluate_overlap(fams, cube2, GridSpec(m), threads=8)
+            assert v1.value == v8.value
 
     def test_monotone_in_radius(self, cube2, rng):
         anchors = rng.uniform(-4, 4, (3, 2))
