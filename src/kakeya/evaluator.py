@@ -6,6 +6,8 @@ an exact polygon-clipping oracle.
 
 Grid sums are computed in fixed-size blocks keyed by flattened cell index and
 folded in index order, so the result is bit-identical for any worker count.
+Each member's distance is computed only on its band, the box of cells it can
+reach; the cells outside add exactly zero, so the bits match a dense sum.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from .geometry import (
     Cube,
     LipschitzCurve,
     Tube,
+    lattice,
     point_line_distance,
     point_polyline_distance,
 )
 
 DEFAULT_CELL_BUDGET = 10**8
 _BLOCK = 1 << 16
+_ROW = _BLOCK // 4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,17 +146,20 @@ def check_families(families) -> int:
     return n
 
 
+def _member_distance(geometry, points) -> np.ndarray:
+    """Distance from each point (N, n) to a member's axis line or polyline."""
+    if isinstance(geometry, Tube):
+        return point_line_distance(points, geometry.line)
+    return point_polyline_distance(points, geometry)
+
+
 def family_values(family: TubeFamily, points, radius: float | None = None) -> np.ndarray:
     """sum_a w_a * indicator(member at ``radius``) at each point (N, n)."""
     r = family.base_radius if radius is None else radius
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     for m in family.members:
-        if isinstance(m.geometry, Tube):
-            d = point_line_distance(pts, m.geometry.line)
-        else:
-            d = point_polyline_distance(pts, m.geometry)
-        out += m.weight * (d <= r)
+        out += m.weight * (_member_distance(m.geometry, pts) <= r)
     return out
 
 
@@ -183,41 +191,163 @@ def _check_curve_spans(families, cube: Cube) -> None:
                     )
 
 
+def _slabs(start: int, stop: int, m: int, n: int) -> tuple[list, int]:
+    """Boxes of whole rows that cover the flat C-order cells [start, stop).
+
+    A row runs over the axes after ``level``, the first axis whose rows hold
+    at most ``_ROW`` cells, so the boxes hold at most two rows beyond the
+    cells asked for.  Consecutive rows that share their indices on the axes
+    before ``level`` form one box, given as per-axis index ranges
+    ``(first, stop)``.  Also returns the flat index of the first covered cell.
+    """
+    level = next(k for k in range(n) if m ** (n - 1 - k) <= _ROW)
+    stride = m ** (n - 1 - level)
+    row, end = start // stride, -(-stop // stride)
+    first = row * stride
+    boxes = []
+    while row < end:
+        prefix, i = divmod(row, m)
+        j = min(m, i + end - row)
+        head = []
+        for _ in range(level):
+            prefix, digit = divmod(prefix, m)
+            head.insert(0, (digit, digit + 1))
+        boxes.append(head + [(i, j)] + [(0, m)] * (n - 1 - level))
+        row += j - i
+    return boxes, first
+
+
 def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     """Sum of ``integrand`` over the centers of the m^n cells of sides ``h``.
 
     Cell ``i`` has center ``lo[k] + (i_k + 0.5) * h[k]``.  The cells are
-    walked in flat C order in blocks of ``_BLOCK``; ``integrand`` maps each
-    block's (B, n) centers to B values, and the block sums are folded with
-    ``math.fsum`` in block order, so the result is the same for any
+    walked in flat C order in blocks of ``_BLOCK``.  For each block,
+    ``integrand(axes, starts)`` is called on the boxes of ``_slabs`` that
+    cover it: ``axes[k]`` holds the box's cell centers along axis k and
+    ``starts[k]`` the grid index of the first of them, and the call returns
+    the values on the box's lattice.  The block's cells are sliced out of
+    those values and their ``np.sum`` is taken; the block sums are folded
+    with ``math.fsum`` in block order, so the result is the same for any
     ``threads``.  The caller multiplies by the cell volume.
     """
     n = len(lo)
     total = m**n
+    centers = [lo[k] + (np.arange(m) + 0.5) * h[k] for k in range(n)]
+
+    def block_sum(start: int) -> float:
+        stop = min(start + _BLOCK, total)
+        boxes, first = _slabs(start, stop, m, n)
+        vals = [
+            integrand([c[a:b] for c, (a, b) in zip(centers, box)], [a for a, _ in box]).ravel()
+            for box in boxes
+        ]
+        flat = vals[0] if len(vals) == 1 else np.concatenate(vals)
+        return float(np.sum(flat[start - first : stop - first]))
+
     starts = range(0, total, _BLOCK)
-
-    def centers(start) -> np.ndarray:
-        idx = np.unravel_index(np.arange(start, min(start + _BLOCK, total)), (m,) * n)
-        return np.stack([lo[k] + (idx[k] + 0.5) * h[k] for k in range(n)], axis=1)
-
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda s: float(np.sum(integrand(centers(s)))), starts))
+            partials = list(pool.map(block_sum, starts))
     else:
-        # ``pts`` holds one block while the next is built, so the allocator
-        # reuses its pages instead of handing them back: a grid-80 n=3 LW left
-        # side took 1.5k page faults this way against 10.8k freeing each block
-        partials = []
-        for start in starts:
-            pts = centers(start)
-            partials.append(float(np.sum(integrand(pts))))
+        partials = [block_sum(start) for start in starts]
     return math.fsum(partials)
 
 
-def _midpoint_value(families, cube, m, radii=None, threads: int = 1) -> float:
-    h = cube.side / m
-    integrand = partial(overlap_integrand, families, radii=radii)
-    return h**cube.n * midpoint_sum(integrand, cube.min_corner, (h,) * cube.n, m, threads)
+def _reach(family: TubeFamily, r: float, cube: Cube) -> np.ndarray:
+    """Per-axis bounds, shape (members, 2, n), of the points each member reaches.
+
+    A point that the distance test puts within ``r`` of a member lies in the
+    member's reach: the bounding box, widened by ``r``, of the line over the
+    slab where its x_axis lies within ``r`` of the cube (a tube), or of the
+    vertices (a polyline).  ``r`` is first widened by a bound on the rounding
+    of the computed distance, whose square is off by at most
+    (|1 - |dir|^2| + 32 eps) R^2 (for a line it is a difference of squares,
+    the worse case), where R is the largest distance from a cube corner to
+    an anchor or a vertex.
+    """
+    n, j = family.dim, family.axis
+    is_tube = np.array([isinstance(m.geometry, Tube) for m in family.members], dtype=bool)
+    lines = [m.geometry.line for m in family.members if isinstance(m.geometry, Tube)]
+    curves = [m.geometry.vertices() for m in family.members if not isinstance(m.geometry, Tube)]
+    anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
+    dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
+    origins = np.concatenate([anchors, *curves])
+    far2 = np.max(np.sum((cube.corners()[:, None] - origins) ** 2, axis=-1), initial=0.0)
+    skew = np.max(np.abs(1.0 - np.sum(dirs * dirs, axis=1)), initial=0.0)
+    err2 = float((skew + 32.0 * _EPS) * far2)
+    rr = r + err2 / (math.sqrt(r * r + err2) + r)
+    slab = cube.min_corner[j] + np.array([-rr, cube.side + rr])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a line with no x_j motion gets t from -inf to inf when it lies in
+        # the slab, both ends at one infinity (an empty reach) when it misses
+        # it, and 0/0 on a face of the slab, which counts as lying in it
+        t = np.sort((slab - anchors[:, j, None]) / dirs[:, j, None], axis=1)
+        t[np.isnan(t).any(axis=1)] = -np.inf, np.inf
+        moved = anchors[:, None] + t[..., None] * dirs[:, None]
+        ends = np.where(dirs[:, None] == 0.0, anchors[:, None], moved)
+    reach = np.empty((family.size, 2, n))
+    reach[is_tube] = np.stack([ends.min(axis=1), ends.max(axis=1)], axis=1)
+    if curves:
+        reach[~is_tube] = [(v.min(axis=0), v.max(axis=0)) for v in curves]
+    reach[:, 0] -= rr
+    reach[:, 1] += rr
+    return reach
+
+
+def _bands(reach: np.ndarray, axis: int, lo, h: float, m: int) -> np.ndarray:
+    """Grid index ranges, shape (members, n, 2), of the cells whose centers lie in ``reach``.
+
+    One more cell on each side covers the rounding of the cell centers and
+    of this index arithmetic, so every cell outside a band tests outside its
+    member, and skipping it leaves every bit of the sum unchanged.  Each band
+    spans the whole family axis.
+    """
+    first = np.ceil((reach[:, 0] - lo) / h - 1.5)
+    stop = np.floor((reach[:, 1] - lo) / h + 0.5) + 1.0
+    bands = np.clip(np.stack([first, stop], axis=-1), 0, m).astype(np.int64)
+    bands[:, axis] = 0, m
+    return bands
+
+
+def _box_values(families, radii, bands, p: float, axes, starts) -> np.ndarray:
+    """``overlap_integrand`` on the lattice of ``axes``, each member tested on its band only."""
+    shape = tuple(a.size for a in axes)
+    n = len(shape)
+    pts = lattice(axes).reshape(shape + (n,))
+    lo = np.asarray(starts)
+    out = np.ones(shape)
+    for family, r, band in zip(families, radii, bands):
+        vals = np.zeros(shape)
+        firsts = (np.maximum(band[..., 0], lo) - lo).tolist()
+        stops = (np.minimum(band[..., 1], lo + shape) - lo).tolist()
+        for member, first, stop in zip(family.members, firsts, stops):
+            if any(a >= b for a, b in zip(first, stop)):
+                continue
+            box = tuple(map(slice, first, stop))
+            sub = pts[box]
+            d = _member_distance(member.geometry, sub.reshape(-1, n))
+            vals[box] += (member.weight * (d <= r)).reshape(sub.shape[:-1])
+        out *= vals if p == 1.0 else np.power(vals, p)
+    return out
+
+
+def _midpoint_rule(families, cube, radii=None):
+    """The overlap functional's midpoint-rule value as a function of (m, threads).
+
+    The members' reaches do not depend on the grid, so every level shares them.
+    """
+    fams = sorted(families, key=lambda f: f.axis)
+    rs = [f.base_radius if radii is None else radii[j] for j, f in enumerate(fams)]
+    reaches = [_reach(f, r, cube) for f, r in zip(fams, rs)]
+    p = 1.0 / (len(fams) - 1)
+
+    def value(m: int, threads: int) -> float:
+        h = cube.side / m
+        bands = [_bands(x, f.axis, cube.min_corner, h, m) for f, x in zip(fams, reaches)]
+        integrand = partial(_box_values, fams, rs, bands, p)
+        return h**cube.n * midpoint_sum(integrand, cube.min_corner, (h,) * cube.n, m, threads)
+
+    return value
 
 
 def evaluate_overlap(
@@ -241,9 +371,10 @@ def evaluate_overlap(
         raise CellBudgetExceeded(
             f"grid has {m**n} cells, exceeding the budget of {cell_budget}"
         )
-    value = _midpoint_value(families, cube, m, radii, threads)
+    midpoint = _midpoint_rule(families, cube, radii)
+    value = midpoint(m, threads)
     if m % 2 == 0 and m >= 2:
-        coarse = _midpoint_value(families, cube, m // 2, radii, threads)
+        coarse = midpoint(m // 2, threads)
         err = abs(value - coarse)
     else:
         err = None
@@ -278,13 +409,14 @@ def evaluate_refined(
     m = start_cells
     if m**n > cell_budget:
         raise CellBudgetExceeded(f"start grid {m}^{n} exceeds the cell budget")
-    value = _midpoint_value(families, cube, m, None, threads)
+    midpoint = _midpoint_rule(families, cube)
+    value = midpoint(m, threads)
     diff = None
     for _ in range(max_doublings):
         if (2 * m) ** n > cell_budget:
             return OverlapValue(value, diff, GridSpec(m), converged=False)
         m *= 2
-        new = _midpoint_value(families, cube, m, None, threads)
+        new = midpoint(m, threads)
         diff = abs(new - value)
         value = new
         scale = max(abs(value), 1e-300)

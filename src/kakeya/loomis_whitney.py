@@ -84,17 +84,25 @@ class ProjectionFunction:
         """Exact L1 norm of the stored piecewise-constant function."""
         return float(np.sum(self.values)) * self.cell_volume
 
+    def _cell_index(self, k: int, coords) -> np.ndarray:
+        """Nearest-cell index along axis k of each coordinate; raises outside the box."""
+        lo, hi = self.box.min_corner[k], self.box.max_corner[k]
+        tol = 1e-9 * np.max(self.box.sides)
+        if np.any(coords < lo - tol) or np.any(coords > hi + tol):
+            raise ValidationError("projection falls outside the function's box")
+        idx = np.floor((coords - lo) / self.cell_sides[k]).astype(int)
+        return np.clip(idx, 0, self.values.shape[k] - 1)
+
     def lookup(self, points) -> np.ndarray:
         """Nearest-cell values at points (N, dim); raises outside the box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tol = 1e-9 * np.max(self.box.sides)
-        if np.any(pts < self.box.min_corner - tol) or np.any(
-            pts > self.box.max_corner + tol
-        ):
-            raise ValidationError("projection falls outside the function's box")
-        idx = np.floor((pts - self.box.min_corner) / self.cell_sides).astype(int)
-        idx = np.clip(idx, 0, np.array(self.values.shape) - 1)
-        return self.values[tuple(idx.T)]
+        if pts.shape[1] != self.dim:
+            raise ValidationError("points must have one coordinate per function axis")
+        return self.values[tuple(self._cell_index(k, pts[:, k]) for k in range(self.dim))]
+
+    def lookup_grid(self, axes) -> np.ndarray:
+        """Nearest-cell values on the product lattice of the 1-d ``axes``."""
+        return self.values[np.ix_(*(self._cell_index(k, x) for k, x in enumerate(axes)))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +177,13 @@ def _left_midpoint(fs, box: Box, m: int) -> float:
     p = 1.0 / (n - 1)
     h = box.sides / m
 
-    def integrand(pts):
-        vals = np.ones(pts.shape[0])
+    def integrand(axes, starts):
+        # f_j(pi_j x) is constant along axis j: look it up on the other axes
+        # and broadcast it along axis j
+        vals = np.ones(tuple(a.size for a in axes))
         for j in range(n):
-            fj = fs[j].lookup(project(pts, j))
-            vals *= fj if p == 1.0 else np.power(fj, p)
+            fj = fs[j].lookup_grid(axes[:j] + axes[j + 1 :])
+            vals *= np.expand_dims(fj if p == 1.0 else np.power(fj, p), j)
         return vals
 
     return float(np.prod(h)) * midpoint_sum(integrand, box.min_corner, h, m)

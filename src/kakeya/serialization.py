@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+from numbers import Integral
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,18 @@ class Configuration:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool, a string or a fractional number is bad input."""
+    integral = isinstance(value, Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    return tuple(_integer(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def _parser(fn):
@@ -156,14 +169,14 @@ def config_from_json(data) -> Configuration:
              f"unsupported schema_version {data.get('schema_version')!r}")
     _require("n" in data and "cube" in data and "families" in data,
              "config needs n, cube, families")
-    n = int(data["n"])
+    n = _integer(data["n"], "n")
     cube = cube_from_json(data["cube"])
     _require(cube.n == n, "cube dimension differs from n")
     families = []
-    for stanza in data["families"]:
+    for i, stanza in enumerate(data["families"]):
         _require(isinstance(stanza, dict) and "axis" in stanza,
                  "family stanza needs an axis")
-        axis = int(stanza["axis"])
+        axis = _integer(stanza["axis"], f"families[{i}].axis")
         radius = float(stanza.get("radius", 1.0))
         members = tuple(
             member_from_json(m, axis, radius) for m in stanza.get("members", [])
@@ -215,7 +228,8 @@ def regime_from_json(data) -> Regime:
     if kind == "general":
         return GeneralAngle()
     if kind == "lipschitz":
-        return Lipschitz(float(data["delta"]), int(data["breakpoints"]))
+        breakpoints = _integer(data["breakpoints"], "gen.regime.breakpoints")
+        return Lipschitz(float(data["delta"]), breakpoints)
     return Weighted(float(data["low"]), float(data["high"]), float(data["delta"]))
 
 
@@ -237,11 +251,11 @@ def genspec_from_json(data) -> GenSpec:
     for key in ("n", "counts", "regime", "cube", "seed"):
         _require(key in data, f"generator spec needs {key!r}")
     return GenSpec(
-        int(data["n"]),
-        tuple(int(c) for c in data["counts"]),
+        _integer(data["n"], "gen.n"),
+        _integers(data["counts"], "gen.counts"),
         regime_from_json(data["regime"]),
         cube_from_json(data["cube"]),
-        int(data["seed"]),
+        _integer(data["seed"], "gen.seed"),
         float(data.get("radius", 1.0)),
     )
 
@@ -273,11 +287,11 @@ def search_from_json(data, seed: int | None = None) -> dict:
     keys = ("n", "counts", "cube", "budget") + (("seed",) if seed is None else ())
     stanza = _stanza(data, "search", keys)
     return {
-        "n": int(stanza["n"]),
-        "counts": tuple(int(c) for c in stanza["counts"]),
+        "n": _integer(stanza["n"], "search.n"),
+        "counts": _integers(stanza["counts"], "search.counts"),
         "cube": cube_from_json(stanza["cube"]),
-        "budget": int(stanza["budget"]),
-        "seed": int(stanza["seed"]) if seed is None else seed,
+        "budget": _integer(stanza["budget"], "search.budget"),
+        "seed": _integer(stanza["seed"], "search.seed") if seed is None else seed,
         "annealing": bool(stanza.get("annealing", False)),
     }
 

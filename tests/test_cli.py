@@ -227,8 +227,29 @@ def lw_file_without_functions(tmp_path):
     return path
 
 
+def lw_file_escaping_box(tmp_path):
+    """f_1 lives on [0, 1], but the integration box projects onto [0, 2] along axis 1."""
+    unit = {"box": {"min_corner": [0.0], "sides": [1.0]}, "values": [1.0, 1.0]}
+    wide = {"box": {"min_corner": [0.0], "sides": [2.0]}, "values": [1.0, 1.0]}
+    path = tmp_path / "lw.json"
+    dump_json({"functions": [wide, unit], "box": {"min_corner": [0.0, 0.0], "sides": [2.0, 1.0]}},
+              path)
+    return path
+
+
+def gen_file(tmp_path, **changes):
+    spec = genspec_to_json(GenSpec(2, (2, 2), SmallAngle(0.1), Cube.centered([0.0, 0.0], 4.0), 3))
+    path = tmp_path / "gen.json"
+    dump_json({"schema_version": 1, "gen": {**spec, **changes}}, path)
+    return path
+
+
 def _set_member_dir(data):
     data["families"][0]["members"][0]["dir"] = [1.0, 0.5]
+
+
+def _set_family_axis(data):
+    data["families"][1]["axis"] = 1.5
 
 
 def _set_cube_side(data):
@@ -271,6 +292,16 @@ BAD_INPUTS = {
         "search", "--config", search_file(p, counts=[0, 2]), "--grid", 16
     ],
     "search_n_not_int": lambda p: ["search", "--config", search_file(p, n="two")],
+    "search_budget_fractional": lambda p: ["search", "--config", search_file(p, budget=12.7)],
+    "search_budget_bool": lambda p: ["search", "--config", search_file(p, budget=True)],
+    "search_count_fractional": lambda p: ["search", "--config", search_file(p, counts=[2, 1.5])],
+    "gen_n_fractional": lambda p: ["gen", "--config", gen_file(p, n=2.9)],
+    "config_axis_fractional": lambda p: [
+        "eval", "--config", edited_config(p, _set_family_axis)
+    ],
+    "verify_lw_box_escapes_function": lambda p: [
+        "verify-lw", "--config", lw_file_escaping_box(p)
+    ],
     "sweep_without_template": lambda p: ["sweep", "--config", sweep_file(p, template=None)],
     "sweep_delta_not_number": lambda p: ["sweep", "--config", sweep_file(p, delta="abc")],
     "sweep_s_value_not_number": lambda p: ["sweep", "--config", sweep_file(p, s_values=["x"])],
@@ -293,3 +324,31 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("search_n_not_int", "search.n must be an integer, got 'two'"),
+        ("search_budget_fractional", "search.budget must be an integer, got 12.7"),
+        ("search_budget_bool", "search.budget must be an integer, got True"),
+        ("search_count_fractional", "search.counts[1] must be an integer, got 1.5"),
+        ("gen_n_fractional", "gen.n must be an integer, got 2.9"),
+        ("config_axis_fractional", "families[1].axis must be an integer, got 1.5"),
+        ("verify_lw_box_escapes_function", "projection of the integration box escapes f_1's box"),
+    ],
+)
+def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
+    argv = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    """A whole number written as a float still counts as an integer."""
+    out = tmp_path / "cfg.json"
+    assert run(["gen", "--config", gen_file(tmp_path, n=2.0, seed=3.0), "--out", out]) == 0
+    ref = tmp_path / "ref.json"
+    assert run(["gen", "--config", gen_file(tmp_path), "--out", ref]) == 0
+    assert out.read_bytes() == ref.read_bytes()

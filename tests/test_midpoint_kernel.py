@@ -1,0 +1,243 @@
+"""The banded slab kernel against the dense block sums it replaced, bit for bit.
+
+The dense reference walks the flat C-order cells in blocks of 65,536, sums
+the pointwise integrand of each block with ``np.sum`` and folds the block
+sums with ``math.fsum``; the kernel must give the same float, compared by
+``float.hex``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kakeya.evaluator import (
+    FamilyMember,
+    GridSpec,
+    TubeFamily,
+    _slabs,
+    evaluate_overlap,
+    midpoint_sum,
+    overlap_integrand,
+)
+from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
+from kakeya.geometry import Cube, Line, LipschitzCurve, Tube, lattice
+from kakeya.loomis_whitney import Box, ProjectionFunction, lw_left, project
+
+from conftest import family, tube
+
+BLOCK = 1 << 16
+
+PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def centers(lo, h, m):
+    return lattice([lo[k] + (np.arange(m) + 0.5) * h[k] for k in range(len(lo))])
+
+
+def dense_sum(values, pts) -> float:
+    """fsum over 65,536-point blocks of np.sum(values(block))."""
+    return math.fsum(
+        float(np.sum(values(pts[s : s + BLOCK]))) for s in range(0, pts.shape[0], BLOCK)
+    )
+
+
+def dense_overlap(families, cube, m, radii=None) -> float:
+    h = cube.side / m
+    pts = centers(cube.min_corner, (h,) * cube.n, m)
+    return h**cube.n * dense_sum(lambda p: overlap_integrand(families, p, radii=radii), pts)
+
+
+def dense_lw_left(fs, box, m) -> float:
+    n = box.n
+    p = 1.0 / (n - 1)
+    h = box.sides / m
+
+    def values(pts):
+        vals = np.ones(pts.shape[0])
+        for j in range(n):
+            fj = fs[j].lookup(project(pts, j))
+            vals *= fj if p == 1.0 else np.power(fj, p)
+        return vals
+
+    return float(np.prod(h)) * dense_sum(values, centers(box.min_corner, h, m))
+
+
+def shifted(family: TubeFamily, offsets) -> TubeFamily:
+    """The family with each member moved across its axis by a row of ``offsets``."""
+    members = []
+    for member, off in zip(family.members, offsets):
+        g = member.geometry
+        off = np.where(np.arange(family.dim) == family.axis, 0.0, off)
+        if isinstance(g, Tube):
+            g = Tube(Line(g.line.anchor + off, g.line.direction), g.radius)
+        else:
+            g = LipschitzCurve(g.axis, g.breakpoints, g.values + np.delete(off, g.axis), g.lip)
+        members.append(FamilyMember(g, member.weight))
+    return TubeFamily(family.axis, family.dim, tuple(members), family.base_radius)
+
+
+deltas = st.floats(0.01, 0.3)
+regimes = st.one_of(
+    deltas.map(SmallAngle),
+    st.just(GeneralAngle()),
+    st.builds(Weighted, st.floats(0.1, 1.0), st.floats(1.0, 3.0), deltas),
+    st.builds(Lipschitz, deltas, st.integers(2, 5)),
+)
+
+
+@st.composite
+def overlap_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    corner = [draw(st.floats(-10.0, 10.0)) for _ in range(n)]
+    cube = Cube(np.array(corner), draw(st.floats(2.0, 8.0)))
+    spec = GenSpec(
+        n,
+        tuple(draw(st.integers(1, 4)) for _ in range(n)),
+        draw(regimes),
+        cube,
+        draw(st.integers(0, 2**32)),
+        draw(st.floats(0.3, 2.5)),
+    )
+    # a spread of 0 keeps every member in the cube; larger ones move some
+    # partly or wholly outside it
+    spread = draw(st.sampled_from([0.0, 0.0, 0.5, 1.5]))
+    rng = np.random.default_rng(spec.seed)
+    families = [
+        shifted(f, spread * cube.side * rng.uniform(-1.0, 1.0, (f.size, n)))
+        for f in generate(spec)
+    ]
+    # small grids, and grids of two or three blocks
+    m = draw(
+        st.one_of(st.integers(1, 64), st.integers(257, 400))
+        if n == 2
+        else st.one_of(st.integers(1, 20), st.integers(41, 56))
+    )
+    radii = draw(st.none() | st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+    return families, cube, m, radii
+
+
+@PROPERTY
+@given(overlap_cases())
+def test_overlap_matches_dense_blocks_bit_for_bit(case):
+    families, cube, m, radii = case
+    value = dense_overlap(families, cube, m, radii)
+    err = abs(value - dense_overlap(families, cube, m // 2, radii)) if m % 2 == 0 else None
+    for threads in (1, 2):
+        got = evaluate_overlap(families, cube, GridSpec(m), radii=radii, threads=threads)
+        assert got.value.hex() == value.hex()
+        if err is None:
+            assert got.error_estimate is None
+        else:
+            assert got.error_estimate.hex() == err.hex()
+
+
+def test_overlap_matches_dense_on_row_slabs():
+    # 131^2 cells per axis-0 index exceed the slab row limit, so the slabs
+    # are rows along axis 1 grouped by their axis-0 index
+    cube = Cube(np.array([-4.0, -3.0, -5.0]), 4.0)
+    families = generate(GenSpec(3, (3, 3, 3), SmallAngle(0.2), cube, seed=7, radius=1.5))
+    got = evaluate_overlap(families, cube, GridSpec(131), threads=2)
+    assert got.value > 0.0
+    assert got.value.hex() == dense_overlap(families, cube, 131).hex()
+
+
+@pytest.mark.parametrize("m", [24, 37])
+def test_overlap_matches_dense_with_lines_square_to_their_axis(m):
+    # members of family 0 with no motion along axis 0: one lies in the slab
+    # over the cube, one misses it, one is axis-parallel in two coordinates
+    cube = Cube(np.array([-2.0, -2.0, -2.0]), 4.0)
+    families = [
+        family(0, 3, [tube([0.3, 0.0, 0.0], [0.0, 0.6, 0.8]), tube([3.5, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                      tube([0.0, 0.5, -0.5], [0.0, 0.0, 1.0]), tube([0.0, 0.2, 0.3], [1.0, 0.1, 0.0])]),
+        family(1, 3, [tube([0.1, 0.0, 0.2], [0.1, 1.0, 0.0]), tube([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])]),
+        family(2, 3, [tube([0.0, 0.3, 0.0], [0.0, 0.1, 1.0]), tube([1.0, -1.0, 0.0], [0.0, 0.0, 1.0])]),
+    ]
+    got = evaluate_overlap(families, cube, GridSpec(m))
+    assert got.value > 0.0
+    assert got.value.hex() == dense_overlap(families, cube, m).hex()
+
+
+@st.composite
+def lw_cases(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    lo = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(n)])
+    sides = np.array([draw(st.floats(0.5, 4.0)) for _ in range(n)])
+    box = Box(lo, sides)
+    fs = []
+    for j in range(n):
+        # f_j's box covers the projected integration box, flush or with margins
+        below = np.array([draw(st.sampled_from([0.0, 0.3])) for _ in range(n - 1)])
+        above = np.array([draw(st.sampled_from([0.0, 0.7])) for _ in range(n - 1)])
+        shape = tuple(draw(st.integers(1, 5)) for _ in range(n - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        values = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) < 0.8)
+        fbox = Box(project(lo, j) - below, project(sides, j) + below + above)
+        fs.append(ProjectionFunction(fbox, values))
+    # small grids, and grids of two or three blocks
+    m = draw(
+        st.one_of(
+            {2: st.integers(1, 64), 3: st.integers(1, 20), 4: st.integers(1, 8)}[n],
+            {2: st.integers(257, 400), 3: st.integers(41, 56), 4: st.integers(17, 20)}[n],
+        )
+    )
+    return fs, box, m
+
+
+@PROPERTY
+@given(lw_cases())
+def test_lw_left_matches_pointwise_lookup_bit_for_bit(case):
+    fs, box, m = case
+    assert lw_left(fs, box, GridSpec(m)).hex() == dense_lw_left(fs, box, m).hex()
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (7, 2), (300, 2), (41, 3), (131, 3), (5, 4), (26, 4)])
+def test_midpoint_sum_matches_dense_blocks(m, n):
+    lo = np.linspace(-1.0, 2.0, n)
+    h = np.linspace(0.3, 0.1, n) / m
+    full = [lo[k] + (np.arange(m) + 0.5) * h[k] for k in range(n)]
+
+    def values(pts):
+        return np.sin(pts @ np.arange(1.0, n + 1.0)) + pts[:, 0] ** 2
+
+    def integrand(axes, starts):
+        for a, s, f in zip(axes, starts, full):
+            assert np.array_equal(a, f[s : s + a.size])
+        shape = tuple(a.size for a in axes)
+        return values(lattice(axes)).reshape(shape)
+
+    want = dense_sum(values, centers(lo, h, m))
+    assert midpoint_sum(integrand, lo, h, m).hex() == want.hex()
+    assert midpoint_sum(integrand, lo, h, m, threads=2).hex() == want.hex()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(1, 2), (7, 2), (300, 2), (16385, 2), (56, 3), (128, 3), (131, 3),
+                     (26, 4), (130, 4)]),
+    st.integers(0, 10**6),
+)
+def test_slabs_cover_each_block_with_whole_rows(shape, pick):
+    m, n = shape
+    total = m**n
+    start = (pick % -(-total // BLOCK)) * BLOCK
+    stop = min(start + BLOCK, total)
+    boxes, first = _slabs(start, stop, m, n)
+    flat = np.concatenate(
+        [
+            np.ravel_multi_index(tuple(lattice([np.arange(a, b) for a, b in box]).T), (m,) * n)
+            for box in boxes
+        ]
+    )
+    # the boxes, in order, are one run of consecutive cells around the block
+    assert np.array_equal(flat, np.arange(first, first + flat.size))
+    assert first <= start and stop <= first + flat.size
+    assert flat.size - (stop - start) < 2 * (BLOCK // 4)
