@@ -4,10 +4,8 @@ from .certifier import (
     Certificate,
     Constants,
     certify_multiscale,
-    count_intersections,
     cover_for_arbitrary_s,
     delta_for_epsilon,
-    identically_one_check,
     step_bound,
     verify_step_inequality,
 )
@@ -23,7 +21,6 @@ from .evaluator import (
     GridSpec,
     OverlapValue,
     TubeFamily,
-    average_integral,
     evaluate_overlap,
     evaluate_refined,
     exact_overlap_2d,
@@ -39,11 +36,7 @@ from .geometry import (
     Tube,
     angle_from_axis,
     cap_cover,
-    curve_indicator,
-    fatten_axis_parallel,
     frame_map,
-    tube_indicator,
-    tube_intersects_cube,
     wedge_volume,
 )
 from .loomis_whitney import (
@@ -51,7 +44,6 @@ from .loomis_whitney import (
     Box,
     ProjectionFunction,
     ball_sum_l1,
-    lw_left,
     lw_right,
     project,
     unit_ball_volume,

@@ -21,7 +21,8 @@ integral over Q is at least |Q| prod_j N_j(Q)^{1/(n-1)}, and |Q| is at least
 (delta^-1 W / 20n)^n.  Dividing yields c_step * delta^n per step.
 
 The per-step argument needs diam(Q) + W <= delta^-1 W, which holds whenever
-delta <= 0.9; chain operations reject larger delta.
+delta <= 0.9; chain operations reject larger delta.  The fattening and
+identically-1 lemmas are checked on random instances in tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from .evaluator import (
     TubeFamily,
     _check_curve_spans,
     check_families,
-    evaluate_overlap,
+    midpoint_rule,
 )
 from .geometry import (
     Cube,
     LipschitzCurve,
     Tube,
     angle_from_axis,
-    cube_line_max_distance,
     line_box_distance,
     polyline_box_distance,
     subcube_grid,
@@ -97,7 +97,8 @@ class StepVerification:
 class StepDetail:
     """Subcube Loomis-Whitney bound for one ladder rung.
 
-    Certificates omit a rung's detail above the detail budget.
+    The histograms count members per subcube; ``numeric_bound`` sums their
+    weights.  Certificates omit a rung's detail above the detail budget.
     """
 
     w: float
@@ -167,26 +168,6 @@ def _member_box_distances(family: TubeFamily, lo, hi) -> np.ndarray:
     return out
 
 
-def count_intersections(family: TubeFamily, cube: Cube, w: float | None = None) -> int:
-    """Number of members whose radius-w neighborhood meets the cube (exact)."""
-    r = family.base_radius if w is None else w
-    if not family.members:
-        return 0
-    d = _member_box_distances(family, cube.min_corner[None, :], cube.max_corner[None, :])
-    return int(np.sum(d[:, 0] <= r))
-
-
-def identically_one_check(tube: Tube, cube: Cube, delta: float, w: float) -> bool:
-    """Exact check that the radius delta^-1 w neighborhood covers the cube.
-
-    Max distance from the cube to the axis line is attained at a vertex
-    (convexity), so the check is a finite corner computation.  Under the step
-    preconditions (cube side <= delta^-1 w / 10n, tube meets the cube at
-    radius w, delta <= 0.9) this always holds.
-    """
-    return cube_line_max_distance(cube, tube.line) <= w / delta
-
-
 def _validate_small_angle(families, delta: float) -> None:
     for f in families:
         for m in f.members:
@@ -231,39 +212,43 @@ def _check_step(families, cube: Cube, delta: float) -> tuple[int, float]:
 
 
 def _subcube_counts(families, cube: Cube, delta: float, w: float):
-    """Subdivide and count members per subcube; returns (los, side, counts).
+    """Subdivide and count members per subcube; returns (los, side, counts, weights).
 
-    ``counts`` has shape (n_families, n_subcubes).
+    ``counts`` holds the number of members within w of each subcube and
+    ``weights`` their total weight, N_j(Q); both have shape
+    (n_families, n_subcubes).
     """
     k, sub_side = subdivision_counts(cube, delta, w)
     los = subcube_grid(cube, k)
     his = los + sub_side
-    counts = np.empty((len(families), los.shape[0]))
+    counts = np.zeros((len(families), los.shape[0]))
+    weights = np.zeros_like(counts)
     for j, f in enumerate(sorted(families, key=lambda fam: fam.axis)):
         if f.members:
-            counts[j] = np.sum(_member_box_distances(f, los, his) <= w, axis=0)
-        else:
-            counts[j] = 0.0
-    return los, sub_side, counts
+            near = _member_box_distances(f, los, his) <= w
+            counts[j] = np.sum(near, axis=0)
+            member_weights = np.array([[m.weight] for m in f.members])
+            weights[j] = np.sum(np.where(near, member_weights, 0.0), axis=0)
+    return los, sub_side, counts, weights
 
 
-def step_numeric_bound(n: int, c_lw: float, w: float, counts: np.ndarray) -> float:
-    """sum_Q c_lw W^n prod_j N_j(Q)^(1/(n-1)) over the subcubes."""
+def step_numeric_bound(n: int, c_lw: float, w: float, weights: np.ndarray) -> float:
+    """sum_Q c_lw W^n prod_j N_j(Q)^(1/(n-1)) over the subcubes (N_j: member weight)."""
     p = 1.0 / (n - 1.0)
-    prods = np.prod(np.power(counts, p), axis=0)
+    prods = np.prod(np.power(weights, p), axis=0)
     return c_lw * w**n * float(np.sum(prods))
 
 
 def _step_detail(families, cube: Cube, delta: float, w: float, c_lw: float) -> StepDetail:
     """Tile the cube at scale w, count members per subcube, and bound the rung."""
     n = len(families)
-    los, sub_side, counts = _subcube_counts(families, cube, delta, w)
+    los, sub_side, counts, weights = _subcube_counts(families, cube, delta, w)
     hists = []
     for j in range(n):
         vals, freq = np.unique(counts[j].astype(int), return_counts=True)
         hists.append({int(v): int(c) for v, c in zip(vals, freq)})
     return StepDetail(
-        w, sub_side, los.shape[0], tuple(hists), step_numeric_bound(n, c_lw, w, counts)
+        w, sub_side, los.shape[0], tuple(hists), step_numeric_bound(n, c_lw, w, weights)
     )
 
 
@@ -288,9 +273,9 @@ def verify_step_inequality(
     as ratio 0 with the degenerate flag.
     """
     n, w = _check_step(families, cube, delta)
-    lhs = evaluate_overlap(families, cube, grid, threads=threads).value
-    coarse = [w / delta] * n
-    rhs = evaluate_overlap(families, cube, grid, radii=coarse, threads=threads).value
+    m = grid.cells_per_side
+    lhs = midpoint_rule(families, cube)(m, threads)
+    rhs = midpoint_rule(families, cube, [w / delta] * n)(m, threads)
     bound = Constants.for_dimension(n).c_step * delta**n * rhs
     if bound == 0.0:
         return StepVerification(lhs, rhs, bound, 0.0, degenerate=True)

@@ -29,7 +29,7 @@ from .geometry import (
     point_polyline_distance,
 )
 
-DEFAULT_CELL_BUDGET = 10**8
+CELL_BUDGET = 10**8
 _BLOCK = 1 << 16
 _ROW = _BLOCK // 4
 _EPS = float(np.finfo(float).eps)
@@ -86,17 +86,6 @@ class TubeFamily:
 
     def has_curves(self) -> bool:
         return any(isinstance(m.geometry, LipschitzCurve) for m in self.members)
-
-    def with_radius(self, radius: float) -> "TubeFamily":
-        """Same geometry at a different neighborhood radius."""
-        members = tuple(
-            FamilyMember(
-                Tube(m.geometry.line, radius) if isinstance(m.geometry, Tube) else m.geometry,
-                m.weight,
-            )
-            for m in self.members
-        )
-        return TubeFamily(self.axis, self.dim, members, radius)
 
     def expand_integer_weights(self) -> "TubeFamily":
         """Replace weight-w members by w unit-weight copies (integer w only)."""
@@ -331,21 +320,30 @@ def _box_values(families, radii, bands, p: float, axes, starts) -> np.ndarray:
     return out
 
 
-def _midpoint_rule(families, cube, radii=None):
+def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     """The overlap functional's midpoint-rule value as a function of (m, threads).
 
-    The members' reaches do not depend on the grid, so every level shares them.
+    Validates the families and the curve spans once.  ``value(m, threads)``
+    sums the m^n cells of the cube and raises ``CellBudgetExceeded`` above
+    ``CELL_BUDGET`` cells, before any cell is evaluated.  The members'
+    reaches do not depend on the grid, so every level shares them.
     """
+    n = check_families(families)
+    _check_curve_spans(families, cube)
     fams = sorted(families, key=lambda f: f.axis)
     rs = [f.base_radius if radii is None else radii[j] for j, f in enumerate(fams)]
     reaches = [_reach(f, r, cube) for f, r in zip(fams, rs)]
-    p = 1.0 / (len(fams) - 1)
+    p = 1.0 / (n - 1)
 
     def value(m: int, threads: int) -> float:
+        if m**n > CELL_BUDGET:
+            raise CellBudgetExceeded(
+                f"grid has {m**n} cells, exceeding the budget of {CELL_BUDGET}"
+            )
         h = cube.side / m
         bands = [_bands(x, f.axis, cube.min_corner, h, m) for f, x in zip(fams, reaches)]
         integrand = partial(_box_values, fams, rs, bands, p)
-        return h**cube.n * midpoint_sum(integrand, cube.min_corner, (h,) * cube.n, m, threads)
+        return h**n * midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
 
     return value
 
@@ -357,27 +355,16 @@ def evaluate_overlap(
     *,
     radii: list[float] | None = None,
     threads: int = 1,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> OverlapValue:
     """Midpoint-rule value of the overlap functional over the cube.
 
     The error estimate is the difference against the half-resolution grid
     (requires an even cells_per_side; otherwise it is reported unavailable).
     """
-    n = check_families(families)
-    _check_curve_spans(families, cube)
+    midpoint = midpoint_rule(families, cube, radii)
     m = grid.cells_per_side
-    if m**n > cell_budget:
-        raise CellBudgetExceeded(
-            f"grid has {m**n} cells, exceeding the budget of {cell_budget}"
-        )
-    midpoint = _midpoint_rule(families, cube, radii)
     value = midpoint(m, threads)
-    if m % 2 == 0 and m >= 2:
-        coarse = midpoint(m // 2, threads)
-        err = abs(value - coarse)
-    else:
-        err = None
+    err = abs(value - midpoint(m // 2, threads)) if m % 2 == 0 else None
     return OverlapValue(value, err, grid)
 
 
@@ -389,7 +376,6 @@ def evaluate_refined(
     *,
     start_cells: int = 16,
     threads: int = 1,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> OverlapValue:
     """Double the grid until successive values agree to relative ``tol``.
 
@@ -404,16 +390,13 @@ def evaluate_refined(
     """
     if not (tol > 0.0):
         raise ValidationError("tol must be positive")
-    n = check_families(families)
-    _check_curve_spans(families, cube)
+    midpoint = midpoint_rule(families, cube)
+    n = len(families)
     m = start_cells
-    if m**n > cell_budget:
-        raise CellBudgetExceeded(f"start grid {m}^{n} exceeds the cell budget")
-    midpoint = _midpoint_rule(families, cube)
     value = midpoint(m, threads)
     diff = None
     for _ in range(max_doublings):
-        if (2 * m) ** n > cell_budget:
+        if (2 * m) ** n > CELL_BUDGET:
             return OverlapValue(value, diff, GridSpec(m), converged=False)
         m *= 2
         new = midpoint(m, threads)
@@ -424,11 +407,6 @@ def evaluate_refined(
             return OverlapValue(value, diff, GridSpec(m), converged=True)
     converged = diff is not None and diff / max(abs(value), 1e-300) < tol
     return OverlapValue(value, diff, GridSpec(m), converged=converged)
-
-
-def average_integral(v: OverlapValue, cube: Cube) -> float:
-    """Integral divided by the cube volume."""
-    return v.value / cube.volume
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The sweep generates a configuration per scale S from one seed, evaluates the
 overlap integral, certifies it, and fits the slope of log(ratio) against
 log(S).  The search is greedy hill climbing with restarts (optionally
 annealed) over anchor/direction perturbations; its objective is a fixed-grid
-evaluate_overlap, so traces are deterministic and exactly reproducible.
+midpoint rule, so traces are deterministic and exactly reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .evaluator import (
     GridSpec,
     OverlapValue,
     TubeFamily,
-    evaluate_overlap,
     evaluate_refined,
+    midpoint_rule,
 )
 from .geometry import Cube, Line, Tube
 from .generators import AxisParallel, GenSpec, SmallAngle, Weighted, _direction_in_cap, generate
@@ -207,7 +207,7 @@ def extremal_search(
     norm = float(np.prod([c ** (1.0 / (n - 1.0)) for c in counts]))
 
     def objective(fams) -> float:
-        return evaluate_overlap(fams, cube, grid, threads=threads).value / norm
+        return midpoint_rule(fams, cube)(grid.cells_per_side, threads) / norm
 
     per_restart = max(1, budget // _RESTARTS)
     best_families = None

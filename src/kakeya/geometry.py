@@ -194,12 +194,6 @@ class Cube:
         offs = np.array(list(itertools.product((0.0, 1.0), repeat=self.n)))
         return self.min_corner + self.side * offs
 
-    def contains(self, points, tol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = np.all(pts >= self.min_corner - tol, axis=1)
-        ok &= np.all(pts <= self.max_corner + tol, axis=1)
-        return ok
-
     @classmethod
     def centered(cls, center, side: float) -> "Cube":
         c = as_point(center)
@@ -252,17 +246,9 @@ class LinearMap:
         pts = np.asarray(points, dtype=float)
         return pts @ self.matrix.T
 
-    def apply_direction(self, direction: Direction) -> Direction:
-        return Direction.normalized(self.matrix @ direction.components)
-
 
 # ---------------------------------------------------------------------------
 # angles
-
-
-def angle_between(u: Direction, v: Direction) -> float:
-    dot = float(np.dot(u.components, v.components))
-    return math.acos(min(1.0, max(-1.0, dot)))
 
 
 def line_angle_between(u: Direction, v: Direction) -> float:
@@ -385,38 +371,8 @@ def polyline_box_distance(curve: LipschitzCurve, lo, hi) -> np.ndarray:
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def cube_line_max_distance(cube: Cube, line: Line) -> float:
-    """Max distance from the cube to a line (attained at a vertex)."""
-    return float(np.max(point_line_distance(cube.corners(), line)))
-
-
 # ---------------------------------------------------------------------------
-# indicators
-
-
-def tube_indicator(tube: Tube, p) -> int:
-    """1 iff p lies in the closed radius-neighborhood of the tube's axis."""
-    d = point_line_distance(as_point(p)[None, :], tube.line)[0]
-    return int(d <= tube.radius)
-
-
-def curve_indicator(curve: LipschitzCurve, radius: float, p) -> int:
-    """1 iff p lies within ``radius`` of the embedded polyline graph."""
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
-    d = point_polyline_distance(as_point(p)[None, :], curve)[0]
-    return int(d <= radius)
-
-
-def tube_intersects_cube(tube: Tube, cube: Cube) -> bool:
-    """Exact predicate: does the closed tube meet the cube?"""
-    lo = cube.min_corner[None, :]
-    hi = cube.max_corner[None, :]
-    return bool(line_box_distance(tube.line, lo, hi)[0] <= tube.radius)
-
-
-# ---------------------------------------------------------------------------
-# subdivision and fattening
+# subdivision
 
 
 def subdivision_counts(cube: Cube, delta: float, w: float) -> tuple[int, float]:
@@ -457,28 +413,6 @@ def subcube_grid(cube: Cube, k: int) -> np.ndarray:
     return lattice([cube.min_corner[j] + h * np.arange(k) for j in range(cube.n)])
 
 
-def fatten_axis_parallel(tube: Tube, axis: int, cube: Cube, delta: float) -> Tube:
-    """Axis-parallel tube of doubled radius dominating ``tube`` on the cube.
-
-    The surrogate axis passes through the point where the tube's axis line
-    meets the hyperplane x_axis = cube-center component; requires the tube to
-    make an angle <= delta with the axis and the cube to be small enough
-    (side <= radius/(10 n delta)).
-    """
-    n = tube.n
-    theta = angle_from_axis(tube.line.direction, axis)
-    if theta > delta + 1e-9:
-        raise ValueError(f"tube angle {theta:.3e} exceeds delta {delta:.3e}")
-    if cube.side > tube.radius / (delta * 10.0 * n) * (1.0 + 1e-9):
-        raise ValueError("cube too large for axis-parallel fattening")
-    d = tube.line.direction.components
-    if d[axis] < 0.0:
-        d = -d
-    t = (cube.center[axis] - tube.line.anchor[axis]) / d[axis]
-    crossing = tube.line.anchor + t * d
-    return Tube(Line(crossing, Direction.axis(n, axis)), 2.0 * tube.radius)
-
-
 # ---------------------------------------------------------------------------
 # spherical caps and frames
 
@@ -505,11 +439,6 @@ def _cap_point(center: Direction, basis: np.ndarray, v: np.ndarray) -> Direction
     r = min(r, math.pi)
     unit = (v / np.linalg.norm(v)) @ basis
     return Direction.normalized(math.cos(r) * center.components + math.sin(r) * unit)
-
-
-def cap_cover_count_bound(n: int, ratio: float) -> float:
-    """Documented bound on the net size: (sqrt(n-1)+2)^(n-1) * ratio^(n-1)."""
-    return (math.sqrt(n - 1) + 2.0) ** (n - 1) * ratio ** (n - 1)
 
 
 def cap_cover(cap: Cap, rho: float) -> list[Cap]:

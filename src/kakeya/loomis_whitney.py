@@ -189,12 +189,6 @@ def _left_midpoint(fs, box: Box, m: int) -> float:
     return float(np.prod(h)) * midpoint_sum(integrand, box.min_corner, h, m)
 
 
-def lw_left(fs, box: Box, grid: GridSpec) -> float:
-    """Midpoint-rule value of int_box prod_j f_j(pi_j x)^(1/(n-1))."""
-    _check_setup(fs, box)
-    return _left_midpoint(fs, box, grid.cells_per_side)
-
-
 def lw_right(fs) -> float:
     """prod_j ||f_j||_1^(1/(n-1)), exact for the grid representation."""
     if not fs:

@@ -31,7 +31,7 @@ from .evaluator import (
     GridSpec,
     TubeFamily,
     check_families,
-    evaluate_overlap,
+    midpoint_rule,
 )
 from .geometry import (
     Cap,
@@ -247,6 +247,5 @@ def weighted_multiplicity_check(
     """
     check_families(families)
     expanded = [f.expand_integer_weights() for f in families]
-    v_weighted = evaluate_overlap(families, cube, grid, threads=threads)
-    v_expanded = evaluate_overlap(expanded, cube, grid, threads=threads)
-    return v_weighted.value == v_expanded.value
+    m = grid.cells_per_side
+    return midpoint_rule(families, cube)(m, threads) == midpoint_rule(expanded, cube)(m, threads)

@@ -67,6 +67,12 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
 def _integers(values, name: str) -> tuple[int, ...]:
     return tuple(_integer(v, f"{name}[{i}]") for i, v in enumerate(values))
 
@@ -292,7 +298,7 @@ def search_from_json(data, seed: int | None = None) -> dict:
         "cube": cube_from_json(stanza["cube"]),
         "budget": _integer(stanza["budget"], "search.budget"),
         "seed": _integer(stanza["seed"], "search.seed") if seed is None else seed,
-        "annealing": bool(stanza.get("annealing", False)),
+        "annealing": _boolean(stanza.get("annealing", False), "search.annealing"),
     }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kakeya import evaluator
 from kakeya.evaluator import FamilyMember, TubeFamily
 from kakeya.geometry import Cube, Direction, Line, Tube
 
@@ -20,6 +21,19 @@ def family(axis, dim, geometries, radius=1.0, weights=None):
 def axis_tube_family(axis, dim, anchors, radius=1.0, weights=None):
     tubes = [tube(a, Direction.axis(dim, axis).components, radius) for a in anchors]
     return family(axis, dim, tubes, radius, weights)
+
+
+def count_midpoint_sums(monkeypatch) -> list:
+    """Record the grid size m of every ``evaluator.midpoint_sum`` call."""
+    calls = []
+    kernel = evaluator.midpoint_sum
+
+    def counted(integrand, lo, h, m, threads=1):
+        calls.append(m)
+        return kernel(integrand, lo, h, m, threads)
+
+    monkeypatch.setattr(evaluator, "midpoint_sum", counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,0 +1,51 @@
+"""The two lemmas behind ``c_step``, as test oracles.
+
+``certifier.Constants`` prices one scale step as ``c_lw * (20 n)^n``.  The
+``c_lw`` factor rests on fattening: on a small enough subcube a tube at angle
+at most delta is dominated by an axis-parallel tube of doubled radius.  The
+``(20 n)^n`` factor rests on the coarse neighborhood of every tube that meets
+a subcube being identically 1 on it.  The tests check both lemmas on random
+instances; the certifier only uses the constants they justify.
+"""
+
+import numpy as np
+
+from kakeya.geometry import Cube, Direction, Line, Tube, angle_from_axis, point_line_distance
+
+
+def cube_line_max_distance(cube: Cube, line: Line) -> float:
+    """Max distance from the cube to a line (attained at a vertex)."""
+    return float(np.max(point_line_distance(cube.corners(), line)))
+
+
+def identically_one_check(tube: Tube, cube: Cube, delta: float, w: float) -> bool:
+    """Exact check that the radius delta^-1 w neighborhood covers the cube.
+
+    Max distance from the cube to the axis line is attained at a vertex
+    (convexity), so the check is a finite corner computation.  Under the step
+    preconditions (cube side <= delta^-1 w / 10n, tube meets the cube at
+    radius w, delta <= 0.9) this always holds.
+    """
+    return cube_line_max_distance(cube, tube.line) <= w / delta
+
+
+def fatten_axis_parallel(tube: Tube, axis: int, cube: Cube, delta: float) -> Tube:
+    """Axis-parallel tube of doubled radius dominating ``tube`` on the cube.
+
+    The surrogate axis passes through the point where the tube's axis line
+    meets the hyperplane x_axis = cube-center component; requires the tube to
+    make an angle <= delta with the axis and the cube to be small enough
+    (side <= radius/(10 n delta)).
+    """
+    n = tube.n
+    theta = angle_from_axis(tube.line.direction, axis)
+    if theta > delta + 1e-9:
+        raise ValueError(f"tube angle {theta:.3e} exceeds delta {delta:.3e}")
+    if cube.side > tube.radius / (delta * 10.0 * n) * (1.0 + 1e-9):
+        raise ValueError("cube too large for axis-parallel fattening")
+    d = tube.line.direction.components
+    if d[axis] < 0.0:
+        d = -d
+    t = (cube.center[axis] - tube.line.anchor[axis]) / d[axis]
+    crossing = tube.line.anchor + t * d
+    return Tube(Line(crossing, Direction.axis(n, axis)), 2.0 * tube.radius)

@@ -6,21 +6,35 @@ import pytest
 from kakeya.certifier import (
     Constants,
     certify_multiscale,
+    _member_box_distances,
     check_certificate_soundness,
-    count_intersections,
     cover_for_arbitrary_s,
     delta_for_epsilon,
-    identically_one_check,
     scale_count,
     step_bound,
     verify_step_inequality,
 )
 from kakeya.errors import ValidationError
 from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
-from kakeya.generators import GenSpec, SmallAngle, generate
+from kakeya.generators import GenSpec, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Direction, Line, Tube, line_box_distance
 
-from conftest import axis_tube_family, family, tube
+from conftest import axis_tube_family, count_midpoint_sums, family, tube
+from lemmas import identically_one_check
+
+
+def count_intersections(family, cube, w):
+    """The certifier's exact count of members whose radius-w neighborhood meets the cube."""
+    d = _member_box_distances(family, cube.min_corner[None, :], cube.max_corner[None, :])
+    return int(np.sum(d[:, 0] <= w))
+
+
+def with_weights(families, weights):
+    """The families with member i of each family given weight ``weights[i]``."""
+    return [
+        family(f.axis, f.dim, [m.geometry for m in f.members], f.base_radius, weights)
+        for f in families
+    ]
 
 
 class TestConstants:
@@ -143,6 +157,36 @@ class TestStepBound:
             v = evaluate_refined(fams, cube, 5e-3, 5, start_cells=64)
             assert v.value <= sb.numeric_bound + (v.error_estimate or 0.0)
 
+    @pytest.mark.parametrize(
+        "regime, seed, weights",
+        [
+            (SmallAngle(0.2), 5, [1000.0] * 6),
+            (SmallAngle(0.2), 6, [0.25, 3.0, 0.0, 1.5, 7.0, 0.5]),
+            (Weighted(0.5, 4.0, 0.2), 7, None),
+            (Weighted(10.0, 100.0, 0.2), 8, None),
+        ],
+    )
+    def test_weighted_bound_exceeds_exact(self, regime, seed, weights):
+        # N_j(Q) is the total weight of the members near Q, so the rung-0
+        # and one-step bounds dominate the exact weighted integral
+        cube = Cube.centered([0.0, 0.0], 16.0)
+        fams = generate(GenSpec(2, (6, 6), regime, cube, seed=seed))
+        if weights is not None:
+            fams = with_weights(fams, weights)
+        exact = exact_overlap_2d(fams, cube)
+        assert exact > 0.0
+        assert exact <= certify_multiscale(fams, cube, 0.2).step_details[0].numeric_bound
+        assert exact <= step_bound(fams, cube, 0.2).numeric_bound
+
+    def test_histograms_count_members(self):
+        # the histograms count members near each subcube, whatever their weight
+        cube = Cube.centered([0.0, 0.0], 16.0)
+        fams = generate(GenSpec(2, (6, 6), SmallAngle(0.2), cube, seed=5))
+        unit = step_bound(fams, cube, 0.2)
+        heavy = step_bound(with_weights(fams, [1000.0] * 6), cube, 0.2)
+        assert heavy.count_histograms == unit.count_histograms
+        assert heavy.numeric_bound == 1000.0**2 * unit.numeric_bound
+
     def test_rejects_angle_violation(self, cube2):
         steep = family(0, 2, [tube([0.0, 0.0], [1.0, 0.4])])
         flat = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])])
@@ -171,6 +215,12 @@ class TestVerifyStep:
         fams = [family(0, 2, []), family(1, 2, [])]
         check = verify_step_inequality(fams, cube2, 0.1, GridSpec(64))
         assert check.degenerate and check.ratio == 0.0
+
+    def test_one_grid_per_scale(self, cube2, perpendicular_families, monkeypatch):
+        # each scale reads only the fine grid's value
+        sums = count_midpoint_sums(monkeypatch)
+        verify_step_inequality(perpendicular_families, cube2, 0.1, GridSpec(64))
+        assert sums == [64, 64]
 
     def test_rejects_large_delta(self, cube2, perpendicular_families):
         with pytest.raises(ValidationError):

@@ -295,6 +295,9 @@ BAD_INPUTS = {
     "search_budget_fractional": lambda p: ["search", "--config", search_file(p, budget=12.7)],
     "search_budget_bool": lambda p: ["search", "--config", search_file(p, budget=True)],
     "search_count_fractional": lambda p: ["search", "--config", search_file(p, counts=[2, 1.5])],
+    "search_annealing_string": lambda p: [
+        "search", "--config", search_file(p, annealing="false")
+    ],
     "gen_n_fractional": lambda p: ["gen", "--config", gen_file(p, n=2.9)],
     "config_axis_fractional": lambda p: [
         "eval", "--config", edited_config(p, _set_family_axis)
@@ -333,6 +336,7 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("search_budget_fractional", "search.budget must be an integer, got 12.7"),
         ("search_budget_bool", "search.budget must be an integer, got True"),
         ("search_count_fractional", "search.counts[1] must be an integer, got 1.5"),
+        ("search_annealing_string", "search.annealing must be a boolean, got 'false'"),
         ("gen_n_fractional", "gen.n must be an integer, got 2.9"),
         ("config_axis_fractional", "families[1].axis must be an integer, got 1.5"),
         ("verify_lw_box_escapes_function", "projection of the integration box escapes f_1's box"),

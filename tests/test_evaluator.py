@@ -5,8 +5,8 @@ import pytest
 
 from kakeya.errors import CellBudgetExceeded, ValidationError
 from kakeya.evaluator import (
+    CELL_BUDGET,
     GridSpec,
-    average_integral,
     evaluate_overlap,
     evaluate_refined,
     exact_overlap_2d,
@@ -14,7 +14,7 @@ from kakeya.evaluator import (
 )
 from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube
 
-from conftest import axis_tube_family, family, tube
+from conftest import axis_tube_family, count_midpoint_sums, family, tube
 
 TRICYLINDER = 8.0 * (2.0 - math.sqrt(2.0))
 
@@ -71,9 +71,25 @@ class TestEvaluateOverlap:
         assert evaluate_overlap(fams, cube2, GridSpec(64)).error_estimate is not None
         assert evaluate_overlap(fams, cube2, GridSpec(65)).error_estimate is None
 
-    def test_cell_budget(self, cube2):
+    def test_cell_budget(self, cube2, monkeypatch):
+        # 10,001^2 cells exceed CELL_BUDGET: both entry points raise before
+        # any cell is evaluated
+        assert 10_001**2 > CELL_BUDGET
+        sums = count_midpoint_sums(monkeypatch)
         with pytest.raises(CellBudgetExceeded):
-            evaluate_overlap(perpendicular(), cube2, GridSpec(100), cell_budget=100)
+            evaluate_overlap(perpendicular(), cube2, GridSpec(10_001))
+        with pytest.raises(CellBudgetExceeded):
+            evaluate_refined(perpendicular(), cube2, 1e-3, 4, start_cells=10_001)
+        assert sums == []
+
+    def test_grids_evaluated(self, cube2, monkeypatch):
+        # the half grid behind the error estimate exists only at even m
+        sums = count_midpoint_sums(monkeypatch)
+        evaluate_overlap(perpendicular(), cube2, GridSpec(64))
+        assert sums == [64, 32]
+        sums.clear()
+        evaluate_overlap(perpendicular(), cube2, GridSpec(65))
+        assert sums == [65]
 
     def test_thread_count_invariance(self, cube2, rng):
         fams = [
@@ -96,9 +112,9 @@ class TestEvaluateOverlap:
     def test_monotone_in_radius(self, cube2, rng):
         anchors = rng.uniform(-4, 4, (3, 2))
         small = [axis_tube_family(j, 2, anchors, radius=0.8) for j in range(2)]
-        big = [f.with_radius(1.1) for f in small]
         g = GridSpec(100)
-        assert evaluate_overlap(small, cube2, g).value <= evaluate_overlap(big, cube2, g).value
+        big = evaluate_overlap(small, cube2, g, radii=[1.1, 1.1])
+        assert evaluate_overlap(small, cube2, g).value <= big.value
 
     def test_superadditive_in_members(self, cube2, rng):
         anchors = rng.uniform(-4, 4, (3, 2))
@@ -271,20 +287,9 @@ class TestCurveEvaluation:
 
 
 class TestAverageIntegral:
-    def test_example(self):
-        v = evaluate_overlap(perpendicular(), Cube.centered([0.0, 0.0], 2.0), GridSpec(8))
-        from kakeya.evaluator import OverlapValue
-
-        assert average_integral(OverlapValue(8.0, 0.0, GridSpec(8)), Cube.centered([0.0, 0.0], 2.0)) == 2.0
-
     def test_pointwise_count_bound(self, cube2, rng):
         anchors = rng.uniform(-4, 4, (4, 2))
         fams = [axis_tube_family(j, 2, anchors) for j in range(2)]
         v = evaluate_overlap(fams, cube2, GridSpec(100))
         counts = np.prod([f.total_weight for f in fams]) ** (1.0 / 1.0)
-        assert average_integral(v, cube2) <= counts + 1e-12
-
-    def test_zero(self):
-        from kakeya.evaluator import OverlapValue
-
-        assert average_integral(OverlapValue(0.0, 0.0, GridSpec(4)), Cube.centered([0.0, 0.0], 3.0)) == 0.0
+        assert v.value / cube2.volume <= counts + 1e-12

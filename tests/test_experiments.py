@@ -9,7 +9,7 @@ from kakeya.generators import AxisParallel, GenSpec, SmallAngle, generate
 from kakeya.geometry import Cube
 from kakeya.loomis_whitney import unit_ball_volume
 
-from conftest import family, tube
+from conftest import count_midpoint_sums, family, tube
 
 
 def template(regime=None, counts=(3, 3), seed=5):
@@ -67,6 +67,14 @@ class TestSweep:
 
 
 class TestSearch:
+    def test_one_grid_per_step(self, monkeypatch):
+        # the objective reads only the fine grid's value
+        sums = count_midpoint_sums(monkeypatch)
+        cube = Cube.centered([0.0, 0.0], 6.0)
+        result = extremal_search(2, (3, 3), cube, budget=8, seed=3, grid=GridSpec(64))
+        assert len(result.trace) == 8
+        assert sums == [64] * 8
+
     def test_budget_one_returns_initial(self):
         cube = Cube.centered([0.0, 0.0], 6.0)
         result = extremal_search(2, (3, 3), cube, budget=1, seed=3, grid=GridSpec(64))

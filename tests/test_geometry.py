@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kakeya.evaluator import family_values
 from kakeya.geometry import (
     Cap,
     Cube,
@@ -10,26 +11,37 @@ from kakeya.geometry import (
     Line,
     LipschitzCurve,
     Tube,
-    angle_between,
     angle_from_axis,
     cap_cover,
-    cap_cover_count_bound,
-    cube_line_max_distance,
-    curve_indicator,
-    fatten_axis_parallel,
     frame_map,
+    line_angle_between,
     line_box_distance,
     point_line_distance,
     point_polyline_distance,
     subcube_grid,
     subdivision_counts,
     tangent_basis,
-    tube_indicator,
-    tube_intersects_cube,
     wedge_volume,
 )
 
-from conftest import tube
+from conftest import family, tube
+from lemmas import cube_line_max_distance, fatten_axis_parallel
+
+
+def tube_indicator(t, p):
+    """The overlap quadrature's indicator of one tube at one point."""
+    return family_values(family(0, len(p), [t], t.radius), [p])[0]
+
+
+def curve_indicator(curve, radius, p):
+    """The overlap quadrature's indicator of one polyline at one point."""
+    return family_values(family(curve.axis, curve.n, [curve], radius), [p])[0]
+
+
+def tube_intersects_cube(t, cube):
+    """The certifier's exact tube-cube predicate."""
+    d = line_box_distance(t.line, cube.min_corner[None, :], cube.max_corner[None, :])
+    return d[0] <= t.radius
 
 
 class TestDirection:
@@ -252,13 +264,14 @@ class TestCapCover:
             u = Direction.normalized(
                 math.cos(r) * cap.center.components + math.sin(r) * (v / r) @ basis
             )
-            assert min(angle_between(u, c.center) for c in cover) <= rho * (1 + 1e-9)
+            assert min(line_angle_between(u, c.center) for c in cover) <= rho * (1 + 1e-9)
 
     def test_count_bound(self):
         cap = Cap(Direction.axis(3, 0), 0.1)
         for ratio in (2, 4, 8):
             cover = cap_cover(cap, cap.ang_radius / ratio)
-            assert len(cover) <= cap_cover_count_bound(3, ratio)
+            # the documented bound (sqrt(n-1) + 2)^(n-1) * ratio^(n-1) at n = 3
+            assert len(cover) <= (math.sqrt(2) + 2.0) ** 2 * ratio**2
 
     def test_center_cap_first(self):
         cover = cap_cover(Cap(Direction.axis(2, 0), 0.1), 0.01)

@@ -24,7 +24,7 @@ from kakeya.evaluator import (
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Line, LipschitzCurve, Tube, lattice
-from kakeya.loomis_whitney import Box, ProjectionFunction, lw_left, project
+from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
 from conftest import family, tube
 
@@ -196,7 +196,7 @@ def lw_cases(draw):
 @given(lw_cases())
 def test_lw_left_matches_pointwise_lookup_bit_for_bit(case):
     fs, box, m = case
-    assert lw_left(fs, box, GridSpec(m)).hex() == dense_lw_left(fs, box, m).hex()
+    assert verify_lw(fs, box, GridSpec(m)).left.hex() == dense_lw_left(fs, box, m).hex()
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (7, 2), (300, 2), (41, 3), (131, 3), (5, 4), (26, 4)])
