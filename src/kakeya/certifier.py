@@ -36,7 +36,6 @@ from .errors import ValidationError
 from .evaluator import (
     GridSpec,
     OverlapValue,
-    TubeFamily,
     _check_curve_spans,
     check_families,
     midpoint_rule,
@@ -157,17 +156,6 @@ class Certificate:
         }
 
 
-def _member_box_distances(family: TubeFamily, lo, hi) -> np.ndarray:
-    """Distances from each member's axis line / polyline to boxes (B,)."""
-    out = np.empty((len(family.members), np.atleast_2d(lo).shape[0]))
-    for i, m in enumerate(family.members):
-        if isinstance(m.geometry, Tube):
-            out[i] = line_box_distance(m.geometry.line, lo, hi)
-        else:
-            out[i] = polyline_box_distance(m.geometry, lo, hi)
-    return out
-
-
 def _validate_small_angle(families, delta: float) -> None:
     for f in families:
         for m in f.members:
@@ -211,25 +199,91 @@ def _check_step(families, cube: Cube, delta: float) -> tuple[int, float]:
     return n, w
 
 
-def _subcube_counts(families, cube: Cube, delta: float, w: float):
-    """Subdivide and count members per subcube; returns (los, side, counts, weights).
+def _layer_extents(geometry, axis: int, a: np.ndarray, b: np.ndarray):
+    """Per-axis min and max, each (layers, n), of the member's points with x_axis in [a, b].
 
-    ``counts`` holds the number of members within w of each subcube and
-    ``weights`` their total weight, N_j(Q); both have shape
-    (n_families, n_subcubes).
+    A tube contributes its line at the two ends of each interval (its axis
+    component is at least cos 0.9, so the division is safe); a polyline its
+    interpolated values at the ends, clamped to its span, and its vertices
+    inside.  Only the transverse components are meaningful.
+    """
+    ends = np.stack([a, b], axis=1)
+    if isinstance(geometry, Tube):
+        anchor, d = geometry.line.anchor, geometry.line.direction.components
+        t = (ends - anchor[axis]) / d[axis]
+        pts = anchor + t[..., None] * d
+        return pts.min(axis=1), pts.max(axis=1)
+    verts = geometry.vertices()
+    bps = geometry.breakpoints
+    pts = np.stack([np.interp(ends, bps, verts[:, c]) for c in range(verts.shape[1])], axis=-1)
+    inside = ((bps > a[:, None]) & (bps < b[:, None]))[..., None]
+    low = np.where(inside, verts, np.inf).min(axis=1)
+    high = np.where(inside, verts, -np.inf).max(axis=1)
+    return np.minimum(pts.min(axis=1), low), np.maximum(pts.max(axis=1), high)
+
+
+def _band_cells(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Grid indices, shape (cells, n), of the cells in the index boxes [first, stop).
+
+    ``first`` and ``stop`` hold one box per row; the cells come box by box,
+    each box in C order.
+    """
+    width = np.maximum(stop - first, 0)
+    size = np.prod(width, axis=1)
+    box = np.repeat(np.arange(size.size), size)
+    rest = np.arange(box.size) - np.repeat(np.cumsum(size) - size, size)
+    idx = np.empty((box.size, first.shape[1]), dtype=np.int64)
+    for c in reversed(range(first.shape[1])):
+        rest, digit = np.divmod(rest, width[box, c])
+        idx[:, c] = first[box, c] + digit
+    return idx
+
+
+def _subcube_counts(families, cube: Cube, delta: float, w: float):
+    """Subdivide and count members per subcube; returns (side, counts, weights).
+
+    ``counts[j]`` holds the number of members of the axis-j family within w
+    of each subcube and ``weights[j]`` their total weight, N_j(Q); both have
+    shape (n, k^n), in the C order of ``subcube_grid``.  Only candidate
+    subcubes get the exact distance test: for each layer of subcubes along
+    the family axis, those within w, plus one padding subcube on each side,
+    of the member's transverse extent over the layer widened by w.  Every
+    other subcube lies farther than w from the member by more than the
+    rounding of the computed distance, so the counts and the member-order
+    weight sums equal a test of every pair, bit for bit.
     """
     k, sub_side = subdivision_counts(cube, delta, w)
-    los = subcube_grid(cube, k)
-    his = los + sub_side
-    counts = np.zeros((len(families), los.shape[0]))
-    weights = np.zeros_like(counts)
-    for j, f in enumerate(sorted(families, key=lambda fam: fam.axis)):
-        if f.members:
-            near = _member_box_distances(f, los, his) <= w
-            counts[j] = np.sum(near, axis=0)
-            member_weights = np.array([[m.weight] for m in f.members])
-            weights[j] = np.sum(np.where(near, member_weights, 0.0), axis=0)
-    return los, sub_side, counts, weights
+    n = cube.n
+    grid = [cube.min_corner[c] + sub_side * np.arange(k) for c in range(n)]
+    layers = np.arange(k)
+    counts = np.zeros((n, k**n), dtype=np.int64)
+    weights = np.zeros(counts.shape)
+    for f in families:
+        j = f.axis
+        a = grid[j] - w
+        b = grid[j] + sub_side + w
+        for m in f.members:
+            g = m.geometry
+            low, high = _layer_extents(g, j, a, b)
+            # ceil - 1 and floor + 1 bound the subcubes that meet the extent
+            # widened by w; one more on each side is the padding
+            first = np.ceil((low - w - cube.min_corner) / sub_side) - 2.0
+            stop = np.floor((high + w - cube.min_corner) / sub_side) + 2.0
+            first = np.clip(first, 0, k).astype(np.int64)
+            stop = np.clip(stop, 0, k).astype(np.int64)
+            first[:, j], stop[:, j] = layers, layers + 1
+            idx = _band_cells(first, stop)
+            if idx.size == 0:
+                continue
+            lo = np.stack([grid[c][idx[:, c]] for c in range(n)], axis=1)
+            if isinstance(g, Tube):
+                d = line_box_distance(g.line, lo, lo + sub_side)
+            else:
+                d = polyline_box_distance(g, lo, lo + sub_side)
+            near = np.ravel_multi_index(tuple(idx[d <= w].T), (k,) * n)
+            counts[j, near] += 1
+            weights[j, near] += m.weight
+    return sub_side, counts, weights
 
 
 def step_numeric_bound(n: int, c_lw: float, w: float, weights: np.ndarray) -> float:
@@ -242,13 +296,10 @@ def step_numeric_bound(n: int, c_lw: float, w: float, weights: np.ndarray) -> fl
 def _step_detail(families, cube: Cube, delta: float, w: float, c_lw: float) -> StepDetail:
     """Tile the cube at scale w, count members per subcube, and bound the rung."""
     n = len(families)
-    los, sub_side, counts, weights = _subcube_counts(families, cube, delta, w)
-    hists = []
-    for j in range(n):
-        vals, freq = np.unique(counts[j].astype(int), return_counts=True)
-        hists.append({int(v): int(c) for v, c in zip(vals, freq)})
+    sub_side, counts, weights = _subcube_counts(families, cube, delta, w)
+    hists = tuple({v: int(c) for v, c in enumerate(np.bincount(row)) if c} for row in counts)
     return StepDetail(
-        w, sub_side, los.shape[0], tuple(hists), step_numeric_bound(n, c_lw, w, weights)
+        w, sub_side, counts.shape[1], hists, step_numeric_bound(n, c_lw, w, weights)
     )
 
 
@@ -256,7 +307,11 @@ def step_bound(families, cube: Cube, delta: float) -> StepDetail:
     """Per-subcube Loomis-Whitney bound for one scale step.
 
     Requires cube side >= delta^-1 W, a shared base radius, and member
-    angles (tubes) / Lipschitz constants (curves) at most delta.
+    angles (tubes) / Lipschitz constants (curves) at most delta.  The cube
+    is tiled into k^n subcubes, but each member gets the exact distance test
+    only on the candidate subcubes of its per-layer bands (``_subcube_counts``),
+    so the work follows the subcubes near the members, not k^n times the
+    members.
     """
     n, w = _check_step(families, cube, delta)
     return _step_detail(families, cube, delta, w, Constants.for_dimension(n).c_lw)

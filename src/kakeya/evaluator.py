@@ -390,6 +390,8 @@ def evaluate_refined(
     """
     if not (tol > 0.0):
         raise ValidationError("tol must be positive")
+    if start_cells < 1:
+        raise ValidationError("start_cells must be >= 1")
     midpoint = midpoint_rule(families, cube)
     n = len(families)
     m = start_cells

@@ -182,10 +182,6 @@ class Cube:
         return self.min_corner + self.side
 
     @property
-    def center(self) -> np.ndarray:
-        return self.min_corner + 0.5 * self.side
-
-    @property
     def volume(self) -> float:
         return float(self.side**self.n)
 

@@ -3,7 +3,7 @@ import pytest
 
 from kakeya import evaluator
 from kakeya.evaluator import FamilyMember, TubeFamily
-from kakeya.geometry import Cube, Direction, Line, Tube
+from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube
 
 
 def tube(anchor, direction, radius=1.0):
@@ -21,6 +21,20 @@ def family(axis, dim, geometries, radius=1.0, weights=None):
 def axis_tube_family(axis, dim, anchors, radius=1.0, weights=None):
     tubes = [tube(a, Direction.axis(dim, axis).components, radius) for a in anchors]
     return family(axis, dim, tubes, radius, weights)
+
+
+def shifted(family: TubeFamily, offsets) -> TubeFamily:
+    """The family with each member moved across its axis by a row of ``offsets``."""
+    members = []
+    for member, off in zip(family.members, offsets):
+        g = member.geometry
+        off = np.where(np.arange(family.dim) == family.axis, 0.0, off)
+        if isinstance(g, Tube):
+            g = Tube(Line(g.line.anchor + off, g.line.direction), g.radius)
+        else:
+            g = LipschitzCurve(g.axis, g.breakpoints, g.values + np.delete(off, g.axis), g.lip)
+        members.append(FamilyMember(g, member.weight))
+    return TubeFamily(family.axis, family.dim, tuple(members), family.base_radius)
 
 
 def count_midpoint_sums(monkeypatch) -> list:

@@ -1,4 +1,4 @@
-"""The two lemmas behind ``c_step``, as test oracles.
+"""Test oracles: the two lemmas behind ``c_step``, and the dense subcube count.
 
 ``certifier.Constants`` prices one scale step as ``c_lw * (20 n)^n``.  The
 ``c_lw`` factor rests on fattening: on a small enough subcube a tube at angle
@@ -6,11 +6,25 @@ at most delta is dominated by an axis-parallel tube of doubled radius.  The
 ``(20 n)^n`` factor rests on the coarse neighborhood of every tube that meets
 a subcube being identically 1 on it.  The tests check both lemmas on random
 instances; the certifier only uses the constants they justify.
+
+``dense_subcube_counts`` is the certifier's member-per-subcube count done the
+plain way, with the exact distance test on every (member, subcube) pair.
 """
 
 import numpy as np
 
-from kakeya.geometry import Cube, Direction, Line, Tube, angle_from_axis, point_line_distance
+from kakeya.geometry import (
+    Cube,
+    Direction,
+    Line,
+    Tube,
+    angle_from_axis,
+    line_box_distance,
+    point_line_distance,
+    polyline_box_distance,
+    subcube_grid,
+    subdivision_counts,
+)
 
 
 def cube_line_max_distance(cube: Cube, line: Line) -> float:
@@ -46,6 +60,37 @@ def fatten_axis_parallel(tube: Tube, axis: int, cube: Cube, delta: float) -> Tub
     d = tube.line.direction.components
     if d[axis] < 0.0:
         d = -d
-    t = (cube.center[axis] - tube.line.anchor[axis]) / d[axis]
+    center = cube.min_corner[axis] + 0.5 * cube.side
+    t = (center - tube.line.anchor[axis]) / d[axis]
     crossing = tube.line.anchor + t * d
     return Tube(Line(crossing, Direction.axis(n, axis)), 2.0 * tube.radius)
+
+
+def member_box_distances(family, lo, hi) -> np.ndarray:
+    """Distances, shape (members, B), from each member's axis line / polyline to B boxes."""
+    out = np.empty((len(family.members), np.atleast_2d(lo).shape[0]))
+    for i, m in enumerate(family.members):
+        if isinstance(m.geometry, Tube):
+            out[i] = line_box_distance(m.geometry.line, lo, hi)
+        else:
+            out[i] = polyline_box_distance(m.geometry, lo, hi)
+    return out
+
+
+def dense_subcube_counts(families, cube: Cube, delta: float, w: float):
+    """(side, counts, weights) of ``certifier._subcube_counts``, testing every pair.
+
+    The weights are summed over the members in member order with ``np.sum``.
+    """
+    k, sub_side = subdivision_counts(cube, delta, w)
+    los = subcube_grid(cube, k)
+    his = los + sub_side
+    counts = np.zeros((len(families), los.shape[0]), dtype=np.int64)
+    weights = np.zeros(counts.shape)
+    for j, f in enumerate(sorted(families, key=lambda fam: fam.axis)):
+        if f.members:
+            near = member_box_distances(f, los, his) <= w
+            counts[j] = np.sum(near, axis=0)
+            member_weights = np.array([[m.weight] for m in f.members])
+            weights[j] = np.sum(np.where(near, member_weights, 0.0), axis=0)
+    return sub_side, counts, weights

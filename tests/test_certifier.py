@@ -2,30 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from kakeya import certifier
 from kakeya.certifier import (
     Constants,
+    _step_detail,
+    _subcube_counts,
     certify_multiscale,
-    _member_box_distances,
     check_certificate_soundness,
     cover_for_arbitrary_s,
     delta_for_epsilon,
     scale_count,
     step_bound,
+    step_numeric_bound,
     verify_step_inequality,
 )
 from kakeya.errors import ValidationError
 from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
-from kakeya.generators import GenSpec, SmallAngle, Weighted, generate
-from kakeya.geometry import Cube, Direction, Line, Tube, line_box_distance
+from kakeya.generators import GenSpec, Lipschitz, SmallAngle, Weighted, generate
+from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube, line_box_distance
 
-from conftest import axis_tube_family, count_midpoint_sums, family, tube
-from lemmas import identically_one_check
+from conftest import axis_tube_family, count_midpoint_sums, family, shifted, tube
+from lemmas import dense_subcube_counts, identically_one_check, member_box_distances
 
 
 def count_intersections(family, cube, w):
-    """The certifier's exact count of members whose radius-w neighborhood meets the cube."""
-    d = _member_box_distances(family, cube.min_corner[None, :], cube.max_corner[None, :])
+    """The exact count of members whose radius-w neighborhood meets the cube."""
+    d = member_box_distances(family, cube.min_corner[None, :], cube.max_corner[None, :])
     return int(np.sum(d[:, 0] <= w))
 
 
@@ -35,6 +40,76 @@ def with_weights(families, weights):
         family(f.axis, f.dim, [m.geometry for m in f.members], f.base_radius, weights)
         for f in families
     ]
+
+
+def count_box_distance_rows(monkeypatch) -> list:
+    """Record the number of boxes of every ``certifier.line_box_distance`` call."""
+    rows = []
+    kernel = certifier.line_box_distance
+
+    def counted(line, lo, hi):
+        rows.append(np.atleast_2d(lo).shape[0])
+        return kernel(line, lo, hi)
+
+    monkeypatch.setattr(certifier, "line_box_distance", counted)
+    return rows
+
+
+def assert_counts_match_dense(families, cube, delta, w):
+    """The sparse subcube counts and their step detail equal the dense ones, bit for bit."""
+    side, counts, weights = _subcube_counts(families, cube, delta, w)
+    want_side, want_counts, want_weights = dense_subcube_counts(families, cube, delta, w)
+    assert side.hex() == want_side.hex()
+    assert np.array_equal(counts, want_counts)
+    assert [x.hex() for x in weights.ravel()] == [x.hex() for x in want_weights.ravel()]
+    c_lw = Constants.for_dimension(cube.n).c_lw
+    detail = _step_detail(families, cube, delta, w, c_lw)
+    assert detail.count_histograms == tuple(
+        {int(v): int(c) for v, c in zip(*np.unique(row, return_counts=True))}
+        for row in want_counts
+    )
+    want_bound = step_numeric_bound(cube.n, c_lw, w, want_weights)
+    assert detail.numeric_bound.hex() == want_bound.hex()
+    return detail
+
+
+@st.composite
+def subcube_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    delta = draw(st.floats(0.05, 0.9))
+    w = draw(st.floats(0.3, 3.0))
+    # up to 40 subcubes per side at n = 2 and 14 at n = 3
+    upper = w / (delta * 10.0 * n)
+    side = upper * draw(st.floats(1.0, 40.0 if n == 2 else 14.0))
+    cube = Cube(np.array([draw(st.floats(-10.0, 10.0)) for _ in range(n)]), side)
+    # members are generated around part of the cube, so polyline spans may
+    # end inside it
+    gen_cube = Cube(
+        cube.min_corner + side * draw(st.floats(0.0, 0.5)), side * draw(st.floats(0.2, 1.0))
+    )
+    lip = delta * draw(st.floats(0.01, 1.0))
+    seed = draw(st.integers(0, 2**32))
+    tubes = generate(
+        GenSpec(n, tuple(draw(st.integers(0, 3)) for _ in range(n)), SmallAngle(lip),
+                gen_cube, seed, w)
+    )
+    curves = generate(
+        GenSpec(n, tuple(draw(st.integers(0, 2)) for _ in range(n)),
+                Lipschitz(lip, draw(st.integers(2, 5))), gen_cube, seed + 1, w)
+    )
+    # a spread of 0 keeps every member near the generating cube; larger ones
+    # move some partly or wholly outside the cube
+    spread = draw(st.sampled_from([0.0, 0.5, 1.5]))
+    rng = np.random.default_rng(seed)
+    families = []
+    for t, c in zip(tubes, curves):
+        geometries = [m.geometry for m in t.members + c.members]
+        weights = None
+        if draw(st.booleans()):
+            weights = rng.uniform(0.0, 5.0, len(geometries)).tolist()
+        f = family(t.axis, n, geometries, w, weights)
+        families.append(shifted(f, spread * side * rng.uniform(-1.0, 1.0, (f.size, n))))
+    return families, cube, delta, w
 
 
 class TestConstants:
@@ -186,6 +261,42 @@ class TestStepBound:
         heavy = step_bound(with_weights(fams, [1000.0] * 6), cube, 0.2)
         assert heavy.count_histograms == unit.count_histograms
         assert heavy.numeric_bound == 1000.0**2 * unit.numeric_bound
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(subcube_cases())
+    def test_sparse_counts_match_dense(self, case):
+        assert_counts_match_dense(*case)
+
+    def test_sparse_counts_match_dense_past_a_curve_span(self):
+        # the curve's span [2, 7] ends inside the cube [0, 10] on its axis
+        curve = LipschitzCurve(0, np.array([2.0, 5.0, 7.0]), np.array([[3.0], [4.0], [3.5]]), 0.5)
+        fams = [family(0, 2, [curve]), family(1, 2, [tube([4.0, 0.0], [0.3, 1.0])])]
+        detail = assert_counts_match_dense(fams, Cube(np.zeros(2), 10.0), 0.5, 1.0)
+        assert detail.count_histograms[0][1] > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sparse_counts_match_dense_with_every_subcube_hit(self, n):
+        # both tubes pass through a cube much smaller than w: no zero bucket
+        cube = Cube(np.zeros(n), 0.2)
+        fams = [axis_tube_family(j, n, [np.full(n, 0.1)]) for j in range(n)]
+        detail = assert_counts_match_dense(fams, cube, 0.9, 1.0)
+        assert detail.count_histograms == ({1: detail.subcube_count},) * n
+
+    def test_sparse_counts_test_few_pairs(self, monkeypatch):
+        # n=3, S=16, delta 0.1, 8 tubes per axis: 110,592 subcubes and 24
+        # members; the layer bands keep the exact tests under 10% of the pairs
+        cube = Cube.centered(np.zeros(3), 16.0)
+        fams = generate(GenSpec(3, (8, 8, 8), SmallAngle(0.1), cube, seed=11))
+        rows = count_box_distance_rows(monkeypatch)
+        detail = step_bound(fams, cube, 0.1)
+        assert detail.subcube_count == 48**3
+        assert 0 < sum(rows) < 0.1 * detail.subcube_count * 24
 
     def test_rejects_angle_violation(self, cube2):
         steep = family(0, 2, [tube([0.0, 0.0], [1.0, 0.4])])

@@ -311,6 +311,9 @@ BAD_INPUTS = {
     "threads_zero": lambda p: ["eval", "--config", generated_config(p), "--threads", 0],
     "threads_negative": lambda p: ["eval", "--config", generated_config(p), "--threads", -3],
     "grid_not_int": lambda p: ["eval", "--config", generated_config(p), "--grid", "abc"],
+    "refine_grid_zero": lambda p: [
+        "eval", "--config", generated_config(p), "--refine", "--grid", 0
+    ],
     "unknown_command": lambda p: ["evaluate", "--config", generated_config(p)],
     "reduce_nu_without_epsilon": lambda p: [
         "reduce", "--config", edited_config(p, _add_direction_sets), "--nu", 1.0

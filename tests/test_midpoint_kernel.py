@@ -14,19 +14,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kakeya.evaluator import (
-    FamilyMember,
     GridSpec,
-    TubeFamily,
     _slabs,
     evaluate_overlap,
     midpoint_sum,
     overlap_integrand,
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
-from kakeya.geometry import Cube, Line, LipschitzCurve, Tube, lattice
+from kakeya.geometry import Cube, lattice
 from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
-from conftest import family, tube
+from conftest import family, shifted, tube
 
 BLOCK = 1 << 16
 
@@ -69,20 +67,6 @@ def dense_lw_left(fs, box, m) -> float:
         return vals
 
     return float(np.prod(h)) * dense_sum(values, centers(box.min_corner, h, m))
-
-
-def shifted(family: TubeFamily, offsets) -> TubeFamily:
-    """The family with each member moved across its axis by a row of ``offsets``."""
-    members = []
-    for member, off in zip(family.members, offsets):
-        g = member.geometry
-        off = np.where(np.arange(family.dim) == family.axis, 0.0, off)
-        if isinstance(g, Tube):
-            g = Tube(Line(g.line.anchor + off, g.line.direction), g.radius)
-        else:
-            g = LipschitzCurve(g.axis, g.breakpoints, g.values + np.delete(off, g.axis), g.lip)
-        members.append(FamilyMember(g, member.weight))
-    return TubeFamily(family.axis, family.dim, tuple(members), family.base_radius)
 
 
 deltas = st.floats(0.01, 0.3)
