@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from . import certifier, experiments, reduction, serialization
 from .errors import NonConvergence, PropertyViolation, ValidationError
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, grid_default=128):
         p.add_argument("--config", required=True, help="input JSON path")
         p.add_argument("--out", help="output JSON path (stdout if omitted)")
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--threads", type=int, help=f"workers (default ${THREADS_ENV}, else 1)")
         p.add_argument("--grid", type=int, default=grid_default, help="cells per side")
         p.add_argument("--tol", type=float, default=1e-2)
 
@@ -332,11 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; each parse gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+        args = _parser().parse_args(argv)
+        if hasattr(args, "threads"):
+            if args.threads is None:
+                args.threads = _default_threads()
+            elif args.threads < 1:
+                raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

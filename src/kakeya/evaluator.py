@@ -320,6 +320,11 @@ def _box_values(families, radii, bands, p: float, axes, starts) -> np.ndarray:
     return out
 
 
+def _check_cell_budget(m: int, n: int) -> None:
+    if m**n > CELL_BUDGET:
+        raise CellBudgetExceeded(f"grid has {m**n} cells, exceeding the budget of {CELL_BUDGET}")
+
+
 def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     """The overlap functional's midpoint-rule value as a function of (m, threads).
 
@@ -336,16 +341,133 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     p = 1.0 / (n - 1)
 
     def value(m: int, threads: int) -> float:
-        if m**n > CELL_BUDGET:
-            raise CellBudgetExceeded(
-                f"grid has {m**n} cells, exceeding the budget of {CELL_BUDGET}"
-            )
+        _check_cell_budget(m, n)
         h = cube.side / m
         bands = [_bands(x, f.axis, cube.min_corner, h, m) for f, x in zip(fams, reaches)]
         integrand = partial(_box_values, fams, rs, bands, p)
         return h**n * midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
 
     return value
+
+
+def _check_integer_weights(family: TubeFamily) -> None:
+    for m in family.members:
+        if not float(m.weight).is_integer():
+            raise ValidationError(
+                f"weight {m.weight!r} is not an integer; count fields need integer weights"
+            )
+    if family.total_weight > 2.0**53:
+        raise ValidationError("family weights exceed 2**53; count fields would round")
+
+
+@dataclass(frozen=True, eq=False)
+class CountFields:
+    """The overlap quadrature on one m^n grid, held as one count field per family.
+
+    ``fields[j]`` is ``sum_a w_a 1_tube`` at every cell center for the j-th
+    family by axis, and ``bands[j]`` holds its members' bands (``_bands``).
+    ``moved`` swaps one member: it copies that family's field, subtracts the
+    old member's indicator on its stored band and adds the new member's on a
+    band from one ``_reach`` call; every other field and band is shared.
+    The weights are integers whose family sums stay below 2**53, so every
+    field holds exact integers whatever the order of adds and subtracts,
+    and ``value`` has the bits of ``midpoint_rule(families, cube)(m, threads)``.
+    Build with ``CountFields.build``.
+    """
+
+    families: tuple
+    cube: Cube
+    m: int
+    fields: tuple
+    bands: tuple
+
+    @classmethod
+    def build(cls, families, cube: Cube, m: int) -> "CountFields":
+        """Validate like ``midpoint_rule`` and fill every family's field.
+
+        Raises ``ValidationError`` for a non-integer weight and
+        ``CellBudgetExceeded`` above ``CELL_BUDGET`` cells, both before any
+        field is allocated.
+        """
+        n = check_families(families)
+        _check_curve_spans(families, cube)
+        fams = tuple(sorted(families, key=lambda f: f.axis))
+        for f in fams:
+            _check_integer_weights(f)
+        _check_cell_budget(m, n)
+        h = cube.side / m
+        fields, bands = [], []
+        for f in fams:
+            field = np.zeros((m,) * n)
+            band = _bands(_reach(f, f.base_radius, cube), f.axis, cube.min_corner, h, m)
+            for member, b in zip(f.members, band):
+                _add_member(field, member, f.base_radius, b, cube, 1.0)
+            fields.append(_read_only(field))
+            bands.append(_read_only(band))
+        return cls(fams, cube, m, tuple(fields), tuple(bands))
+
+    def moved(self, j: int, a: int, member: FamilyMember) -> "CountFields":
+        """The fields with ``member`` in place of member ``a`` of the j-th family by axis."""
+        old = self.families[j]
+        members = list(old.members)
+        members[a] = member
+        new = TubeFamily(old.axis, old.dim, tuple(members), old.base_radius)
+        _check_integer_weights(new)
+        _check_curve_spans([new], self.cube)
+        cube, r = self.cube, old.base_radius
+        field = self.fields[j].copy()
+        _add_member(field, old.members[a], r, self.bands[j][a], cube, -1.0)
+        reach = _reach(TubeFamily(old.axis, old.dim, (member,), r), r, cube)
+        band = self.bands[j].copy()
+        band[a] = _bands(reach, old.axis, cube.min_corner, cube.side / self.m, self.m)[0]
+        _add_member(field, member, r, band[a], cube, 1.0)
+
+        def swap(items, item):
+            return items[:j] + (item,) + items[j + 1 :]
+
+        return CountFields(
+            swap(self.families, new),
+            self.cube,
+            self.m,
+            swap(self.fields, _read_only(field)),
+            swap(self.bands, _read_only(band)),
+        )
+
+    def value(self, threads: int = 1) -> float:
+        """The midpoint-rule value, through ``midpoint_sum`` on slices of the fields."""
+        n = self.cube.n
+        p = 1.0 / (n - 1)
+        h = self.cube.side / self.m
+        fields = self.fields
+
+        def integrand(axes, starts):
+            box = tuple(slice(a, a + x.size) for a, x in zip(starts, axes))
+            out = np.ones(tuple(x.size for x in axes))
+            for field in fields:
+                vals = field[box]
+                out *= vals if p == 1.0 else np.power(vals, p)
+            return out
+
+        return h**n * midpoint_sum(integrand, self.cube.min_corner, (h,) * n, self.m, threads)
+
+
+def _add_member(field, member: FamilyMember, r: float, band, cube: Cube, sign: float) -> None:
+    """Add ``sign`` times the member's weighted indicator to ``field`` on its band."""
+    band = band.tolist()
+    if any(a >= b for a, b in band):
+        return
+    h = cube.side / field.shape[0]
+    lo = cube.min_corner
+    # the cell centers of midpoint_sum, bit for bit, so each test matches the full kernel's
+    axes = [lo[k] + (np.arange(a, b) + 0.5) * h for k, (a, b) in enumerate(band)]
+    d = _member_distance(member.geometry, lattice(axes))
+    view = field[tuple(slice(a, b) for a, b in band)]
+    view += (sign * member.weight * (d <= r)).reshape(view.shape)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def evaluate_overlap(

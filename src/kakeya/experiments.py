@@ -4,7 +4,9 @@ The sweep generates a configuration per scale S from one seed, evaluates the
 overlap integral, certifies it, and fits the slope of log(ratio) against
 log(S).  The search is greedy hill climbing with restarts (optionally
 annealed) over anchor/direction perturbations; its objective is a fixed-grid
-midpoint rule, so traces are deterministic and exactly reproducible.
+midpoint rule kept as per-family count fields (``CountFields``), updated on
+each step for the moved member's band only, so traces are deterministic and
+exactly reproducible.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import numpy as np
 
 from .certifier import Certificate, certify_multiscale
 from .errors import ValidationError
-from .evaluator import (
-    FamilyMember,
-    GridSpec,
-    OverlapValue,
-    TubeFamily,
-    evaluate_refined,
-    midpoint_rule,
-)
+from .evaluator import CountFields, FamilyMember, GridSpec, OverlapValue, evaluate_refined
 from .geometry import Cube, Line, Tube
 from .generators import AxisParallel, GenSpec, SmallAngle, Weighted, _direction_in_cap, generate
 
@@ -44,6 +39,8 @@ SEARCH_CSV_COLUMNS = ("iteration", "restart", "accepted_ratio", "best_ratio")
 _RESTARTS = 4
 _T0 = 0.1
 _COOLING = 0.95
+#: extremal_search: largest anchor move per coordinate, as a fraction of the cube side
+_STEP = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,23 +157,19 @@ class SearchResult:
         }
 
 
-def _perturb(rng, families, cube: Cube, angle_limit: float, step: float):
-    """Move one random member's anchor and redraw its direction in the cap."""
-    fams = [list(f.members) for f in families]
+def _perturb(rng, families, cube: Cube, angle_limit: float):
+    """Move one random member's anchor and redraw its direction in the cap.
+
+    Returns ``(j, a, member)``: member ``a`` of ``families[j]`` becomes ``member``.
+    """
     j = int(rng.integers(0, len(families)))
-    if not fams[j]:
-        return families
-    a = int(rng.integers(0, len(fams[j])))
-    member = fams[j][a]
+    a = int(rng.integers(0, families[j].size))
+    member = families[j].members[a]
     tube = member.geometry
-    anchor = tube.line.anchor + rng.uniform(-step, step, cube.n) * cube.side * 0.05
+    anchor = tube.line.anchor + rng.uniform(-1.0, 1.0, cube.n) * cube.side * _STEP
     anchor = np.clip(anchor, cube.min_corner, cube.max_corner)
     direction = _direction_in_cap(rng, cube.n, families[j].axis, angle_limit)
-    fams[j][a] = FamilyMember(Tube(Line(anchor, direction), tube.radius), member.weight)
-    return tuple(
-        TubeFamily(f.axis, f.dim, tuple(ms), f.base_radius)
-        for f, ms in zip(families, fams)
-    )
+    return j, a, FamilyMember(Tube(Line(anchor, direction), tube.radius), member.weight)
 
 
 def extremal_search(
@@ -206,27 +199,27 @@ def extremal_search(
     rng = np.random.default_rng(seed)
     norm = float(np.prod([c ** (1.0 / (n - 1.0)) for c in counts]))
 
-    def objective(fams) -> float:
-        return midpoint_rule(fams, cube)(grid.cells_per_side, threads) / norm
+    def objective(fields: CountFields) -> float:
+        return fields.value(threads) / norm
 
     per_restart = max(1, budget // _RESTARTS)
-    best_families = None
+    best = None
     best_ratio = -math.inf
     trace = []
     iteration = 0
     restart = 0
     while iteration < budget:
         spec = GenSpec(n, tuple(counts), SmallAngle(limit), cube, int(rng.integers(0, 2**63)))
-        current = tuple(generate(spec))
+        current = CountFields.build(generate(spec), cube, grid.cells_per_side)
         current_ratio = objective(current)
         temp = _T0
         if current_ratio > best_ratio:
-            best_ratio, best_families = current_ratio, current
+            best_ratio, best = current_ratio, current
         trace.append(SearchTracePoint(iteration, restart, current_ratio, best_ratio))
         iteration += 1
         steps = min(per_restart - 1, budget - iteration)
         for _ in range(steps):
-            cand = _perturb(rng, current, cube, limit, step=1.0)
+            cand = current.moved(*_perturb(rng, current.families, cube, limit))
             cand_ratio = objective(cand)
             accept = cand_ratio > current_ratio
             if not accept and annealing and temp > 0.0:
@@ -234,9 +227,9 @@ def extremal_search(
             if accept:
                 current, current_ratio = cand, cand_ratio
             if current_ratio > best_ratio:
-                best_ratio, best_families = current_ratio, current
+                best_ratio, best = current_ratio, current
             trace.append(SearchTracePoint(iteration, restart, current_ratio, best_ratio))
             iteration += 1
             temp *= _COOLING
         restart += 1
-    return SearchResult(best_families, best_ratio, tuple(trace))
+    return SearchResult(best.families, best_ratio, tuple(trace))

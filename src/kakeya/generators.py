@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,12 +108,20 @@ def _uniform_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.nd
             return v
 
 
+@lru_cache(maxsize=None)
+def _axis_frame(n: int, axis: int) -> tuple[Direction, np.ndarray]:
+    """The axis direction and its read-only ``tangent_basis``, built once per (n, axis)."""
+    center = Direction.axis(n, axis)
+    basis = tangent_basis(center)
+    basis.flags.writeable = False
+    return center, basis
+
+
 def _direction_in_cap(rng: np.random.Generator, n: int, axis: int, ang: float) -> Direction:
     """Uniform direction within angle ``ang`` of the axis vector."""
-    center = Direction.axis(n, axis)
+    center, basis = _axis_frame(n, axis)
     if ang == 0.0:
         return center
-    basis = tangent_basis(center)
     while True:
         v = _uniform_in_ball(rng, n - 1, ang)
         r = float(np.linalg.norm(v))

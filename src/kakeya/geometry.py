@@ -399,8 +399,13 @@ def subdivision_counts(cube: Cube, delta: float, w: float) -> tuple[int, float]:
 
 def lattice(axes) -> np.ndarray:
     """Every point of the product of the 1-d ``axes``, shape (N, len(axes)), C order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    axes = [np.asarray(a) for a in axes]
+    n = len(axes)
+    shape = tuple(a.size for a in axes)
+    out = np.empty(shape + (n,), dtype=np.result_type(*axes))
+    for k, a in enumerate(axes):
+        out[..., k] = np.reshape(a, shape[k : k + 1] + (1,) * (n - 1 - k))
+    return out.reshape(-1, n)
 
 
 def subcube_grid(cube: Cube, k: int) -> np.ndarray:

@@ -1,12 +1,19 @@
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+from kakeya import cli
 from kakeya.cli import main
+from kakeya.evaluator import GridSpec, evaluate_overlap
+from kakeya.experiments import extremal_search
 from kakeya.serialization import (
     config_from_json,
     config_to_json,
     dump_json,
     genspec_to_json,
     load_json,
+    search_from_json,
 )
 from kakeya.generators import GenSpec, SmallAngle
 from kakeya.geometry import Cube
@@ -359,3 +366,52 @@ def test_integral_float_fields_are_accepted(tmp_path):
     ref = tmp_path / "ref.json"
     assert run(["gen", "--config", gen_file(tmp_path), "--out", ref]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_search_over_the_cell_budget_exits_3_before_allocating(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "search_n2.input.json"
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert run(["search", "--config", golden, "--grid", 20000, "--out", out]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    # one count field of 20000^2 cells would take 3.2 GB
+    assert peak < 16 << 20
+
+
+def test_parser_built_once_and_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        cfg = generated_config(tmp_path)
+        search = search_file(tmp_path)
+        seeded = tmp_path / "seeded.json"
+        argv = ["search", "--config", search, "--grid", 16, "--seed", 5, "--threads", 2]
+        assert run([*argv, "--csv", tmp_path / "trace.csv", "--out", seeded]) == 0
+        refined = tmp_path / "refined.json"
+        assert run(["eval", "--config", cfg, "--grid", 8, "--refine", "--out", refined]) in (0, 3)
+        plain = tmp_path / "plain.json"
+        assert run(["eval", "--config", cfg, "--grid", 16, "--out", plain]) == 0
+        unseeded = tmp_path / "unseeded.json"
+        assert run(["search", "--config", search, "--grid", 16, "--out", unseeded]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg, "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    # each call saw only its own flags
+    config = config_from_json(load_json(cfg))
+    value = evaluate_overlap(config.families, config.cube, GridSpec(16))
+    assert load_json(plain) == {"schema_version": 1, **value.to_json()}
+    result = extremal_search(**search_from_json(load_json(search)), grid=GridSpec(16))
+    assert load_json(unseeded) == {"schema_version": 1, **result.to_json()}
+    assert load_json(seeded) != load_json(unseeded)

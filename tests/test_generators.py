@@ -12,10 +12,18 @@ from kakeya.generators import (
     Lipschitz,
     SmallAngle,
     Weighted,
+    _axis_frame,
     enumerate_grid_axis_parallel,
     generate,
 )
-from kakeya.geometry import Cube, LipschitzCurve, Tube, angle_from_axis
+from kakeya.geometry import (
+    Cube,
+    Direction,
+    LipschitzCurve,
+    Tube,
+    angle_from_axis,
+    tangent_basis,
+)
 from kakeya.serialization import Configuration, config_to_json
 
 
@@ -49,6 +57,16 @@ class TestDeterminism:
         for regime in regimes:
             spec = GenSpec(3, (3, 3, 3), regime, cube3, seed=13)
             assert spec_json(spec) == spec_json(spec)
+
+
+    @pytest.mark.parametrize("n, axis", [(2, 0), (2, 1), (3, 1), (4, 3)])
+    def test_axis_frame_built_once_and_read_only(self, n, axis):
+        center, basis = _axis_frame(n, axis)
+        assert _axis_frame(n, axis)[1] is basis
+        assert np.array_equal(center.components, np.eye(n)[axis])
+        assert np.array_equal(basis, tangent_basis(Direction.axis(n, axis)))
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
 
 
 class TestRegimeValidity:

@@ -14,6 +14,7 @@ from kakeya.geometry import (
     angle_from_axis,
     cap_cover,
     frame_map,
+    lattice,
     line_angle_between,
     line_box_distance,
     point_line_distance,
@@ -171,6 +172,24 @@ class TestTubeCubeIntersection:
             sampled = point_line_distance(pts, t.line).min()
             assert (sampled <= t.radius) == tube_intersects_cube(t, cube)
         assert hits >= 60
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [np.linspace(-1.0, 2.0, 5)],
+        [np.arange(4.0) + 0.5, np.array([0.25, -3.0])],
+        [np.arange(3), np.arange(2, 6), np.arange(1, 3)],
+        [np.linspace(0.0, 1.0, 7), np.zeros(0), np.ones(2)],
+        [[0.5, 1.5], [2.0], [3.0, 4.0, 5.0], [-1.0, 1.0]],
+    ],
+)
+def test_lattice_is_the_c_order_meshgrid(axes):
+    mesh = np.meshgrid(*[np.asarray(a) for a in axes], indexing="ij")
+    want = np.stack([m.ravel() for m in mesh], axis=1)
+    got = lattice(axes)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 class TestSubdivideCube:

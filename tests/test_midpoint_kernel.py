@@ -13,15 +13,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kakeya.errors import CellBudgetExceeded, ValidationError
 from kakeya.evaluator import (
+    CountFields,
+    FamilyMember,
     GridSpec,
+    TubeFamily,
     _slabs,
     evaluate_overlap,
+    midpoint_rule,
     midpoint_sum,
     overlap_integrand,
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
-from kakeya.geometry import Cube, lattice
+from kakeya.geometry import Cube, Tube, lattice
 from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
 from conftest import family, shifted, tube
@@ -148,6 +153,113 @@ def test_overlap_matches_dense_with_lines_square_to_their_axis(m):
     got = evaluate_overlap(families, cube, GridSpec(m))
     assert got.value > 0.0
     assert got.value.hex() == dense_overlap(families, cube, m).hex()
+
+
+def moved_member(member: FamilyMember, axis: int, offset, rng) -> FamilyMember:
+    """``member`` moved by ``offset``; a tube also gets a new direction near its axis."""
+    g = member.geometry
+    if isinstance(g, Tube):
+        direction = np.eye(g.n)[axis] + rng.uniform(-0.1, 0.1, g.n)
+        return FamilyMember(tube(g.line.anchor + offset, direction, g.radius), member.weight)
+    alone = TubeFamily(axis, g.n, (member,), 1.0)
+    return shifted(alone, [offset]).members[0]
+
+
+@st.composite
+def move_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    corner = [draw(st.floats(-10.0, 10.0)) for _ in range(n)]
+    cube = Cube(np.array(corner), draw(st.floats(2.0, 8.0)))
+    # mostly the search's tubes, sometimes polylines
+    if draw(st.integers(0, 3)):
+        regime = SmallAngle(draw(deltas))
+    else:
+        regime = Lipschitz(draw(deltas), draw(st.integers(2, 4)))
+    counts = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    spec = GenSpec(n, counts, regime, cube, draw(st.integers(0, 2**32)), draw(st.floats(0.3, 2.5)))
+    rng = np.random.default_rng(spec.seed)
+    families = [
+        family(f.axis, n, [m.geometry for m in f.members], f.base_radius,
+               weights=rng.integers(0, 4, f.size).astype(float).tolist())
+        for f in generate(spec)
+    ]
+    # one block at n = 2; several blocks at n = 3, where the power is 1/2
+    m = draw(st.integers(1, 64) if n == 2 else st.integers(41, 46))
+    moves = []
+    for _ in range(draw(st.integers(1, 4))):
+        j = int(rng.integers(n))
+        a = int(rng.integers(families[j].size))
+        # small moves stay near the cube; the largest can leave it wholly
+        offset = draw(st.sampled_from([0.05, 0.5, 1.5])) * cube.side * rng.uniform(-1.0, 1.0, n)
+        moves.append((j, a, offset))
+    return families, cube, m, moves, draw(st.sampled_from([1, 2])), rng
+
+
+def assert_fields_match_full_kernel(fields: CountFields, threads: int) -> None:
+    full = midpoint_rule(fields.families, fields.cube)(fields.m, threads)
+    assert fields.value(threads).hex() == full.hex()
+    rebuilt = CountFields.build(fields.families, fields.cube, fields.m)
+    for got, want in zip(fields.fields, rebuilt.fields):
+        assert np.array_equal(got, want)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(move_cases())
+def test_count_fields_match_full_kernel_after_each_move(case):
+    families, cube, m, moves, threads, rng = case
+    fields = CountFields.build(families, cube, m)
+    assert_fields_match_full_kernel(fields, threads)
+    for j, a, offset in moves:
+        member = moved_member(fields.families[j].members[a], j, offset, rng)
+        fields = fields.moved(j, a, member)
+        assert_fields_match_full_kernel(fields, threads)
+
+
+def test_count_fields_member_moved_out_of_the_cube():
+    cube = Cube(np.array([-3.0, -3.0, -3.0]), 6.0)
+    families = generate(GenSpec(3, (3, 2, 2), SmallAngle(0.1), cube, seed=4))
+    fields = CountFields.build(families, cube, 44)
+    far = np.array([0.0, 20.0, 0.0])
+    gone = moved_member(families[0].members[1], 0, far, np.random.default_rng(1))
+    moved = fields.moved(0, 1, gone)
+    first, stop = moved.bands[0][1].T
+    assert np.any(first >= stop)  # an empty band: the member adds nothing
+    assert moved.fields[1] is fields.fields[1] and moved.fields[2] is fields.fields[2]
+    for threads in (1, 2):
+        assert_fields_match_full_kernel(moved, threads)
+    # the same member moved back restores every count
+    back = moved.moved(0, 1, families[0].members[1])
+    assert np.array_equal(back.fields[0], fields.fields[0])
+    assert back.value().hex() == fields.value().hex()
+
+
+def test_count_fields_reject_non_integer_weights():
+    cube = Cube(np.zeros(2), 6.0)
+    families = [
+        family(0, 2, [tube([0.0, 3.0], [1.0, 0.0])], weights=[1.5]),
+        family(1, 2, [tube([3.0, 0.0], [0.0, 1.0])]),
+    ]
+    with pytest.raises(ValidationError, match="not an integer"):
+        CountFields.build(families, cube, 16)
+    whole = [family(0, 2, [tube([0.0, 3.0], [1.0, 0.0])], weights=[2.0]), families[1]]
+    fields = CountFields.build(whole, cube, 16)
+    with pytest.raises(ValidationError, match="not an integer"):
+        fields.moved(1, 0, FamilyMember(tube([2.0, 0.0], [0.0, 1.0]), 0.5))
+
+
+def test_count_fields_refuse_the_cell_budget_before_allocating():
+    import tracemalloc
+
+    cube = Cube(np.zeros(2), 6.0)
+    families = generate(GenSpec(2, (3, 3), SmallAngle(0.05), cube, seed=2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CellBudgetExceeded):
+            CountFields.build(families, cube, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite
