@@ -54,7 +54,6 @@ from .reduction import (
     reduce_general_to_small_angle,
     split_by_caps,
     transversal_reduce,
-    weighted_multiplicity_check,
 )
 from .generators import (
     AxisParallel,

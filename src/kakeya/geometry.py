@@ -17,7 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CellBudgetExceeded
+
 UNIT_NORM_TOL = 1e-12
+# Most tangent-grid cells in one ``cap_cover`` (its arrays peak near 150 MB)
+CAP_NET_CELLS = 1 << 20
 
 
 def as_point(values) -> np.ndarray:
@@ -207,10 +211,6 @@ class Cap:
         if not (0.0 < self.ang_radius <= math.pi):
             raise ValueError("cap angular radius must lie in (0, pi]")
 
-    def contains_line_direction(self, direction: Direction, tol: float = 0.0) -> bool:
-        """Membership for unoriented line directions (v and -v identified)."""
-        return line_angle_between(direction, self.center) <= self.ang_radius + tol
-
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
@@ -245,12 +245,6 @@ class LinearMap:
 
 # ---------------------------------------------------------------------------
 # angles
-
-
-def line_angle_between(u: Direction, v: Direction) -> float:
-    """Angle between unoriented directions, in [0, pi/2]."""
-    dot = abs(float(np.dot(u.components, v.components)))
-    return math.acos(min(1.0, dot))
 
 
 def angle_from_axis(direction: Direction, axis: int) -> float:
@@ -432,45 +426,62 @@ def tangent_basis(direction: Direction) -> np.ndarray:
     return basis
 
 
-def _cap_point(center: Direction, basis: np.ndarray, v: np.ndarray) -> Direction:
-    """Exponential-map image of a tangent vector v (length = angle)."""
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return center
-    r = min(r, math.pi)
-    unit = (v / np.linalg.norm(v)) @ basis
-    return Direction.normalized(math.cos(r) * center.components + math.sin(r) * unit)
+def cap_cover(cap: Cap, rho: float) -> np.ndarray:
+    """Centers of a deterministic net of radius-``rho`` caps covering ``cap``.
 
-
-def cap_cover(cap: Cap, rho: float) -> list[Cap]:
-    """Deterministic net of radius-``rho`` caps covering ``cap``.
-
-    Tangent-grid construction: cover the radius-R ball in the tangent space by
-    a cubic grid of spacing 2 rho / sqrt(n-1) with a cell centered at the
-    origin (so the input center is always the first returned cap center), then
-    push cell centers to the sphere with the exponential map, which does not
-    increase distances.  The cap count is at most
-    (sqrt(n-1)+2)^(n-1) (R/rho)^(n-1).
+    Returns a read-only (count, n) array.  Tangent-grid construction: cover
+    the radius-R ball in the tangent space by a cubic grid of spacing
+    2 rho / sqrt(n-1) with a cell centered at the origin (so the input center
+    is always the first row), then push cell centers to the sphere with the
+    exponential map, which does not increase distances.  The cap count is at
+    most (sqrt(n-1)+2)^(n-1) (R/rho)^(n-1).  For rho within 1e-12 of R the
+    net is ``cap`` itself, one row.  Above ``CAP_NET_CELLS`` grid cells it
+    raises ``CellBudgetExceeded`` before allocating.
     """
     if not (0.0 < rho <= cap.ang_radius * (1.0 + 1e-12)):
         raise ValueError("rho must lie in (0, cap.ang_radius]")
+    c = cap.center.components
     if rho >= cap.ang_radius * (1.0 - 1e-12):
-        return [cap]
-    n = cap.center.n
+        return c[None, :]
+    n = c.size
     m = n - 1
     big_r = cap.ang_radius
     h = 2.0 * rho / math.sqrt(m)
-    basis = tangent_basis(cap.center)
-    imax = int(math.floor(big_r / h + 0.5)) + 1
-    cells = []
-    for idx in itertools.product(range(-imax, imax + 1), repeat=m):
-        center = h * np.array(idx, dtype=float)
-        # keep cells whose closest point to the origin is inside the R-ball
-        nearest = np.maximum(np.abs(center) - 0.5 * h, 0.0)
-        if float(nearest @ nearest) <= big_r * big_r * (1.0 + 1e-12):
-            cells.append((float(center @ center), idx, center))
-    cells.sort(key=lambda item: (item[0], item[1]))
-    return [Cap(_cap_point(cap.center, basis, c), rho) for _, _, c in cells]
+    # the clamp keeps imax finite for a subnormal rho; a clamped grid is over budget
+    imax = int(math.floor(min(big_r / h, CAP_NET_CELLS) + 0.5)) + 1
+    if (2 * imax + 1) ** m > CAP_NET_CELLS:
+        raise CellBudgetExceeded(f"a net of radius-{rho:.6g} caps over a radius-{big_r:.6g} "
+                                 f"cap in R^{n} needs more than {CAP_NET_CELLS} tangent cells")
+    v = h * lattice([np.arange(-imax, imax + 1)] * m)
+    # keep cells whose closest point to the origin is inside the R-ball
+    nearest = np.maximum(np.abs(v) - 0.5 * h, 0.0)
+    v = v[np.vecdot(nearest, nearest) <= big_r * big_r * (1.0 + 1e-12)]
+    sq = np.vecdot(v, v)
+    # nearest cells first, ties in grid index order: the origin cell leads
+    order = np.lexsort([*v.T[::-1], sq])[1:]
+    v, r = v[order], np.sqrt(sq[order])
+    # a stack of row-vector products takes each row through the kernel of a
+    # single ``row @ basis``, so the bits match the one-cell exponential map
+    unit = ((v / r[:, None])[:, None, :] @ tangent_basis(cap.center))[:, 0]
+    r = np.minimum(r, math.pi)
+    points = np.cos(r)[:, None] * c + np.sin(r)[:, None] * unit
+    out = np.concatenate([c[None, :], points / np.sqrt(np.vecdot(points, points))[:, None]])
+    out.setflags(write=False)
+    return out
+
+
+def cap_index(centers: np.ndarray, direction: Direction, bound: float):
+    """Index of the first row c of ``centers`` within angle ``bound`` of a line direction u.
+
+    The rule is acos(min(1, |u.c|)) <= bound with ``math.acos``, in row order;
+    None if no row passes.  Rows whose |u.c| from one ``np.vecdot`` falls 1e-9
+    short of cos(bound) cannot pass and are skipped.
+    """
+    dots = np.abs(np.vecdot(centers, direction.components))
+    for i in np.flatnonzero(dots >= math.cos(min(bound, math.pi)) - 1e-9):
+        if math.acos(min(1.0, float(dots[i]))) <= bound:
+            return int(i)
+    return None
 
 
 def frame_map(centers: list[Direction]) -> LinearMap:

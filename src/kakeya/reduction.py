@@ -26,13 +26,7 @@ import numpy as np
 
 from .certifier import Constants, delta_for_epsilon
 from .errors import PropertyViolation, ValidationError
-from .evaluator import (
-    FamilyMember,
-    GridSpec,
-    TubeFamily,
-    check_families,
-    midpoint_rule,
-)
+from .evaluator import FamilyMember, TubeFamily, check_families
 from .geometry import (
     Cap,
     Cube,
@@ -42,6 +36,7 @@ from .geometry import (
     Tube,
     angle_from_axis,
     cap_cover,
+    cap_index,
     frame_map,
     wedge_volume,
 )
@@ -71,34 +66,33 @@ class ReducedProblem:
         }
 
 
-def split_by_caps(family: TubeFamily, caps: list[Cap]) -> list[TubeFamily]:
+def split_by_caps(family: TubeFamily, centers: np.ndarray, radius: float) -> dict:
     """Partition members by the first cap containing their direction.
 
-    Every member direction must lie in some cap; the output list has one
-    (possibly empty) family per cap and preserves the member multiset.
+    The caps are the rows of ``centers`` with angular ``radius``.  Every
+    member direction must lie in some cap; the result maps the index of each
+    nonempty cap, in increasing order, to its sub-family, and preserves the
+    member multiset.
     """
-    buckets: list[list[FamilyMember]] = [[] for _ in caps]
+    buckets: dict[int, list[FamilyMember]] = {}
     for m in family.members:
         g = m.geometry
         if not isinstance(g, Tube):
             raise ValidationError("cap splitting applies to straight tubes only")
-        placed = False
-        for i, cap in enumerate(caps):
-            if cap.contains_line_direction(g.line.direction, tol=1e-12):
-                buckets[i].append(m)
-                placed = True
-                break
-        if not placed:
+        i = cap_index(centers, g.line.direction, radius + 1e-12)
+        if i is None:
             raise ValidationError("a member direction lies in no cap")
-    return [
-        TubeFamily(family.axis, family.dim, tuple(b), family.base_radius)
-        for b in buckets
-    ]
+        buckets.setdefault(i, []).append(m)
+    return {
+        i: TubeFamily(family.axis, family.dim, tuple(buckets[i]), family.base_radius)
+        for i in sorted(buckets)
+    }
 
 
-def _oriented(direction: Direction, axis: int) -> np.ndarray:
-    comps = direction.components
-    return comps if comps[axis] >= 0.0 else -comps
+def _net(cap: Cap, rho: float) -> tuple[np.ndarray, float]:
+    """The cap's net and the radius its caps have: a one-row net is ``cap`` itself."""
+    centers = cap_cover(cap, rho)
+    return centers, cap.ang_radius if len(centers) == 1 else rho
 
 
 def _transform_problem(families, cube, lmap, delta, cap_indices) -> ReducedProblem:
@@ -111,7 +105,8 @@ def _transform_problem(families, cube, lmap, delta, cap_indices) -> ReducedProbl
         members = []
         for m in f.members:
             tube = m.geometry
-            d = _oriented(tube.line.direction, f.axis)
+            d = tube.line.direction.components
+            d = d if d[f.axis] >= 0.0 else -d
             anchor = scale * lmap.apply(tube.line.anchor)
             new_dir = Direction.normalized(lmap.matrix @ d)
             ang = angle_from_axis(new_dir, f.axis)
@@ -138,24 +133,20 @@ def _transform_problem(families, cube, lmap, delta, cap_indices) -> ReducedProbl
     )
 
 
-def _reduce_with_caps(families, cube, covers, delta, check_tuple) -> list[ReducedProblem]:
+def _reduce_with_caps(families, cube, nets, delta, check_tuple) -> list[ReducedProblem]:
     """One ReducedProblem per tuple of nonempty caps, one cap per axis.
 
-    ``check_tuple(combo, centers)``, unless None, vets each cap tuple before
-    its frame map is built.
+    ``nets[j]`` is axis j's (centers, radius).  ``check_tuple(combo,
+    centers)``, unless None, vets each cap tuple before its frame map is built.
     """
-    split = [split_by_caps(f, covers[f.axis]) for f in sorted(families, key=lambda f: f.axis)]
+    split = [split_by_caps(f, *nets[f.axis]) for f in sorted(families, key=lambda f: f.axis)]
     problems = []
-    nonempty = [
-        [i for i, sub in enumerate(subs) if sub.members] for subs in split
-    ]
-    for combo in itertools.product(*nonempty):
-        centers = [covers[j][combo[j]].center for j in range(len(covers))]
+    for combo in itertools.product(*split):
+        centers = [Direction(nets[j][0][i]) for j, i in enumerate(combo)]
         if check_tuple is not None:
             check_tuple(combo, centers)
-        lmap = frame_map(centers)
-        tuple_families = [split[j][combo[j]] for j in range(len(covers))]
-        problems.append(_transform_problem(tuple_families, cube, lmap, delta, combo))
+        tuple_families = [split[j][i] for j, i in enumerate(combo)]
+        problems.append(_transform_problem(tuple_families, cube, frame_map(centers), delta, combo))
     return problems
 
 
@@ -179,8 +170,8 @@ def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[Redu
                 )
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     rho = delta / 10.0
-    covers = [cap_cover(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
-    return _reduce_with_caps(families, cube, covers, delta, None)
+    nets = [_net(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
+    return _reduce_with_caps(families, cube, nets, delta, None)
 
 
 def transversal_sigma_bound(n: int, nu: float) -> float:
@@ -215,16 +206,15 @@ def transversal_reduce(
         for m in f.members:
             if not isinstance(m.geometry, Tube):
                 raise ValidationError("reduction applies to straight tubes only")
-            if not cap.contains_line_direction(m.geometry.line.direction, tol=1e-9):
+            direction = m.geometry.line.direction
+            if cap_index(cap.center.components[None], direction, cap.ang_radius + 1e-9) is None:
                 raise ValidationError(
                     f"axis-{f.axis} member direction escapes its direction set"
                 )
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     sigma = transversal_sigma_bound(n, nu)
     rho = min(nu / (100.0 * n), delta / (2.0 * sigma))
-    covers = [
-        cap_cover(cap, min(rho, cap.ang_radius)) for cap in direction_sets
-    ]
+    nets = [_net(cap, min(rho, cap.ang_radius)) for cap in direction_sets]
 
     def check_wedge(combo, centers) -> None:
         wedge = wedge_volume(centers)
@@ -234,18 +224,5 @@ def transversal_reduce(
                 "the transversality precondition is violated"
             )
 
-    return _reduce_with_caps(families, cube, covers, delta, check_wedge)
+    return _reduce_with_caps(families, cube, nets, delta, check_wedge)
 
-
-def weighted_multiplicity_check(
-    families, cube: Cube, grid: GridSpec, *, threads: int = 1
-) -> bool:
-    """Integer-weight evaluation equals the multiplicity-expanded evaluation.
-
-    Both runs use the same grid; equality is required bit-for-bit (integer
-    weights sum exactly in floating point).
-    """
-    check_families(families)
-    expanded = [f.expand_integer_weights() for f in families]
-    m = grid.cells_per_side
-    return midpoint_rule(families, cube)(m, threads) == midpoint_rule(expanded, cube)(m, threads)

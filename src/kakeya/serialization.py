@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import functools
 import json
-from numbers import Integral
+import math
+from numbers import Integral, Real
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or a non-finite number is bad input."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _boolean(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{name} must be a boolean, got {value!r}")
@@ -105,7 +113,7 @@ def cube_to_json(cube: Cube) -> dict:
 def cube_from_json(data) -> Cube:
     _require(isinstance(data, dict) and "min_corner" in data and "side" in data,
              "cube stanza needs min_corner and side")
-    return Cube(np.asarray(data["min_corner"], dtype=float), float(data["side"]))
+    return Cube(np.asarray(data["min_corner"], dtype=float), _number(data["side"], "cube.side"))
 
 
 def member_to_json(member: FamilyMember) -> dict:
@@ -126,16 +134,16 @@ def member_to_json(member: FamilyMember) -> dict:
     }
 
 
-def member_from_json(data, axis: int, radius: float) -> FamilyMember:
+def member_from_json(data, axis: int, radius: float, name: str) -> FamilyMember:
     _require(isinstance(data, dict), "member stanza must be an object")
-    weight = float(data.get("weight", 1.0))
+    weight = _number(data.get("weight", 1.0), f"{name}.weight")
     if "polyline" in data:
         p = data["polyline"]
         curve = LipschitzCurve(
             axis,
             np.asarray(p["breakpoints"], dtype=float),
             np.asarray(p["values"], dtype=float),
-            float(p["lip"]),
+            _number(p["lip"], f"{name}.polyline.lip"),
         )
         return FamilyMember(curve, weight)
     _require("anchor" in data and "dir" in data,
@@ -183,16 +191,18 @@ def config_from_json(data) -> Configuration:
         _require(isinstance(stanza, dict) and "axis" in stanza,
                  "family stanza needs an axis")
         axis = _integer(stanza["axis"], f"families[{i}].axis")
-        radius = float(stanza.get("radius", 1.0))
+        radius = _number(stanza.get("radius", 1.0), f"families[{i}].radius")
         members = tuple(
-            member_from_json(m, axis, radius) for m in stanza.get("members", [])
+            member_from_json(m, axis, radius, f"families[{i}].members[{k}]")
+            for k, m in enumerate(stanza.get("members", []))
         )
         families.append(TubeFamily(axis, n, members, radius))
     direction_sets = None
     if "direction_sets" in data:
         direction_sets = tuple(
-            Cap(Direction(np.asarray(c["center"], dtype=float)), float(c["ang_radius"]))
-            for c in data["direction_sets"]
+            Cap(Direction(np.asarray(c["center"], dtype=float)),
+                _number(c["ang_radius"], f"direction_sets[{i}].ang_radius"))
+            for i, c in enumerate(data["direction_sets"])
         )
         _require(len(direction_sets) == n, "need one direction set per axis")
     return Configuration(n, cube, tuple(families), direction_sets)
@@ -229,14 +239,15 @@ def regime_from_json(data) -> Regime:
     _require(kind in _REGIME_KINDS, f"unknown regime kind {kind!r}")
     if kind == "axis_parallel":
         return AxisParallel()
-    if kind == "small_angle":
-        return SmallAngle(float(data["delta"]))
     if kind == "general":
         return GeneralAngle()
+    delta = _number(data["delta"], "gen.regime.delta")
+    if kind == "small_angle":
+        return SmallAngle(delta)
     if kind == "lipschitz":
-        breakpoints = _integer(data["breakpoints"], "gen.regime.breakpoints")
-        return Lipschitz(float(data["delta"]), breakpoints)
-    return Weighted(float(data["low"]), float(data["high"]), float(data["delta"]))
+        return Lipschitz(delta, _integer(data["breakpoints"], "gen.regime.breakpoints"))
+    return Weighted(_number(data["low"], "gen.regime.low"),
+                    _number(data["high"], "gen.regime.high"), delta)
 
 
 def genspec_to_json(spec: GenSpec) -> dict:
@@ -262,7 +273,7 @@ def genspec_from_json(data) -> GenSpec:
         regime_from_json(data["regime"]),
         cube_from_json(data["cube"]),
         _integer(data["seed"], "gen.seed"),
-        float(data.get("radius", 1.0)),
+        _number(data.get("radius", 1.0), "gen.radius"),
     )
 
 
@@ -282,8 +293,8 @@ def sweep_from_json(data, delta: float | None = None) -> tuple[GenSpec, list[flo
     stanza = _stanza(data, "sweep", keys)
     return (
         genspec_from_json(stanza["template"]),
-        [float(s) for s in stanza["s_values"]],
-        float(stanza["delta"]) if delta is None else delta,
+        [_number(s, f"sweep.s_values[{i}]") for i, s in enumerate(stanza["s_values"])],
+        _number(stanza["delta"], "sweep.delta") if delta is None else delta,
     )
 
 

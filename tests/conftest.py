@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kakeya import evaluator
 from kakeya.evaluator import FamilyMember, TubeFamily
-from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube
+from kakeya.geometry import Cap, Cube, Direction, Line, LipschitzCurve, Tube
 
 
 def tube(anchor, direction, radius=1.0):
@@ -48,6 +49,20 @@ def count_midpoint_sums(monkeypatch) -> list:
 
     monkeypatch.setattr(evaluator, "midpoint_sum", counted)
     return calls
+
+
+@st.composite
+def cap_nets(draw):
+    """(cap, rho): n = 2..4, a center on an axis or tilted off it (like a
+    ``direction_sets`` cap), rho from within 1e-12 of the radius down to 1/6 of it."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    tilt = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    axis = Direction.axis(n, draw(st.integers(0, n - 1))).components
+    center = Direction.normalized(axis + tilt * rng.normal(size=n))
+    big_r = draw(st.sampled_from([1.0 / 30.0, 0.05, 0.1, 0.3]))
+    ratio = draw(st.sampled_from([1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.5, 2.0, 3.3, 6.0]))
+    return Cap(center, big_r), big_r / ratio
 
 
 @pytest.fixture

@@ -9,11 +9,24 @@ instances; the certifier only uses the constants they justify.
 
 ``dense_subcube_counts`` is the certifier's member-per-subcube count done the
 plain way, with the exact distance test on every (member, subcube) pair.
+
+``weighted_multiplicity_check`` compares integer weights against unit-weight
+copies of each member on one grid.
+
+``scalar_cap_net`` and ``first_cap`` are the reduction's cap net and cap
+choice one cap at a time: each kept tangent-grid cell goes through the scalar
+exponential map into a ``Direction``, and each cap is tested in turn by the
+angle between unoriented directions.
 """
+
+import itertools
+import math
 
 import numpy as np
 
+from kakeya.evaluator import check_families, midpoint_rule
 from kakeya.geometry import (
+    Cap,
     Cube,
     Direction,
     Line,
@@ -24,6 +37,7 @@ from kakeya.geometry import (
     polyline_box_distance,
     subcube_grid,
     subdivision_counts,
+    tangent_basis,
 )
 
 
@@ -94,3 +108,57 @@ def dense_subcube_counts(families, cube: Cube, delta: float, w: float):
             member_weights = np.array([[m.weight] for m in f.members])
             weights[j] = np.sum(np.where(near, member_weights, 0.0), axis=0)
     return sub_side, counts, weights
+
+
+def weighted_multiplicity_check(families, cube: Cube, grid) -> bool:
+    """Integer-weight evaluation equals the multiplicity-expanded evaluation.
+
+    Both runs use the same grid; equality is required bit-for-bit (integer
+    weights sum exactly in floating point).
+    """
+    check_families(families)
+    expanded = [f.expand_integer_weights() for f in families]
+    m = grid.cells_per_side
+    return midpoint_rule(families, cube)(m, 1) == midpoint_rule(expanded, cube)(m, 1)
+
+
+def line_angle(u: Direction, v: Direction) -> float:
+    """Angle between unoriented directions, in [0, pi/2]."""
+    return math.acos(min(1.0, abs(float(np.dot(u.components, v.components)))))
+
+
+def _cap_point(center: Direction, basis: np.ndarray, v: np.ndarray) -> Direction:
+    """Exponential-map image of a tangent vector v (length = angle)."""
+    r = float(np.linalg.norm(v))
+    if r == 0.0:
+        return center
+    r = min(r, math.pi)
+    unit = (v / np.linalg.norm(v)) @ basis
+    return Direction.normalized(math.cos(r) * center.components + math.sin(r) * unit)
+
+
+def scalar_cap_net(cap: Cap, rho: float) -> list[Direction]:
+    """The centers of ``geometry.cap_cover``'s net, one cell at a time."""
+    if rho >= cap.ang_radius * (1.0 - 1e-12):
+        return [cap.center]
+    m = cap.center.n - 1
+    big_r = cap.ang_radius
+    h = 2.0 * rho / math.sqrt(m)
+    basis = tangent_basis(cap.center)
+    imax = int(math.floor(big_r / h + 0.5)) + 1
+    cells = []
+    for idx in itertools.product(range(-imax, imax + 1), repeat=m):
+        center = h * np.array(idx, dtype=float)
+        nearest = np.maximum(np.abs(center) - 0.5 * h, 0.0)
+        if float(nearest @ nearest) <= big_r * big_r * (1.0 + 1e-12):
+            cells.append((float(center @ center), idx, center))
+    cells.sort(key=lambda item: (item[0], item[1]))
+    return [_cap_point(cap.center, basis, c) for _, _, c in cells]
+
+
+def first_cap(centers: list[Direction], radius: float, direction: Direction, tol: float):
+    """Index of the first radius-``radius`` cap holding ``direction``, or None."""
+    for i, center in enumerate(centers):
+        if line_angle(direction, center) <= radius + tol:
+            return i
+    return None

@@ -44,9 +44,10 @@ from kakeya.geometry import (
     angle_from_axis,
 )
 from kakeya.loomis_whitney import unit_ball_volume, verify_lw
-from kakeya.reduction import reduce_general_to_small_angle, weighted_multiplicity_check
+from kakeya.reduction import reduce_general_to_small_angle
 
 from conftest import axis_tube_family, family, tube
+from lemmas import weighted_multiplicity_check
 
 
 def report(criterion, message):

@@ -263,6 +263,33 @@ def _set_cube_side(data):
     data["cube"]["side"] = 0.0
 
 
+def _set_cube_side_string(data):
+    data["cube"]["side"] = "10"
+
+
+def _set_radius_bool(data):
+    data["families"][0]["radius"] = True
+
+
+def _set_weight_string(data):
+    data["families"][0]["members"][0]["weight"] = "2.5"
+
+
+def _set_weight_infinite(data):
+    data["families"][0]["members"][1]["weight"] = float("inf")
+
+
+def _set_lip_string(data):
+    # a flat axis-0 curve across the whole cube [-5, 5]^2
+    polyline = {"breakpoints": [-5.0, 5.0], "values": [[0.0], [0.0]], "lip": "0.5"}
+    data["families"][0]["members"][0] = {"polyline": polyline, "weight": 1.0}
+
+
+def _set_direction_set_radius_string(data):
+    _add_direction_sets(data)
+    data["direction_sets"][1]["ang_radius"] = "0.2"
+
+
 def _add_direction_sets(data):
     data["direction_sets"] = [
         {"center": [1.0, 0.0], "ang_radius": 0.2},
@@ -325,6 +352,30 @@ BAD_INPUTS = {
     "reduce_nu_without_epsilon": lambda p: [
         "reduce", "--config", edited_config(p, _add_direction_sets), "--nu", 1.0
     ],
+    "cube_side_string": lambda p: ["eval", "--config", edited_config(p, _set_cube_side_string)],
+    "family_radius_bool": lambda p: ["eval", "--config", edited_config(p, _set_radius_bool)],
+    "member_weight_string": lambda p: ["eval", "--config", edited_config(p, _set_weight_string)],
+    "member_weight_infinite": lambda p: [
+        "eval", "--config", edited_config(p, _set_weight_infinite)
+    ],
+    "polyline_lip_string": lambda p: ["eval", "--config", edited_config(p, _set_lip_string)],
+    "direction_set_radius_string": lambda p: [
+        "eval", "--config", edited_config(p, _set_direction_set_radius_string)
+    ],
+    "regime_delta_string": lambda p: [
+        "gen", "--config", gen_file(p, regime={"kind": "small_angle", "delta": "0.1"})
+    ],
+    "regime_low_bool": lambda p: [
+        "gen", "--config",
+        gen_file(p, regime={"kind": "weighted", "low": True, "high": 3.0, "delta": 0.1}),
+    ],
+    "regime_high_string": lambda p: [
+        "gen", "--config",
+        gen_file(p, regime={"kind": "weighted", "low": 1.0, "high": "3", "delta": 0.1}),
+    ],
+    "gen_radius_string": lambda p: ["gen", "--config", gen_file(p, radius="1.0")],
+    "sweep_delta_string": lambda p: ["sweep", "--config", sweep_file(p, delta="0.1")],
+    "sweep_s_value_string": lambda p: ["sweep", "--config", sweep_file(p, s_values=["2.0"])],
 }
 
 
@@ -350,6 +401,22 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("gen_n_fractional", "gen.n must be an integer, got 2.9"),
         ("config_axis_fractional", "families[1].axis must be an integer, got 1.5"),
         ("verify_lw_box_escapes_function", "projection of the integration box escapes f_1's box"),
+        ("cube_side_string", "cube.side must be a finite number, got '10'"),
+        ("family_radius_bool", "families[0].radius must be a finite number, got True"),
+        ("member_weight_string",
+         "families[0].members[0].weight must be a finite number, got '2.5'"),
+        ("member_weight_infinite",
+         "families[0].members[1].weight must be a finite number, got inf"),
+        ("polyline_lip_string",
+         "families[0].members[0].polyline.lip must be a finite number, got '0.5'"),
+        ("direction_set_radius_string",
+         "direction_sets[1].ang_radius must be a finite number, got '0.2'"),
+        ("regime_delta_string", "gen.regime.delta must be a finite number, got '0.1'"),
+        ("regime_low_bool", "gen.regime.low must be a finite number, got True"),
+        ("regime_high_string", "gen.regime.high must be a finite number, got '3'"),
+        ("gen_radius_string", "gen.radius must be a finite number, got '1.0'"),
+        ("sweep_delta_string", "sweep.delta must be a finite number, got '0.1'"),
+        ("sweep_s_value_string", "sweep.s_values[0] must be a finite number, got '2.0'"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
@@ -381,6 +448,22 @@ def test_search_over_the_cell_budget_exits_3_before_allocating(tmp_path, capsys)
     assert err.startswith("non-convergence: ") and len(err.splitlines()) == 1
     assert not out.exists()
     # one count field of 20000^2 cells would take 3.2 GB
+    assert peak < 16 << 20
+
+
+def test_reduce_over_the_cap_net_budget_exits_3_before_allocating(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "general_n3.config.json"
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert run(["reduce", "--config", golden, "--epsilon", 1.0, "--out", out]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    # the net would have about 2.1e13 tangent cells
     assert peak < 16 << 20
 
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from kakeya.errors import CellBudgetExceeded
 from kakeya.evaluator import family_values
 from kakeya.geometry import (
     Cap,
@@ -15,7 +18,6 @@ from kakeya.geometry import (
     cap_cover,
     frame_map,
     lattice,
-    line_angle_between,
     line_box_distance,
     point_line_distance,
     point_polyline_distance,
@@ -25,8 +27,8 @@ from kakeya.geometry import (
     wedge_volume,
 )
 
-from conftest import family, tube
-from lemmas import cube_line_max_distance, fatten_axis_parallel
+from conftest import cap_nets, family, tube
+from lemmas import cube_line_max_distance, fatten_axis_parallel, line_angle, scalar_cap_net
 
 
 def tube_indicator(t, p):
@@ -269,13 +271,14 @@ class TestCapCover:
     def test_rho_equal_radius(self):
         cap = Cap(Direction.axis(3, 0), 0.2)
         cover = cap_cover(cap, 0.2)
-        assert len(cover) == 1 and cover[0] is cap
+        assert len(cover) == 1 and np.array_equal(cover[0], cap.center.components)
 
     def test_coverage(self, rng):
         cap = Cap(Direction.axis(3, 2), 0.1)
         rho = 0.02
         cover = cap_cover(cap, rho)
         basis = tangent_basis(cap.center)
+        centers = [Direction(c) for c in cover]
         for _ in range(10**4):
             v = rng.normal(size=2)
             v *= rng.uniform(0, 1) ** 0.5 * cap.ang_radius / np.linalg.norm(v)
@@ -283,7 +286,7 @@ class TestCapCover:
             u = Direction.normalized(
                 math.cos(r) * cap.center.components + math.sin(r) * (v / r) @ basis
             )
-            assert min(line_angle_between(u, c.center) for c in cover) <= rho * (1 + 1e-9)
+            assert min(line_angle(u, c) for c in centers) <= rho * (1 + 1e-9)
 
     def test_count_bound(self):
         cap = Cap(Direction.axis(3, 0), 0.1)
@@ -294,7 +297,34 @@ class TestCapCover:
 
     def test_center_cap_first(self):
         cover = cap_cover(Cap(Direction.axis(2, 0), 0.1), 0.01)
-        assert np.allclose(cover[0].center.components, [1.0, 0.0])
+        assert np.allclose(cover[0], [1.0, 0.0])
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cap_nets())
+    def test_rows_equal_scalar_net(self, case):
+        cap, rho = case
+        cover = cap_cover(cap, rho)
+        assert cover.dtype == np.float64 and not cover.flags.writeable
+        oracle = np.array([c.components for c in scalar_cap_net(cap, rho)])
+        assert np.array_equal(cover, oracle)
+
+    def test_net_over_the_cell_budget_raises_before_allocating(self):
+        # n = 4, R/rho = 200: (2 * 174 + 1)^3 = 42.5M tangent cells
+        cap = Cap(Direction.axis(4, 0), 0.2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CellBudgetExceeded):
+                cap_cover(cap, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFrameMap:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kakeya.certifier import Constants, certify_multiscale, delta_for_epsilon
 from kakeya.errors import ValidationError
@@ -9,8 +13,12 @@ from kakeya.geometry import (
     Cap,
     Cube,
     Direction,
+    Line,
+    Tube,
     angle_from_axis,
     cap_cover,
+    cap_index,
+    tangent_basis,
     wedge_volume,
 )
 from kakeya.reduction import (
@@ -18,17 +26,16 @@ from kakeya.reduction import (
     split_by_caps,
     transversal_reduce,
     transversal_sigma_bound,
-    weighted_multiplicity_check,
 )
 
-from conftest import axis_tube_family, family, tube
+from conftest import axis_tube_family, cap_nets, family, tube
+from lemmas import first_cap, line_angle, scalar_cap_net, weighted_multiplicity_check
 
 
 class TestSplitByCaps:
     def test_single_covering_cap(self):
         f = family(0, 2, [tube([0.0, 0.0], [1.0, 0.02]), tube([1.0, 0.0], [1.0, -0.03])])
-        caps = [Cap(Direction.axis(2, 0), 0.1)]
-        parts = split_by_caps(f, caps)
+        parts = split_by_caps(f, np.array([[1.0, 0.0]]), 0.1)
         assert len(parts) == 1 and parts[0].size == f.size
 
     def test_counts_preserved(self, rng):
@@ -37,9 +44,9 @@ class TestSplitByCaps:
             for _ in range(20)
         ]
         f = family(0, 2, tubes)
-        caps = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
-        parts = split_by_caps(f, caps)
-        assert sum(p.size for p in parts) == 20
+        centers = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
+        parts = split_by_caps(f, centers, 0.01)
+        assert sum(p.size for p in parts.values()) == 20
 
     def test_per_cap_homogeneity(self, rng):
         tubes = [
@@ -47,15 +54,58 @@ class TestSplitByCaps:
             for _ in range(20)
         ]
         f = family(0, 2, tubes)
-        caps = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
-        for cap, part in zip(caps, split_by_caps(f, caps)):
+        centers = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
+        for i, part in split_by_caps(f, centers, 0.01).items():
             for m in part.members:
-                assert cap.contains_line_direction(m.geometry.line.direction, tol=1e-12)
+                assert line_angle(m.geometry.line.direction, Direction(centers[i])) <= 0.01 + 1e-12
 
     def test_rejects_uncovered_direction(self):
         f = family(0, 2, [tube([0.0, 0.0], [1.0, 0.5])])
         with pytest.raises(ValidationError):
-            split_by_caps(f, [Cap(Direction.axis(2, 0), 0.1)])
+            split_by_caps(f, np.array([[1.0, 0.0]]), 0.1)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cap_nets(), st.integers(0, 2**16))
+    def test_first_cap_matches_scalar_loop(self, case, seed):
+        cap, rho = case
+        n = cap.center.n
+        centers = cap_cover(cap, rho)
+        oracle = scalar_cap_net(cap, rho)
+        # a one-cap net is the input cap, tested at its own radius
+        radius = cap.ang_radius if len(oracle) == 1 else rho
+        rng = np.random.default_rng(seed)
+        directions = []
+        for _ in range(20):
+            c = oracle[rng.integers(len(oracle))].components
+            v = rng.normal(size=n - 1)
+            v *= rng.uniform(0.0, 1.5 * radius) / np.linalg.norm(v)
+            directions.append(exp_map(c, v))
+        # a few ulps either side of angle rho, and of rho + tol, from a center
+        c = oracle[rng.integers(len(oracle))].components
+        v = rng.normal(size=n - 1)
+        for edge in (radius, radius + 1e-12):
+            for k in range(-4, 5):
+                directions.append(exp_map(c, v * (edge + k * math.ulp(edge)) / np.linalg.norm(v)))
+        expected = [first_cap(oracle, radius, d, 1e-12) for d in directions]
+        assert [cap_index(centers, d, radius + 1e-12) for d in directions] == expected
+        inside = [(d, i) for d, i in zip(directions, expected) if i is not None]
+        f = family(0, n, [Tube(Line(np.zeros(n), d), 1.0) for d, _ in inside])
+        parts = split_by_caps(f, centers, radius)
+        placed = {id(m.geometry.line.direction): i for i, p in parts.items() for m in p.members}
+        assert placed == {id(d): i for d, i in inside}
+
+
+def exp_map(center: np.ndarray, v: np.ndarray) -> Direction:
+    """The point at angle |v| from ``center`` along the tangent vector ``v``."""
+    r = float(np.linalg.norm(v))
+    unit = (v / r) @ tangent_basis(Direction(center))
+    return Direction.normalized(math.cos(r) * center + math.sin(r) * unit)
 
 
 class TestReduceGeneral:
