@@ -2,10 +2,11 @@
 
 Each case runs one command through ``kakeya.cli.main`` on inputs under
 ``tests/golden/`` and compares its ``--out`` file with the stored file of
-the same name.  A change to the program that alters any of these bytes must
-say why in CHANGES.md; ``python tests/test_golden.py`` rewrites the stored
-outputs from the current code, in the order below (``gen`` outputs first,
-since later cases read them).
+the same name; without ``--out`` the same bytes go to stdout.  The ``--csv``
+files of ``sweep`` and ``search`` are stored too.  A change to the program
+that alters any of these bytes must say why in CHANGES.md;
+``python tests/test_golden.py`` rewrites the stored outputs from the current
+code, in the order below (``gen`` outputs first, since later cases read them).
 """
 
 from pathlib import Path
@@ -54,12 +55,22 @@ CASES = {
     ],
     "small_angle_n2.sweep.json": ["sweep", "--config", "small_angle_n2.sweep.input.json"],
     "search_n2.search.json": ["search", "--config", "search_n2.input.json", "--grid", "32"],
+    "small_angle_n2.exact2d.json": ["exact2d", "--config", "small_angle_n2.config.json"],
+}
+
+#: CSV file name -> the case whose command also writes it with ``--csv``
+CSV_CASES = {
+    "small_angle_n2.sweep.csv": "small_angle_n2.sweep.json",
+    "search_n2.search.csv": "search_n2.search.json",
 }
 
 
-def _run(name: str, out: Path) -> int:
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
-    return main([*argv, "--out", str(out)])
+def _argv(name: str) -> list[str]:
+    return [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
+
+
+def _run(name: str, out: Path, *extra: str) -> int:
+    return main([*_argv(name), "--out", str(out), *extra])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -69,7 +80,23 @@ def test_golden_bytes(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_stdout(name, capsys):
+    capsys.readouterr()
+    assert main(_argv(name)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(CSV_CASES))
+def test_golden_csv_bytes(name, tmp_path):
+    csv = tmp_path / name
+    assert _run(CSV_CASES[name], tmp_path / "out.json", "--csv", str(csv)) == 0
+    assert csv.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
+    csv_of = {case: csv for csv, case in CSV_CASES.items()}
     for case in CASES:
-        if _run(case, GOLDEN / case) != 0:
+        extra = ("--csv", str(GOLDEN / csv_of[case])) if case in csv_of else ()
+        if _run(case, GOLDEN / case, *extra) != 0:
             raise SystemExit(f"{case}: command failed")
