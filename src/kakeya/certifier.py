@@ -82,15 +82,6 @@ class StepVerification:
     ratio: float
     degenerate: bool
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class StepDetail:
@@ -105,17 +96,6 @@ class StepDetail:
     subcube_count: int
     count_histograms: tuple  # per axis: {count: multiplicity}
     numeric_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "subcube_side": self.subcube_side,
-            "subcube_count": self.subcube_count,
-            "count_histograms": [
-                {str(k): v for k, v in sorted(h.items())} for h in self.count_histograms
-            ],
-            "numeric_bound": self.numeric_bound,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,23 +117,6 @@ class Certificate:
     final_bound: float
     epsilon_exponent: float
     step_details: tuple  # StepDetail | None per rung
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "m_steps": self.m_steps,
-            "ladder": list(self.ladder),
-            "c_lw": self.c_lw,
-            "c_step": self.c_step,
-            "counts": list(self.counts),
-            "covering_multiplicity": self.covering_multiplicity,
-            "final_bound": self.final_bound,
-            "epsilon_exponent": self.epsilon_exponent,
-            "step_details": [
-                None if d is None else d.to_json() for d in self.step_details
-            ],
-        }
 
 
 def _validate_small_angle(families, delta: float) -> None:

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from functools import lru_cache
 
 from . import certifier, experiments, reduction, serialization
@@ -50,12 +50,19 @@ def _load_config_file(path: str) -> dict:
         )
 
 
-def _write_output(obj: dict, out: str | None) -> None:
+def _write_output(result, out: str | None) -> None:
+    """Write ``result`` as JSON: ``schema_version`` first, then the result's fields.
+
+    A dataclass result's fields are ``dataclasses.asdict(result)`` in declaration
+    order; a dict result is its own fields.  The JSON goes to the ``--out`` file
+    through ``serialization.dump_json``, else the same bytes go to stdout.
+    """
+    fields = asdict(result) if is_dataclass(result) else result
+    obj = {"schema_version": serialization.SCHEMA_VERSION, **fields}
     if out:
         serialization.dump_json(obj, out)
     else:
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        serialization.write_json(obj, sys.stdout)
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -92,8 +99,7 @@ def _cmd_eval(args) -> int:
         value = evaluate_overlap(
             config.families, config.cube, GridSpec(args.grid), threads=args.threads
         )
-    out = {"schema_version": serialization.SCHEMA_VERSION, **value.to_json()}
-    _write_output(out, args.out)
+    _write_output(value, args.out)
     if not value.converged:
         print("quadrature did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -103,7 +109,7 @@ def _cmd_eval(args) -> int:
 def _cmd_exact2d(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
     value = exact_overlap_2d(config.families, config.cube)
-    _write_output({"schema_version": serialization.SCHEMA_VERSION, "value": value}, args.out)
+    _write_output({"value": value}, args.out)
     return EXIT_OK
 
 
@@ -122,8 +128,7 @@ def _cmd_certify(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
     delta = _resolve_delta(args, config.n)
     certificate = certifier.certify_multiscale(config.families, config.cube, delta)
-    out = {"schema_version": serialization.SCHEMA_VERSION, **certificate.to_json()}
-    _write_output(out, args.out)
+    _write_output(certificate, args.out)
     if args.check:
         value = evaluate_overlap(
             config.families, config.cube, GridSpec(args.grid), threads=args.threads
@@ -149,12 +154,7 @@ def _cmd_verify_lw(args) -> int:
             fns, box, grid = random_lw_instance(args.n, args.seed + trial)
             results.append(verify_lw(fns, box, grid))
     worst = max((r.ratio - 1.0 - 3.0 * r.error_estimate) for r in results)
-    out = {
-        "schema_version": serialization.SCHEMA_VERSION,
-        "checks": [r.to_json() for r in results],
-        "max_excess": worst,
-    }
-    _write_output(out, args.out)
+    _write_output({"checks": [asdict(r) for r in results], "max_excess": worst}, args.out)
     if worst > 0.0:
         print(f"violation: Loomis-Whitney ratio excess {worst!r}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -167,8 +167,7 @@ def _cmd_verify_step(args) -> int:
     check = certifier.verify_step_inequality(
         config.families, config.cube, delta, GridSpec(args.grid), threads=args.threads
     )
-    out = {"schema_version": serialization.SCHEMA_VERSION, **check.to_json()}
-    _write_output(out, args.out)
+    _write_output(check, args.out)
     if check.ratio > 1.0 + args.tol:
         print(f"violation: step ratio {check.ratio!r} > 1 + {args.tol!r}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -189,11 +188,7 @@ def _cmd_reduce(args) -> int:
         problems = reduction.reduce_general_to_small_angle(
             config.families, config.cube, args.epsilon
         )
-    out = {
-        "schema_version": serialization.SCHEMA_VERSION,
-        "problems": [p.to_json() for p in problems],
-    }
-    _write_output(out, args.out)
+    _write_output({"problems": [p.to_json() for p in problems]}, args.out)
     return EXIT_OK
 
 
@@ -211,8 +206,7 @@ def _cmd_sweep(args) -> int:
         max_doublings=args.max_doublings,
         threads=args.threads,
     )
-    out = {"schema_version": serialization.SCHEMA_VERSION, **result.to_json()}
-    _write_output(out, args.out)
+    _write_output(result, args.out)
     if args.csv:
         _write_csv(
             args.csv,
@@ -237,8 +231,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_search(args) -> int:
     search = serialization.search_from_json(_load_config_file(args.config), args.seed)
     result = experiments.extremal_search(**search, grid=GridSpec(args.grid), threads=args.threads)
-    out = {"schema_version": serialization.SCHEMA_VERSION, **result.to_json()}
-    _write_output(out, args.out)
+    _write_output(result, args.out)
     if args.csv:
         _write_csv(
             args.csv,
@@ -262,12 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, grid_default=128):
-        p.add_argument("--config", required=True, help="input JSON path")
-        p.add_argument("--out", help="output JSON path (stdout if omitted)")
-        p.add_argument("--threads", type=int, help=f"workers (default ${THREADS_ENV}, else 1)")
-        p.add_argument("--grid", type=int, default=grid_default, help="cells per side")
-        p.add_argument("--tol", type=float, default=1e-2)
+    # flag groups shared by several commands, each a parent parser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="input JSON path")
+    common.add_argument("--out", help="output JSON path (stdout if omitted)")
+    common.add_argument("--threads", type=int, help=f"workers (default ${THREADS_ENV}, else 1)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=128, help="cells per side")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-2)
 
     p = sub.add_parser("gen", help="generate a configuration from a GenSpec")
     p.add_argument("--config", required=True)
@@ -275,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("eval", help="quadrature value of the overlap integral")
-    common(p)
+    p = sub.add_parser("eval", parents=[common, grid, tol],
+                       help="quadrature value of the overlap integral")
     p.add_argument("--refine", action="store_true", help="double the grid until --tol")
     p.add_argument("--max-doublings", type=int, default=6)
     p.set_defaults(func=_cmd_eval)
@@ -286,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact2d)
 
-    p = sub.add_parser("certify", help="emit a multiscale bound certificate")
-    common(p)
+    p = sub.add_parser("certify", parents=[common, grid, tol],
+                       help="emit a multiscale bound certificate")
     p.add_argument("--delta", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--check", action="store_true",
@@ -303,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_lw)
 
-    p = sub.add_parser("verify-step", help="check the one-step scale inequality")
-    common(p)
+    p = sub.add_parser("verify-step", parents=[common, grid, tol],
+                       help="check the one-step scale inequality")
     p.add_argument("--delta", type=float)
     p.add_argument("--epsilon", type=float)
     p.set_defaults(func=_cmd_verify_step)
@@ -316,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, help="transversality parameter (wedge mode)")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("sweep", help="scale sweep with certificates and slope fit")
-    common(p)
+    p = sub.add_parser("sweep", parents=[common, tol],
+                       help="scale sweep with certificates and slope fit")
     p.add_argument("--seed", type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--max-doublings", type=int, default=5)
     p.add_argument("--csv", help="also write rows as CSV")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("search", help="extremal-ratio perturbation search")
-    common(p)
+    p = sub.add_parser("search", parents=[common, grid],
+                       help="extremal-ratio perturbation search")
     p.add_argument("--seed", type=int)
     p.add_argument("--csv", help="also write the trace as CSV")
     p.set_defaults(func=_cmd_search)

@@ -112,16 +112,8 @@ class GridSpec:
 class OverlapValue:
     value: float
     error_estimate: float | None
-    grid: GridSpec
+    cells_per_side: int
     converged: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "cells_per_side": self.grid.cells_per_side,
-            "converged": self.converged,
-        }
 
 
 def check_families(families) -> int:
@@ -487,7 +479,7 @@ def evaluate_overlap(
     m = grid.cells_per_side
     value = midpoint(m, threads)
     err = abs(value - midpoint(m // 2, threads)) if m % 2 == 0 else None
-    return OverlapValue(value, err, grid)
+    return OverlapValue(value, err, m)
 
 
 def evaluate_refined(
@@ -521,16 +513,16 @@ def evaluate_refined(
     diff = None
     for _ in range(max_doublings):
         if (2 * m) ** n > CELL_BUDGET:
-            return OverlapValue(value, diff, GridSpec(m), converged=False)
+            return OverlapValue(value, diff, m, converged=False)
         m *= 2
         new = midpoint(m, threads)
         diff = abs(new - value)
         value = new
         scale = max(abs(value), 1e-300)
         if diff / scale < tol:
-            return OverlapValue(value, diff, GridSpec(m), converged=True)
+            return OverlapValue(value, diff, m, converged=True)
     converged = diff is not None and diff / max(abs(value), 1e-300) < tol
-    return OverlapValue(value, diff, GridSpec(m), converged=converged)
+    return OverlapValue(value, diff, m, converged=converged)
 
 
 # ---------------------------------------------------------------------------

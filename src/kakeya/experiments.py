@@ -56,30 +56,18 @@ class SweepRow:
             self.s,
             self.value.value,
             self.value.error_estimate,
-            self.value.grid.cells_per_side,
+            self.value.cells_per_side,
             self.value.converged,
             self.certificate.final_bound,
             self.ratio,
             self.flagged,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "value": self.value.to_json(),
-            "certificate": self.certificate.to_json(),
-            "ratio": self.ratio,
-            "flagged": self.flagged,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     rows: tuple
     slope: float | None
-
-    def to_json(self) -> dict:
-        return {"rows": [r.to_json() for r in self.rows], "slope": self.slope}
 
 
 def _count_normalizer(families) -> float:
@@ -135,26 +123,11 @@ class SearchTracePoint:
     accepted_ratio: float
     best_ratio: float
 
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "restart": self.restart,
-            "accepted_ratio": self.accepted_ratio,
-            "best_ratio": self.best_ratio,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    best_families: tuple
     best_ratio: float
     trace: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "best_ratio": self.best_ratio,
-            "trace": [t.to_json() for t in self.trace],
-        }
 
 
 def _perturb(rng, families, cube: Cube, angle_limit: float):
@@ -203,7 +176,6 @@ def extremal_search(
         return fields.value(threads) / norm
 
     per_restart = max(1, budget // _RESTARTS)
-    best = None
     best_ratio = -math.inf
     trace = []
     iteration = 0
@@ -213,8 +185,7 @@ def extremal_search(
         current = CountFields.build(generate(spec), cube, grid.cells_per_side)
         current_ratio = objective(current)
         temp = _T0
-        if current_ratio > best_ratio:
-            best_ratio, best = current_ratio, current
+        best_ratio = max(best_ratio, current_ratio)
         trace.append(SearchTracePoint(iteration, restart, current_ratio, best_ratio))
         iteration += 1
         steps = min(per_restart - 1, budget - iteration)
@@ -226,10 +197,9 @@ def extremal_search(
                 accept = rng.uniform() < math.exp((cand_ratio - current_ratio) / temp)
             if accept:
                 current, current_ratio = cand, cand_ratio
-            if current_ratio > best_ratio:
-                best_ratio, best = current_ratio, current
+            best_ratio = max(best_ratio, current_ratio)
             trace.append(SearchTracePoint(iteration, restart, current_ratio, best_ratio))
             iteration += 1
             temp *= _COOLING
         restart += 1
-    return SearchResult(best.families, best_ratio, tuple(trace))
+    return SearchResult(best_ratio, tuple(trace))

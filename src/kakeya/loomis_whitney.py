@@ -134,15 +134,6 @@ class LwVerification:
     error_estimate: float
     degenerate: bool
 
-    def to_json(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "ratio": self.ratio,
-            "error_estimate": self.error_estimate,
-            "degenerate": self.degenerate,
-        }
-
 
 def project(point, j: int):
     """Forget the j-th coordinate of a point or point array."""

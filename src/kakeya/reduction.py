@@ -214,6 +214,8 @@ def transversal_reduce(
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     sigma = transversal_sigma_bound(n, nu)
     rho = min(nu / (100.0 * n), delta / (2.0 * sigma))
+    if not rho > 0.0:
+        raise ValidationError(f"nu {nu!r} is too small: the cap radius underflows to 0")
     nets = [_net(cap, min(rho, cap.ang_radius)) for cap in direction_sets]
 
     def check_wedge(combo, centers) -> None:

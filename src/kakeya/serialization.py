@@ -1,4 +1,4 @@
-"""JSON schema for configurations, generator specs, and result objects.
+"""JSON schema for configurations and generator specs, and the JSON output format.
 
 Configuration schema (version 1):
 
@@ -75,6 +75,24 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float array.
+
+    An element that ``_number`` rejects (a bool, a string, a non-finite
+    number) or a ragged array is bad input, named by its field.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{name} must be an array, got {values!r}")
+    if all(type(v) in (int, float) and math.isfinite(v) for v in values):
+        return np.array(values, dtype=float)  # the common flat case, checked without names
+    rows = [
+        _numbers(v, f"{name}[{i}]") if isinstance(v, (list, tuple)) else _number(v, f"{name}[{i}]")
+        for i, v in enumerate(values)
+    ]
+    _require(len({np.shape(r) for r in rows}) <= 1, f"{name} must not be a ragged array")
+    return np.array(rows, dtype=float)
+
+
 def _boolean(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{name} must be a boolean, got {value!r}")
@@ -113,7 +131,7 @@ def cube_to_json(cube: Cube) -> dict:
 def cube_from_json(data) -> Cube:
     _require(isinstance(data, dict) and "min_corner" in data and "side" in data,
              "cube stanza needs min_corner and side")
-    return Cube(np.asarray(data["min_corner"], dtype=float), _number(data["side"], "cube.side"))
+    return Cube(_numbers(data["min_corner"], "cube.min_corner"), _number(data["side"], "cube.side"))
 
 
 def member_to_json(member: FamilyMember) -> dict:
@@ -141,15 +159,15 @@ def member_from_json(data, axis: int, radius: float, name: str) -> FamilyMember:
         p = data["polyline"]
         curve = LipschitzCurve(
             axis,
-            np.asarray(p["breakpoints"], dtype=float),
-            np.asarray(p["values"], dtype=float),
+            _numbers(p["breakpoints"], f"{name}.polyline.breakpoints"),
+            _numbers(p["values"], f"{name}.polyline.values"),
             _number(p["lip"], f"{name}.polyline.lip"),
         )
         return FamilyMember(curve, weight)
     _require("anchor" in data and "dir" in data,
              "member needs anchor+dir or polyline")
-    line = Line(np.asarray(data["anchor"], dtype=float),
-                Direction(np.asarray(data["dir"], dtype=float)))
+    line = Line(_numbers(data["anchor"], f"{name}.anchor"),
+                Direction(_numbers(data["dir"], f"{name}.dir")))
     return FamilyMember(Tube(line, radius), weight)
 
 
@@ -200,7 +218,7 @@ def config_from_json(data) -> Configuration:
     direction_sets = None
     if "direction_sets" in data:
         direction_sets = tuple(
-            Cap(Direction(np.asarray(c["center"], dtype=float)),
+            Cap(Direction(_numbers(c["center"], f"direction_sets[{i}].center")),
                 _number(c["ang_radius"], f"direction_sets[{i}].ang_radius"))
             for i, c in enumerate(data["direction_sets"])
         )
@@ -330,10 +348,15 @@ def lw_inputs_from_json(data) -> tuple[list[ProjectionFunction], Box]:
     return fns, _box_from_json(data["box"])
 
 
+def write_json(obj: dict, fh) -> None:
+    """Stream ``obj`` to the text file ``fh`` as every JSON output: indent 2, then a newline."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
+
+
 def dump_json(obj: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        write_json(obj, fh)
 
 
 def load_json(path) -> dict:

@@ -409,10 +409,11 @@ class TestCertify:
 
     def test_json_roundtrippable(self, perpendicular_families):
         import json
+        from dataclasses import asdict
 
         cube = Cube.centered([0.0, 0.0], 10.0)
         cert = certify_multiscale(perpendicular_families, cube, 0.1)
-        blob = json.dumps(cert.to_json())
+        blob = json.dumps(asdict(cert))
         assert json.loads(blob)["final_bound"] == cert.final_bound
 
 

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -285,6 +287,37 @@ def _set_lip_string(data):
     data["families"][0]["members"][0] = {"polyline": polyline, "weight": 1.0}
 
 
+def _set_min_corner_string_and_bool(data):
+    data["cube"]["min_corner"] = ["-8", True]
+
+
+def _set_min_corner_string(data):
+    data["cube"]["min_corner"] = "-5, -5"
+
+
+def _set_anchor_bool(data):
+    data["families"][0]["members"][0]["anchor"] = [True, 0.0]
+
+
+def _set_dir_nan(data):
+    data["families"][1]["members"][0]["dir"] = [float("nan"), 1.0]
+
+
+def _set_breakpoints_string(data):
+    polyline = {"breakpoints": ["-5", 5.0], "values": [[0.0], [0.0]], "lip": 0.5}
+    data["families"][0]["members"][0] = {"polyline": polyline, "weight": 1.0}
+
+
+def _set_polyline_values_ragged(data):
+    polyline = {"breakpoints": [-5.0, 5.0], "values": [[0.0], [0.0, 1.0]], "lip": 0.5}
+    data["families"][0]["members"][0] = {"polyline": polyline, "weight": 1.0}
+
+
+def _set_direction_set_center_string(data):
+    _add_direction_sets(data)
+    data["direction_sets"][0]["center"] = ["1", 0.0]
+
+
 def _set_direction_set_radius_string(data):
     _add_direction_sets(data)
     data["direction_sets"][1]["ang_radius"] = "0.2"
@@ -376,6 +409,29 @@ BAD_INPUTS = {
     "gen_radius_string": lambda p: ["gen", "--config", gen_file(p, radius="1.0")],
     "sweep_delta_string": lambda p: ["sweep", "--config", sweep_file(p, delta="0.1")],
     "sweep_s_value_string": lambda p: ["sweep", "--config", sweep_file(p, s_values=["2.0"])],
+    "reduce_nu_underflows": lambda p: [
+        "reduce", "--config", edited_config(p, _add_direction_sets), "--nu", 1e-320,
+        "--epsilon", 3.0,
+    ],
+    "cube_min_corner_string_and_bool": lambda p: [
+        "eval", "--config", edited_config(p, _set_min_corner_string_and_bool)
+    ],
+    "cube_min_corner_not_array": lambda p: [
+        "eval", "--config", edited_config(p, _set_min_corner_string)
+    ],
+    "member_anchor_bool": lambda p: ["eval", "--config", edited_config(p, _set_anchor_bool)],
+    "member_dir_nan": lambda p: ["eval", "--config", edited_config(p, _set_dir_nan)],
+    "polyline_breakpoints_string": lambda p: [
+        "eval", "--config", edited_config(p, _set_breakpoints_string)
+    ],
+    "polyline_values_ragged": lambda p: [
+        "eval", "--config", edited_config(p, _set_polyline_values_ragged)
+    ],
+    "direction_set_center_string": lambda p: [
+        "eval", "--config", edited_config(p, _set_direction_set_center_string)
+    ],
+    "sweep_grid_flag": lambda p: ["sweep", "--config", sweep_file(p), "--grid", 16],
+    "search_tol_flag": lambda p: ["search", "--config", search_file(p), "--tol", 0.1],
 }
 
 
@@ -417,6 +473,21 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("gen_radius_string", "gen.radius must be a finite number, got '1.0'"),
         ("sweep_delta_string", "sweep.delta must be a finite number, got '0.1'"),
         ("sweep_s_value_string", "sweep.s_values[0] must be a finite number, got '2.0'"),
+        ("reduce_nu_underflows", "nu 1e-320 is too small: the cap radius underflows to 0"),
+        ("cube_min_corner_string_and_bool",
+         "cube.min_corner[0] must be a finite number, got '-8'"),
+        ("cube_min_corner_not_array", "cube.min_corner must be an array, got '-5, -5'"),
+        ("member_anchor_bool",
+         "families[0].members[0].anchor[0] must be a finite number, got True"),
+        ("member_dir_nan", "families[1].members[0].dir[0] must be a finite number, got nan"),
+        ("polyline_breakpoints_string",
+         "families[0].members[0].polyline.breakpoints[0] must be a finite number, got '-5'"),
+        ("polyline_values_ragged",
+         "families[0].members[0].polyline.values must not be a ragged array"),
+        ("direction_set_center_string",
+         "direction_sets[0].center[0] must be a finite number, got '1'"),
+        ("sweep_grid_flag", "unrecognized arguments: --grid 16"),
+        ("search_tol_flag", "unrecognized arguments: --tol 0.1"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
@@ -494,7 +565,7 @@ def test_parser_built_once_and_calls_share_no_state(tmp_path, capsys, monkeypatc
     # each call saw only its own flags
     config = config_from_json(load_json(cfg))
     value = evaluate_overlap(config.families, config.cube, GridSpec(16))
-    assert load_json(plain) == {"schema_version": 1, **value.to_json()}
+    assert load_json(plain) == {"schema_version": 1, **asdict(value)}
     result = extremal_search(**search_from_json(load_json(search)), grid=GridSpec(16))
-    assert load_json(unseeded) == {"schema_version": 1, **result.to_json()}
+    assert load_json(unseeded) == json.loads(json.dumps({"schema_version": 1, **asdict(result)}))
     assert load_json(seeded) != load_json(unseeded)
