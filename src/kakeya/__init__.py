@@ -36,8 +36,6 @@ from .geometry import (
     Tube,
     angle_from_axis,
     cap_cover,
-    frame_map,
-    wedge_volume,
 )
 from .loomis_whitney import (
     BallSum,

@@ -216,23 +216,20 @@ class Cap:
 class LinearMap:
     """Invertible linear map with its length/volume distortion recorded.
 
-    ``length_distortion`` holds (min, max) singular value and
-    ``volume_distortion`` is |det|; both are computed from the matrix itself.
+    ``length_distortion`` holds the (min, max) singular value and
+    ``volume_distortion`` is |det|.  The map holds the values it is given;
+    ``frame_maps`` computes them for a whole stack of matrices at once.
     """
 
     matrix: np.ndarray
-    length_distortion: tuple[float, float] = None  # type: ignore[assignment]
-    volume_distortion: float = None  # type: ignore[assignment]
+    length_distortion: tuple[float, float]
+    volume_distortion: float
 
     def __post_init__(self):
         mat = _frozen(self.matrix, lambda s: len(s) == 2 and s[0] == s[1])
-        svals = np.linalg.svd(mat, compute_uv=False)
-        det = abs(float(np.linalg.det(mat)))
-        if det <= 0.0 or svals[-1] <= 0.0:
+        if not (self.volume_distortion > 0.0 and self.length_distortion[0] > 0.0):
             raise ValueError("linear map must be invertible")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "length_distortion", (float(svals[-1]), float(svals[0])))
-        object.__setattr__(self, "volume_distortion", det)
 
     @property
     def n(self) -> int:
@@ -484,24 +481,15 @@ def cap_index(centers: np.ndarray, direction: Direction, bound: float):
     return None
 
 
-def frame_map(centers: list[Direction]) -> LinearMap:
-    """Linear map sending each frame vector v_j to the axis vector e_j.
+def frame_maps(frames) -> list[LinearMap]:
+    """Linear maps sending each frame's columns v_j to the axis vectors e_j.
 
-    The map is the inverse of the matrix with columns v_j; distortion fields
-    come from its singular values and determinant.  Singular frames
-    (|det| < 1e-12) are rejected.
+    ``frames`` stacks P invertible frames, shape (P, n, n); map p is the
+    inverse of frame p.  One inverse, one singular-value and one determinant
+    call serve the whole stack, and numpy runs the same LAPACK routine on each
+    matrix, so map p has the bits of a call on frame p alone.
     """
-    n = len(centers)
-    if any(c.n != n for c in centers):
-        raise ValueError("frame vectors must match the frame size")
-    v = np.stack([c.components for c in centers], axis=1)
-    det = float(np.linalg.det(v))
-    if abs(det) < 1e-12:
-        raise ValueError(f"frame is singular: |det| = {abs(det):.3e}")
-    return LinearMap(np.linalg.inv(v))
-
-
-def wedge_volume(directions: list[Direction]) -> float:
-    """|v_1 ^ ... ^ v_n| = absolute determinant of the column matrix."""
-    v = np.stack([d.components for d in directions], axis=1)
-    return abs(float(np.linalg.det(v)))
+    mats = np.linalg.inv(frames)
+    svals = np.linalg.svd(mats, compute_uv=False).tolist()
+    dets = np.abs(np.linalg.det(mats)).tolist()
+    return [LinearMap(m, (s[-1], s[0]), d) for m, s, d in zip(mats, svals, dets)]

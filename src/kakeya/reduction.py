@@ -18,9 +18,9 @@ with Q'' an axis-aligned cube containing the mapped, rescaled cube.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,21 +37,44 @@ from .geometry import (
     angle_from_axis,
     cap_cover,
     cap_index,
-    frame_map,
-    wedge_volume,
+    frame_maps,
 )
+
+SINGULAR_DET = 1e-12  # a frame with |det| below this is singular
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedProblem:
-    """One small-angle subproblem with its bound bookkeeping multiplier."""
+    """One small-angle subproblem with its bound bookkeeping multiplier.
+
+    ``sources`` are the cap tuple's sub-families of the original problem, one
+    per axis in axis order, and ``scale`` is 1 / (sigma_max * base radius).
+    The mapped families are built from them on first read of ``families``.
+    """
 
     map: LinearMap
-    families: tuple  # TubeFamily per axis, unit radius, angles <= delta
     cube: Cube
     distortion_factor: float
     delta: float
     cap_indices: tuple
+    sources: tuple = field(repr=False)
+    scale: float = field(repr=False)
+
+    @cached_property
+    def families(self) -> tuple:
+        """TubeFamily per axis: each member mapped by ``map``, unit radius, angles <= delta."""
+        out = []
+        for f in self.sources:
+            members = []
+            for m in f.members:
+                tube = m.geometry
+                d = tube.line.direction.components
+                d = d if d[f.axis] >= 0.0 else -d
+                anchor = self.scale * self.map.apply(tube.line.anchor)
+                new_dir = Direction.normalized(self.map.matrix @ d)
+                members.append(FamilyMember(Tube(Line(anchor, new_dir), 1.0), m.weight))
+            out.append(TubeFamily(f.axis, f.dim, tuple(members), 1.0))
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -62,7 +85,7 @@ class ReducedProblem:
             "length_distortion": list(self.map.length_distortion),
             "volume_distortion": self.map.volume_distortion,
             "cube": {"min_corner": self.cube.min_corner.tolist(), "side": self.cube.side},
-            "member_counts": [f.size for f in self.families],
+            "member_counts": [f.size for f in self.sources],
         }
 
 
@@ -95,59 +118,97 @@ def _net(cap: Cap, rho: float) -> tuple[np.ndarray, float]:
     return centers, cap.ang_radius if len(centers) == 1 else rho
 
 
-def _transform_problem(families, cube, lmap, delta, cap_indices) -> ReducedProblem:
-    """Map a cap-tuple subproblem by ``lmap`` and rescale to unit radius."""
-    sigma_max = lmap.length_distortion[1]
-    w = families[0].base_radius
-    scale = 1.0 / (sigma_max * w)
-    out_families = []
-    for f in families:
-        members = []
-        for m in f.members:
-            tube = m.geometry
-            d = tube.line.direction.components
-            d = d if d[f.axis] >= 0.0 else -d
-            anchor = scale * lmap.apply(tube.line.anchor)
-            new_dir = Direction.normalized(lmap.matrix @ d)
-            ang = angle_from_axis(new_dir, f.axis)
-            if ang > delta * (1.0 + 1e-9):
-                raise PropertyViolation(
-                    f"transformed angle {ang:.3e} exceeds delta {delta:.3e}"
-                )
-            members.append(FamilyMember(Tube(Line(anchor, new_dir), 1.0), m.weight))
-        out_families.append(TubeFamily(f.axis, f.dim, tuple(members), 1.0))
-    mapped = scale * lmap.apply(cube.corners())
-    lo = mapped.min(axis=0)
-    hi = mapped.max(axis=0)
-    side = float(np.max(hi - lo)) * (1.0 + 1e-12)
-    side = max(side, 1.0)
-    out_cube = Cube.centered(0.5 * (lo + hi), side)
-    distortion = sigma_max**cube.n * w**cube.n / lmap.volume_distortion
-    return ReducedProblem(
-        map=lmap,
-        families=tuple(out_families),
-        cube=out_cube,
-        distortion_factor=distortion,
-        delta=delta,
-        cap_indices=tuple(cap_indices),
-    )
+def _first_wide_angle(split, pos, mats, delta):
+    """(tuple, angle) of the first member whose mapped angle exceeds delta, else None.
+
+    Tuple p maps the members of its axis-j cap, at position ``pos[j][p]`` in
+    ``split[j]``, by ``mats[p]``.  "First" is the order of a walk over tuples,
+    then axes, then members; the test is acos(min(1, |u_j|)) > delta (1 +
+    1e-9) on the normalized image u of each direction (the sign of a line
+    direction does not change |u_j|).
+    """
+    first = None
+    for j, caps in enumerate(split):
+        subs = list(caps.values())
+        sizes = np.array([f.size for f in subs])
+        starts = np.cumsum(sizes) - sizes
+        dirs = np.array([m.geometry.line.direction.components for f in subs for m in f.members])
+        counts = sizes[pos[j]]
+        tuples = np.repeat(np.arange(len(counts)), counts)
+        rows = np.repeat(starts[pos[j]] - (np.cumsum(counts) - counts), counts)
+        rows += np.arange(rows.size)
+        u = (mats[tuples] @ dirs[rows][:, :, None])[:, :, 0]
+        cos = np.abs(u[:, j]) / np.sqrt(np.vecdot(u, u))
+        angles = np.arccos(np.minimum(1.0, cos))
+        wide = np.flatnonzero(angles > delta * (1.0 + 1e-9))
+        # rows run in tuple order, so a later axis wins only on an earlier tuple
+        if wide.size and (first is None or tuples[wide[0]] < first[0]):
+            first = (int(tuples[wide[0]]), float(angles[wide[0]]))
+    return first
 
 
-def _reduce_with_caps(families, cube, nets, delta, check_tuple) -> list[ReducedProblem]:
+def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProblem]:
     """One ReducedProblem per tuple of nonempty caps, one cap per axis.
 
-    ``nets[j]`` is axis j's (centers, radius).  ``check_tuple(combo,
-    centers)``, unless None, vets each cap tuple before its frame map is built.
+    ``nets[j]`` is axis j's (centers, radius).  The P tuples run in
+    ``itertools.product`` order over each axis's nonempty caps and are handled
+    as arrays: frame p's column j is the center of tuple p's axis-j cap, one
+    determinant of the stacked frames serves the wedge precondition (|det| >=
+    nu/2, unless ``nu`` is None) and the singular-frame test (|det| <
+    SINGULAR_DET), and ``frame_maps`` maps the frames before the first that
+    fails either.  The checks fail as a walk over the tuples would: on the
+    first failing tuple, wedge, then singular, then every mapped member
+    angle <= delta.
     """
-    split = [split_by_caps(f, *nets[f.axis]) for f in sorted(families, key=lambda f: f.axis)]
-    problems = []
-    for combo in itertools.product(*split):
-        centers = [Direction(nets[j][0][i]) for j, i in enumerate(combo)]
-        if check_tuple is not None:
-            check_tuple(combo, centers)
-        tuple_families = [split[j][i] for j, i in enumerate(combo)]
-        problems.append(_transform_problem(tuple_families, cube, frame_map(centers), delta, combo))
-    return problems
+    families = sorted(families, key=lambda f: f.axis)
+    split = [split_by_caps(f, *nets[f.axis]) for f in families]
+    if not all(split):
+        return []
+    shape = tuple(len(caps) for caps in split)
+    pos = np.unravel_index(np.arange(math.prod(shape)), shape)
+    combos = np.stack([np.array(list(caps))[k] for caps, k in zip(split, pos)], axis=1)
+    frames = np.stack([nets[j][0][combos[:, j]] for j in range(len(split))], axis=2)
+    dets = np.abs(np.linalg.det(frames))
+    bad = dets < SINGULAR_DET
+    if nu is not None:
+        bad |= dets < nu / 2.0
+    stop = int(np.argmax(bad)) if bad.any() else len(combos)
+    maps = frame_maps(frames[:stop])
+    mats = np.array([lmap.matrix for lmap in maps]).reshape(stop, *frames.shape[1:])
+    wide = _first_wide_angle(split, [k[:stop] for k in pos], mats, delta)
+    if wide is not None:
+        raise PropertyViolation(f"transformed angle {wide[1]:.3e} exceeds delta {delta:.3e}")
+    if stop < len(combos):
+        combo, wedge = tuple(combos[stop].tolist()), float(dets[stop])
+        if nu is not None and wedge < nu / 2.0:
+            raise ValidationError(
+                f"cap tuple {combo} has center wedge {wedge:.3e} < nu/2; "
+                "the transversality precondition is violated"
+            )
+        raise ValidationError(f"cap tuple {combo} has a singular frame: |det| = {wedge:.3e}")
+    # the cube's corners through every map at once, each map rescaled to unit radius
+    w = families[0].base_radius
+    sigma_max = np.array([lmap.length_distortion[1] for lmap in maps])
+    scales = 1.0 / (sigma_max * w)
+    mapped = scales[:, None, None] * (cube.corners() @ mats.transpose(0, 2, 1))
+    lo, hi = mapped.min(axis=1), mapped.max(axis=1)
+    sides = np.maximum((hi - lo).max(axis=1) * (1.0 + 1e-12), 1.0).tolist()
+    centers = 0.5 * (lo + hi)
+    n = cube.n
+    return [
+        ReducedProblem(
+            map=lmap,
+            cube=Cube.centered(center, side),
+            distortion_factor=lmap.length_distortion[1] ** n * w**n / lmap.volume_distortion,
+            delta=delta,
+            cap_indices=combo,
+            sources=tuple(caps[i] for caps, i in zip(split, combo)),
+            scale=scale,
+        )
+        for lmap, center, side, combo, scale in zip(
+            maps, centers, sides, map(tuple, combos.tolist()), scales.tolist()
+        )
+    ]
 
 
 def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[ReducedProblem]:
@@ -171,7 +232,7 @@ def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[Redu
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     rho = delta / 10.0
     nets = [_net(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
-    return _reduce_with_caps(families, cube, nets, delta, None)
+    return _reduce_with_caps(families, cube, nets, delta)
 
 
 def transversal_sigma_bound(n: int, nu: float) -> float:
@@ -217,14 +278,5 @@ def transversal_reduce(
     if not rho > 0.0:
         raise ValidationError(f"nu {nu!r} is too small: the cap radius underflows to 0")
     nets = [_net(cap, min(rho, cap.ang_radius)) for cap in direction_sets]
-
-    def check_wedge(combo, centers) -> None:
-        wedge = wedge_volume(centers)
-        if wedge < nu / 2.0:
-            raise ValidationError(
-                f"cap tuple {combo} has center wedge {wedge:.3e} < nu/2; "
-                "the transversality precondition is violated"
-            )
-
-    return _reduce_with_caps(families, cube, nets, delta, check_wedge)
+    return _reduce_with_caps(families, cube, nets, delta, nu)
 

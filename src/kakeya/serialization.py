@@ -69,10 +69,19 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """``value`` as a float; a bool, a string or a non-finite number is bad input."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+    """``value`` as a float; a bool, a string, a non-finite number or an
+    integer too large for a float is bad input."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{name} must be a finite number, got an integer of {len(str(abs(value)))} digits"
+        ) from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _numbers(values, name: str) -> np.ndarray:
@@ -83,8 +92,11 @@ def _numbers(values, name: str) -> np.ndarray:
     """
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"{name} must be an array, got {values!r}")
-    if all(type(v) in (int, float) and math.isfinite(v) for v in values):
-        return np.array(values, dtype=float)  # the common flat case, checked without names
+    try:
+        if all(type(v) in (int, float) and math.isfinite(v) for v in values):
+            return np.array(values, dtype=float)  # the common flat case, checked without names
+    except OverflowError:
+        pass  # an integer too large for a float: the element's own check names it
     rows = [
         _numbers(v, f"{name}[{i}]") if isinstance(v, (list, tuple)) else _number(v, f"{name}[{i}]")
         for i, v in enumerate(values)
@@ -331,10 +343,10 @@ def search_from_json(data, seed: int | None = None) -> dict:
     }
 
 
-def _box_from_json(data) -> Box:
+def _box_from_json(data, name: str) -> Box:
     return Box(
-        np.asarray(data["min_corner"], dtype=float),
-        np.asarray(data["sides"], dtype=float),
+        _numbers(data["min_corner"], f"{name}.min_corner"),
+        _numbers(data["sides"], f"{name}.sides"),
     )
 
 
@@ -342,10 +354,12 @@ def _box_from_json(data) -> Box:
 def lw_inputs_from_json(data) -> tuple[list[ProjectionFunction], Box]:
     """Loomis-Whitney inputs: {"functions": [{"box", "values"}, ...], "box"}."""
     fns = [
-        ProjectionFunction(_box_from_json(f["box"]), np.asarray(f["values"], dtype=float))
-        for f in data["functions"]
+        ProjectionFunction(
+            _box_from_json(f["box"], f"functions[{i}].box"), np.asarray(f["values"], dtype=float)
+        )
+        for i, f in enumerate(data["functions"])
     ]
-    return fns, _box_from_json(data["box"])
+    return fns, _box_from_json(data["box"], "box")
 
 
 def write_json(obj: dict, fh) -> None:

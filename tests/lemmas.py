@@ -17,18 +17,26 @@ copies of each member on one grid.
 choice one cap at a time: each kept tangent-grid cell goes through the scalar
 exponential map into a ``Direction``, and each cap is tested in turn by the
 angle between unoriented directions.
+
+``frame_map``, ``wedge_volume`` and ``reduce_per_tuple`` are the reduction
+one cap tuple at a time: a ``Direction`` per cap center, one determinant,
+inverse and singular-value call per frame, and every member mapped into new
+``Direction``/``Line``/``Tube`` objects as the tuple is reached.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from kakeya.evaluator import check_families, midpoint_rule
+from kakeya.errors import PropertyViolation, ValidationError
+from kakeya.evaluator import FamilyMember, TubeFamily, check_families, midpoint_rule
 from kakeya.geometry import (
     Cap,
     Cube,
     Direction,
+    LinearMap,
     Line,
     Tube,
     angle_from_axis,
@@ -39,6 +47,7 @@ from kakeya.geometry import (
     subdivision_counts,
     tangent_basis,
 )
+from kakeya.reduction import split_by_caps
 
 
 def cube_line_max_distance(cube: Cube, line: Line) -> float:
@@ -162,3 +171,87 @@ def first_cap(centers: list[Direction], radius: float, direction: Direction, tol
         if line_angle(direction, center) <= radius + tol:
             return i
     return None
+
+
+def frame_map(centers: list[Direction]) -> LinearMap:
+    """Linear map sending each frame vector v_j to the axis vector e_j.
+
+    The map is the inverse of the matrix with columns v_j; distortion fields
+    come from its singular values and determinant.  Singular frames
+    (|det| < 1e-12) are rejected.
+    """
+    n = len(centers)
+    if any(c.n != n for c in centers):
+        raise ValueError("frame vectors must match the frame size")
+    v = np.stack([c.components for c in centers], axis=1)
+    det = float(np.linalg.det(v))
+    if abs(det) < 1e-12:
+        raise ValueError(f"frame is singular: |det| = {abs(det):.3e}")
+    mat = np.linalg.inv(v)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return LinearMap(mat, (float(svals[-1]), float(svals[0])), abs(float(np.linalg.det(mat))))
+
+
+def wedge_volume(directions: list[Direction]) -> float:
+    """|v_1 ^ ... ^ v_n| = absolute determinant of the column matrix."""
+    v = np.stack([d.components for d in directions], axis=1)
+    return abs(float(np.linalg.det(v)))
+
+
+def transform_problem(families, cube: Cube, lmap: LinearMap, delta: float):
+    """(families, cube, distortion_factor) of one cap tuple mapped by ``lmap``, at unit radius."""
+    sigma_max = lmap.length_distortion[1]
+    w = families[0].base_radius
+    scale = 1.0 / (sigma_max * w)
+    out_families = []
+    for f in families:
+        members = []
+        for m in f.members:
+            tube = m.geometry
+            d = tube.line.direction.components
+            d = d if d[f.axis] >= 0.0 else -d
+            anchor = scale * lmap.apply(tube.line.anchor)
+            new_dir = Direction.normalized(lmap.matrix @ d)
+            ang = angle_from_axis(new_dir, f.axis)
+            if ang > delta * (1.0 + 1e-9):
+                raise PropertyViolation(
+                    f"transformed angle {ang:.3e} exceeds delta {delta:.3e}"
+                )
+            members.append(FamilyMember(Tube(Line(anchor, new_dir), 1.0), m.weight))
+        out_families.append(TubeFamily(f.axis, f.dim, tuple(members), 1.0))
+    mapped = scale * lmap.apply(cube.corners())
+    lo = mapped.min(axis=0)
+    hi = mapped.max(axis=0)
+    side = float(np.max(hi - lo)) * (1.0 + 1e-12)
+    side = max(side, 1.0)
+    out_cube = Cube.centered(0.5 * (lo + hi), side)
+    distortion = sigma_max**cube.n * w**cube.n / lmap.volume_distortion
+    return tuple(out_families), out_cube, distortion
+
+
+def reduce_per_tuple(families, cube: Cube, nets, delta: float, nu=None) -> list:
+    """``reduction._reduce_with_caps`` walking the cap tuples one at a time.
+
+    Each tuple is checked as it is reached: center wedge >= nu/2 (unless
+    ``nu`` is None), then a nonsingular frame, then every mapped angle.
+    """
+    split = [split_by_caps(f, *nets[f.axis]) for f in sorted(families, key=lambda f: f.axis)]
+    problems = []
+    for combo in itertools.product(*split):
+        centers = [Direction(nets[j][0][i]) for j, i in enumerate(combo)]
+        wedge = wedge_volume(centers)
+        if nu is not None and wedge < nu / 2.0:
+            raise ValidationError(
+                f"cap tuple {combo} has center wedge {wedge:.3e} < nu/2; "
+                "the transversality precondition is violated"
+            )
+        if wedge < 1e-12:
+            raise ValidationError(f"cap tuple {combo} has a singular frame: |det| = {wedge:.3e}")
+        lmap = frame_map(centers)
+        tuple_families = [split[j][i] for j, i in enumerate(combo)]
+        out_families, out_cube, distortion = transform_problem(tuple_families, cube, lmap, delta)
+        problems.append(SimpleNamespace(
+            map=lmap, families=out_families, cube=out_cube, distortion_factor=distortion,
+            delta=delta, cap_indices=combo,
+        ))
+    return problems

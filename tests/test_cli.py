@@ -323,6 +323,48 @@ def _set_direction_set_radius_string(data):
     data["direction_sets"][1]["ang_radius"] = "0.2"
 
 
+def _set_cube_side_huge(data):
+    data["cube"]["side"] = 10**400  # an integer literal too large for a float
+
+
+def _set_anchor_huge(data):
+    data["families"][0]["members"][0]["anchor"][1] = 10**400
+
+
+def _set_near_parallel_frame(data):
+    """One tube per axis along [1, 0] and [1, 3e-13], in caps too small to hold another center.
+
+    Their frame's |det| is 3e-13: above nu/2 for nu = 1e-13, but singular.
+    """
+    data["families"][0]["members"] = [{"anchor": [0.0, 0.0], "dir": [1.0, 0.0]}]
+    data["families"][1]["members"] = [{"anchor": [0.0, 0.0], "dir": [1.0, 3e-13]}]
+    data["direction_sets"] = [
+        {"center": [1.0, 0.0], "ang_radius": 1e-17},
+        {"center": [1.0, 3e-13], "ang_radius": 1e-17},
+    ]
+
+
+def edited_lw_golden(tmp_path, edit):
+    """``tests/golden/lw_n3.input.json`` with ``edit`` applied to its JSON."""
+    data = load_json(Path(__file__).resolve().parent / "golden" / "lw_n3.input.json")
+    edit(data)
+    path = tmp_path / "lw.json"
+    dump_json(data, path)
+    return path
+
+
+def _set_lw_min_corner_strings(data):
+    data["box"]["min_corner"] = ["0.0", "0.0", "0.0"]
+
+
+def _set_lw_sides_bool(data):
+    data["box"]["sides"] = [True, 1.0, 1.0]
+
+
+def _set_lw_function_sides_bool(data):
+    data["functions"][1]["box"]["sides"] = [True, 1.0]
+
+
 def _add_direction_sets(data):
     data["direction_sets"] = [
         {"center": [1.0, 0.0], "ang_radius": 0.2},
@@ -430,6 +472,25 @@ BAD_INPUTS = {
     "direction_set_center_string": lambda p: [
         "eval", "--config", edited_config(p, _set_direction_set_center_string)
     ],
+    "reduce_singular_frame": lambda p: [
+        "reduce", "--config", edited_config(p, _set_near_parallel_frame), "--nu", 1e-13,
+        "--epsilon", 3.0,
+    ],
+    "cube_side_too_large_for_a_float": lambda p: [
+        "eval", "--config", edited_config(p, _set_cube_side_huge)
+    ],
+    "member_anchor_too_large_for_a_float": lambda p: [
+        "eval", "--config", edited_config(p, _set_anchor_huge)
+    ],
+    "verify_lw_box_min_corner_strings": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_lw_min_corner_strings)
+    ],
+    "verify_lw_box_sides_bool": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_lw_sides_bool)
+    ],
+    "verify_lw_function_box_sides_bool": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_lw_function_sides_bool)
+    ],
     "sweep_grid_flag": lambda p: ["sweep", "--config", sweep_file(p), "--grid", 16],
     "search_tol_flag": lambda p: ["search", "--config", search_file(p), "--tol", 0.1],
 }
@@ -486,6 +547,15 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
          "families[0].members[0].polyline.values must not be a ragged array"),
         ("direction_set_center_string",
          "direction_sets[0].center[0] must be a finite number, got '1'"),
+        ("reduce_singular_frame", "cap tuple (0, 0) has a singular frame: |det| = 3.000e-13"),
+        ("cube_side_too_large_for_a_float",
+         "cube.side must be a finite number, got an integer of 401 digits"),
+        ("member_anchor_too_large_for_a_float",
+         "families[0].members[0].anchor[1] must be a finite number, got an integer of 401 digits"),
+        ("verify_lw_box_min_corner_strings", "box.min_corner[0] must be a finite number, got '0.0'"),
+        ("verify_lw_box_sides_bool", "box.sides[0] must be a finite number, got True"),
+        ("verify_lw_function_box_sides_bool",
+         "functions[1].box.sides[0] must be a finite number, got True"),
         ("sweep_grid_flag", "unrecognized arguments: --grid 16"),
         ("search_tol_flag", "unrecognized arguments: --tol 0.1"),
     ],

@@ -16,7 +16,7 @@ from kakeya.geometry import (
     Tube,
     angle_from_axis,
     cap_cover,
-    frame_map,
+    frame_maps,
     lattice,
     line_box_distance,
     point_line_distance,
@@ -24,11 +24,17 @@ from kakeya.geometry import (
     subcube_grid,
     subdivision_counts,
     tangent_basis,
-    wedge_volume,
 )
 
 from conftest import cap_nets, family, tube
-from lemmas import cube_line_max_distance, fatten_axis_parallel, line_angle, scalar_cap_net
+from lemmas import (
+    cube_line_max_distance,
+    fatten_axis_parallel,
+    frame_map,
+    line_angle,
+    scalar_cap_net,
+    wedge_volume,
+)
 
 
 def tube_indicator(t, p):
@@ -329,7 +335,7 @@ class TestCapCover:
 
 class TestFrameMap:
     def test_identity_frame(self):
-        m = frame_map([Direction.axis(2, 0), Direction.axis(2, 1)])
+        (m,) = frame_maps(np.eye(2)[None])
         assert np.allclose(m.matrix, np.eye(2))
         assert m.length_distortion == (1.0, 1.0)
         assert m.volume_distortion == 1.0
@@ -338,21 +344,21 @@ class TestFrameMap:
         # frames within (10n)^-1 of the axes distort lengths by at most 2
         for n in (2, 3):
             limit = 1.0 / (10 * n)
-            for _ in range(500):
-                frame = []
+            frames = np.empty((500, n, n))
+            for p in range(500):
                 for j in range(n):
                     pert = rng.normal(size=n)
                     pert -= pert[j] * np.eye(n)[j]
                     pert *= rng.uniform(0, limit) / max(np.linalg.norm(pert), 1e-12)
-                    frame.append(Direction.normalized(np.eye(n)[j] + math.tan(1.0) * 0 + pert))
-                m = frame_map(frame)
+                    frames[p, :, j] = Direction.normalized(np.eye(n)[j] + pert).components
+            for m in frame_maps(frames):
                 lo, hi = m.length_distortion
                 assert 0.5 <= lo <= hi <= 2.0
                 assert m.volume_distortion <= 2.0**n
 
     def test_maps_frame_to_axes(self, rng):
         frame = [Direction.normalized(np.eye(3)[j] + 0.02 * rng.normal(size=3)) for j in range(3)]
-        m = frame_map(frame)
+        (m,) = frame_maps(np.stack([d.components for d in frame], axis=1)[None])
         for j in range(3):
             assert np.allclose(m.matrix @ frame[j].components, np.eye(3)[j], atol=1e-12)
 
@@ -360,6 +366,22 @@ class TestFrameMap:
         d = Direction.axis(2, 0)
         with pytest.raises(ValueError):
             frame_map([d, d])
+        with pytest.raises(np.linalg.LinAlgError):
+            frame_maps(np.array([[[1.0, 1.0], [0.0, 0.0]]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batched_maps_have_the_bits_of_one_frame_calls(self, n, rng):
+        frames = [
+            [Direction.normalized(np.eye(n)[j] + rng.uniform(0.0, 0.5) * rng.normal(size=n))
+             for j in range(n)]
+            for _ in range(200)
+        ]
+        stacked = np.array([np.stack([d.components for d in f], axis=1) for f in frames])
+        for batched, frame in zip(frame_maps(stacked), frames):
+            one = frame_map(frame)
+            assert batched.matrix.tobytes() == one.matrix.tobytes()
+            assert batched.length_distortion == one.length_distortion
+            assert batched.volume_distortion == one.volume_distortion
 
 
 class TestWedgeVolume:

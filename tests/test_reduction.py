@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kakeya.certifier import Constants, certify_multiscale, delta_for_epsilon
-from kakeya.errors import ValidationError
+from kakeya.errors import PropertyViolation, ValidationError
 from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
 from kakeya.generators import GeneralAngle, GenSpec, SmallAngle, generate
 from kakeya.geometry import (
@@ -19,9 +19,10 @@ from kakeya.geometry import (
     cap_cover,
     cap_index,
     tangent_basis,
-    wedge_volume,
 )
 from kakeya.reduction import (
+    _net,
+    _reduce_with_caps,
     reduce_general_to_small_angle,
     split_by_caps,
     transversal_reduce,
@@ -29,7 +30,14 @@ from kakeya.reduction import (
 )
 
 from conftest import axis_tube_family, cap_nets, family, tube
-from lemmas import first_cap, line_angle, scalar_cap_net, weighted_multiplicity_check
+from lemmas import (
+    first_cap,
+    line_angle,
+    reduce_per_tuple,
+    scalar_cap_net,
+    wedge_volume,
+    weighted_multiplicity_check,
+)
 
 
 class TestSplitByCaps:
@@ -221,6 +229,193 @@ class TestTransversalReduce:
         problems = transversal_reduce(fams, Cube.centered([0.0, 0.0], 4.0), caps, nu=0.99, eps=3.0)
         centers = [caps[0].center, caps[1].center]
         assert wedge_volume(centers) >= 0.99 / 2
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def outcome(reduce, *args):
+    """The problems, or the (type, message) of the error the reduction raised."""
+    try:
+        return reduce(*args)
+    except (ValidationError, PropertyViolation) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_problems(problems, oracle):
+    """Equal errors, or the same problems: every float by ``float.hex``, families member by member."""
+    if isinstance(problems, tuple) or isinstance(oracle, tuple):
+        assert problems == oracle
+        return
+    assert len(problems) == len(oracle)
+    for p, q in zip(problems, oracle):
+        assert p.cap_indices == q.cap_indices and p.delta == q.delta
+        assert hexes(p.map.matrix) == hexes(q.map.matrix)
+        assert hexes(p.map.length_distortion) == hexes(q.map.length_distortion)
+        assert hexes(p.map.volume_distortion) == hexes(q.map.volume_distortion)
+        assert hexes(p.distortion_factor) == hexes(q.distortion_factor)
+        assert hexes(p.cube.min_corner) == hexes(q.cube.min_corner)
+        assert hexes(p.cube.side) == hexes(q.cube.side)
+        assert len(p.families) == len(q.families)
+        for f, g in zip(p.families, q.families):
+            assert (f.axis, f.dim, f.base_radius, f.size) == (g.axis, g.dim, g.base_radius, g.size)
+            for a, b in zip(f.members, g.members):
+                assert hexes(a.geometry.line.anchor) == hexes(b.geometry.line.anchor)
+                assert hexes(a.geometry.line.direction.components) == hexes(
+                    b.geometry.line.direction.components
+                )
+                assert (a.geometry.radius, a.weight) == (b.geometry.radius, b.weight)
+
+
+def general_nets(n: int, eps: float):
+    """(nets, delta) of ``reduce_general_to_small_angle``."""
+    delta = delta_for_epsilon(eps, Constants.for_dimension(n))
+    limit = 1.0 / (10.0 * n)
+    return [_net(Cap(Direction.axis(n, j), limit), min(delta / 10.0, limit)) for j in range(n)], delta
+
+
+def transversal_nets(caps, nu: float, eps: float):
+    """(nets, delta) of ``transversal_reduce``."""
+    n = len(caps)
+    delta = delta_for_epsilon(eps, Constants.for_dimension(n))
+    rho = min(nu / (100.0 * n), delta / (2.0 * transversal_sigma_bound(n, nu)))
+    return [_net(cap, min(rho, cap.ang_radius)) for cap in caps], delta
+
+
+def cap_family(axis: int, cap: Cap, count: int, cube: Cube, rng):
+    """``count`` tubes with directions inside ``cap`` and anchors in ``cube``."""
+    n = cap.center.n
+    tubes = []
+    for _ in range(count):
+        v = rng.normal(size=n - 1)
+        v *= rng.uniform(0.0, 0.999 * cap.ang_radius) / np.linalg.norm(v)
+        anchor = cube.min_corner + cube.side * rng.uniform(size=n)
+        tubes.append(Tube(Line(anchor, exp_map(cap.center.components, v)), 1.0))
+    return family(axis, n, tubes)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(reduce, args, oracle_args): a general n=2 or n=3 run, a transversal n=2
+    run, or an n=2 run whose caps are too wide for delta, so that some mapped
+    angles fail; ``reduce_per_tuple(*oracle_args)`` is the same run per tuple."""
+    kind = draw(st.sampled_from(["general2", "general3", "wedge2", "wide2"]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n = 3 if kind == "general3" else 2
+    cube = Cube.centered(np.zeros(n), draw(st.sampled_from([4.0, 8.0])))
+    counts = tuple(draw(st.integers(1, 3 if n == 3 else 5)) for _ in range(n))
+    if kind == "wedge2":
+        # centers near the axes, or near one shared direction (small wedges)
+        base = np.ones((n, n)) if draw(st.booleans()) else np.eye(n)
+        tilt = draw(st.sampled_from([0.0, 0.3, 0.8]))
+        caps = [
+            Cap(Direction.normalized(base[j] + tilt * rng.normal(size=n)),
+                draw(st.sampled_from([0.02, 0.05])))
+            for j in range(n)
+        ]
+        fams = [cap_family(j, caps[j], counts[j], cube, rng) for j in range(n)]
+        nu = draw(st.sampled_from([0.3, 0.6, 1.0]))
+        eps = draw(st.sampled_from([2.5, 3.0]))
+        nets, delta = transversal_nets(caps, nu, eps)
+        return transversal_reduce, (fams, cube, caps, nu, eps), (fams, cube, nets, delta, nu)
+    radius = draw(st.sampled_from([1.0, 0.7]))
+    fams = generate(GenSpec(n, counts, GeneralAngle(), cube, seed=seed, radius=radius))
+    eps = draw(st.sampled_from([3.75, 5.0] if n == 3 else [2.5, 3.0, 3.75]))
+    if kind == "wide2":
+        delta = draw(st.sampled_from([0.005, 0.02, 0.05]))
+        rho = draw(st.sampled_from([0.01, 0.02]))
+        nets = [_net(Cap(Direction.axis(n, j), 0.05), rho) for j in range(n)]
+        return _reduce_with_caps, (fams, cube, nets, delta), (fams, cube, nets, delta)
+    nets, delta = general_nets(n, eps)
+    return reduce_general_to_small_angle, (fams, cube, eps), (fams, cube, nets, delta)
+
+
+class TestBatchedReduction:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(reduction_cases())
+    def test_matches_the_per_tuple_oracle(self, case):
+        reduce, args, oracle_args = case
+        assert_same_problems(outcome(reduce, *args), outcome(reduce_per_tuple, *oracle_args))
+
+    def test_families_are_built_on_first_read_only(self):
+        cube = Cube.centered([0.0, 0.0], 8.0)
+        fams = generate(GenSpec(2, (3, 3), GeneralAngle(), cube, seed=3))
+        p = reduce_general_to_small_angle(fams, cube, 3.0)[0]
+        assert "families" not in vars(p)
+        assert p.families is p.families
+        assert p.to_json()["member_counts"] == [f.size for f in p.families]
+
+    @staticmethod
+    def order_case(wedge_first: bool):
+        """Axis 0's net holds e_0 and u, 1.3 rad from e_0; axis 1's holds e_1.
+
+        The tuple (u, e_1) has center wedge cos 1.3 < 0.9/2, and under the
+        identity frame (e_0, e_1) a member at 0.3 rad from e_0 exceeds delta.
+        """
+        u = [math.cos(1.3), math.sin(1.3)]
+        rows = [u, [1.0, 0.0]] if wedge_first else [[1.0, 0.0], u]
+        nets = [(np.array(rows), 0.5), (np.array([[0.0, 1.0]]), 0.5)]
+        fams = [
+            family(0, 2, [tube([0.0, 0.0], [math.cos(0.3), math.sin(0.3)]), tube([0.0, 1.0], u)]),
+            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+        ]
+        return fams, Cube.centered([0.0, 0.0], 4.0), nets, 0.03, 0.9
+
+    def test_wedge_on_an_earlier_tuple_than_the_angle_fails_first(self):
+        args = self.order_case(wedge_first=True)
+        with pytest.raises(ValidationError, match=r"cap tuple \(0, 0\) has center wedge 2\.675e-01"):
+            _reduce_with_caps(*args)
+        assert outcome(_reduce_with_caps, *args) == outcome(reduce_per_tuple, *args)
+
+    def test_angle_on_an_earlier_tuple_than_the_wedge_fails_first(self):
+        args = self.order_case(wedge_first=False)
+        with pytest.raises(PropertyViolation, match="transformed angle 3.000e-01 exceeds delta"):
+            _reduce_with_caps(*args)
+        assert outcome(_reduce_with_caps, *args) == outcome(reduce_per_tuple, *args)
+
+    def test_first_axis_reports_on_a_shared_tuple(self):
+        fams = [
+            family(0, 2, [tube([0.0, 0.0], [math.cos(0.3), math.sin(0.3)])]),
+            family(1, 2, [tube([0.0, 0.0], [math.sin(0.2), math.cos(0.2)])]),
+        ]
+        nets = [(np.eye(2)[j : j + 1], 0.5) for j in range(2)]
+        with pytest.raises(PropertyViolation, match="transformed angle 3.000e-01"):
+            _reduce_with_caps(fams, Cube.centered([0.0, 0.0], 4.0), nets, 0.03)
+
+    @pytest.mark.parametrize("excess, passes", [(1e-10, True), (1e-8, False)])
+    def test_angles_pass_within_the_relative_slack(self, excess, passes):
+        delta = 0.03
+        angle = delta * (1.0 + excess)
+        fams = [
+            family(0, 2, [tube([0.0, 0.0], [math.cos(angle), math.sin(angle)])]),
+            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+        ]
+        nets = [(np.eye(2)[j : j + 1], 0.5) for j in range(2)]
+        args = (fams, Cube.centered([0.0, 0.0], 4.0), nets, delta)
+        result = outcome(_reduce_with_caps, *args)
+        assert isinstance(result, list) == passes
+        assert_same_problems(result, outcome(reduce_per_tuple, *args))
+
+    def test_wedge_is_tested_before_a_singular_frame(self):
+        d = [1.0, 3e-13]
+        fams = [family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])]), family(1, 2, [tube([0.0, 0.0], d)])]
+        nets = [(np.array([[1.0, 0.0]]), 1e-17), (np.array([d]), 1e-17)]
+        cube = Cube.centered([0.0, 0.0], 4.0)
+        for nu, message in [(1e-12, "center wedge 3.000e-13 < nu/2"),
+                            (1e-13, "singular frame: |det| = 3.000e-13"),
+                            (None, "singular frame: |det| = 3.000e-13")]:
+            args = (fams, cube, nets, 0.03, nu)
+            err = outcome(_reduce_with_caps, *args)
+            assert err == outcome(reduce_per_tuple, *args)
+            assert err[0] is ValidationError and message in err[1]
 
 
 class TestWeightedMultiplicity:
