@@ -6,7 +6,6 @@ from .certifier import (
     certify_multiscale,
     cover_for_arbitrary_s,
     delta_for_epsilon,
-    step_bound,
     verify_step_inequality,
 )
 from .errors import (
@@ -24,7 +23,6 @@ from .evaluator import (
     evaluate_overlap,
     evaluate_refined,
     exact_overlap_2d,
-    overlap_integrand,
 )
 from .geometry import (
     Cap,
@@ -41,7 +39,6 @@ from .loomis_whitney import (
     BallSum,
     Box,
     ProjectionFunction,
-    ball_sum_l1,
     lw_right,
     project,
     unit_ball_volume,
@@ -60,7 +57,6 @@ from .generators import (
     Lipschitz,
     SmallAngle,
     Weighted,
-    enumerate_grid_axis_parallel,
     generate,
 )
 from .experiments import extremal_search, sweep_scale

@@ -45,7 +45,9 @@ from .geometry import (
     LipschitzCurve,
     Tube,
     angle_from_axis,
+    grid_ranges,
     line_box_distance,
+    member_reach,
     polyline_box_distance,
     subcube_grid,
     subdivision_counts,
@@ -162,29 +164,6 @@ def _check_step(families, cube: Cube, delta: float) -> tuple[int, float]:
     return n, w
 
 
-def _layer_extents(geometry, axis: int, a: np.ndarray, b: np.ndarray):
-    """Per-axis min and max, each (layers, n), of the member's points with x_axis in [a, b].
-
-    A tube contributes its line at the two ends of each interval (its axis
-    component is at least cos 0.9, so the division is safe); a polyline its
-    interpolated values at the ends, clamped to its span, and its vertices
-    inside.  Only the transverse components are meaningful.
-    """
-    ends = np.stack([a, b], axis=1)
-    if isinstance(geometry, Tube):
-        anchor, d = geometry.line.anchor, geometry.line.direction.components
-        t = (ends - anchor[axis]) / d[axis]
-        pts = anchor + t[..., None] * d
-        return pts.min(axis=1), pts.max(axis=1)
-    verts = geometry.vertices()
-    bps = geometry.breakpoints
-    pts = np.stack([np.interp(ends, bps, verts[:, c]) for c in range(verts.shape[1])], axis=-1)
-    inside = ((bps > a[:, None]) & (bps < b[:, None]))[..., None]
-    low = np.where(inside, verts, np.inf).min(axis=1)
-    high = np.where(inside, verts, -np.inf).max(axis=1)
-    return np.minimum(pts.min(axis=1), low), np.maximum(pts.max(axis=1), high)
-
-
 def _band_cells(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """Grid indices, shape (cells, n), of the cells in the index boxes [first, stop).
 
@@ -209,9 +188,11 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     of each subcube and ``weights[j]`` their total weight, N_j(Q); both have
     shape (n, k^n), in the C order of ``subcube_grid``.  Only candidate
     subcubes get the exact distance test: for each layer of subcubes along
-    the family axis, those within w, plus one padding subcube on each side,
-    of the member's transverse extent over the layer widened by w.  Every
-    other subcube lies farther than w from the member by more than the
+    the family axis, those that meet the member's reach over the layer
+    (``member_reach``), padded by one subcube on each side.  A subcube meets
+    a box exactly when its center lies within half a side of it, so
+    ``grid_ranges`` on the reach widened by half a subcube gives them.
+    Every other subcube lies farther than w from the member by more than the
     rounding of the computed distance, so the counts and the member-order
     weight sums equal a test of every pair, bit for bit.
     """
@@ -219,23 +200,17 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     n = cube.n
     grid = [cube.min_corner[c] + sub_side * np.arange(k) for c in range(n)]
     layers = np.arange(k)
+    half = np.array([[-0.5 * sub_side], [0.5 * sub_side]])
     counts = np.zeros((n, k**n), dtype=np.int64)
     weights = np.zeros(counts.shape)
     for f in families:
         j = f.axis
-        a = grid[j] - w
-        b = grid[j] + sub_side + w
-        for m in f.members:
+        reach = member_reach([m.geometry for m in f.members], j, w, cube, k)
+        bands = grid_ranges(reach + half, cube.min_corner, sub_side, k)
+        bands[:, :, j] = np.stack([layers, layers + 1], axis=-1)
+        for m, band in zip(f.members, bands):
             g = m.geometry
-            low, high = _layer_extents(g, j, a, b)
-            # ceil - 1 and floor + 1 bound the subcubes that meet the extent
-            # widened by w; one more on each side is the padding
-            first = np.ceil((low - w - cube.min_corner) / sub_side) - 2.0
-            stop = np.floor((high + w - cube.min_corner) / sub_side) + 2.0
-            first = np.clip(first, 0, k).astype(np.int64)
-            stop = np.clip(stop, 0, k).astype(np.int64)
-            first[:, j], stop[:, j] = layers, layers + 1
-            idx = _band_cells(first, stop)
+            idx = _band_cells(band[..., 0], band[..., 1])
             if idx.size == 0:
                 continue
             lo = np.stack([grid[c][idx[:, c]] for c in range(n)], axis=1)
@@ -264,20 +239,6 @@ def _step_detail(families, cube: Cube, delta: float, w: float, c_lw: float) -> S
     return StepDetail(
         w, sub_side, counts.shape[1], hists, step_numeric_bound(n, c_lw, w, weights)
     )
-
-
-def step_bound(families, cube: Cube, delta: float) -> StepDetail:
-    """Per-subcube Loomis-Whitney bound for one scale step.
-
-    Requires cube side >= delta^-1 W, a shared base radius, and member
-    angles (tubes) / Lipschitz constants (curves) at most delta.  The cube
-    is tiled into k^n subcubes, but each member gets the exact distance test
-    only on the candidate subcubes of its per-layer bands (``_subcube_counts``),
-    so the work follows the subcubes near the members, not k^n times the
-    members.
-    """
-    n, w = _check_step(families, cube, delta)
-    return _step_detail(families, cube, delta, w, Constants.for_dimension(n).c_lw)
 
 
 def verify_step_inequality(

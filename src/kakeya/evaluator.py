@@ -6,8 +6,9 @@ an exact polygon-clipping oracle.
 
 Grid sums are computed in fixed-size blocks keyed by flattened cell index and
 folded in index order, so the result is bit-identical for any worker count.
-Each member's distance is computed only on its band, the box of cells it can
-reach; the cells outside add exactly zero, so the bits match a dense sum.
+Each member's distance is computed only on its band, the cells it can reach
+(``geometry.member_reach`` and ``geometry.grid_ranges``); the cells outside
+add exactly zero, so the bits match a dense sum.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .geometry import (
     Cube,
     LipschitzCurve,
     Tube,
+    grid_ranges,
     lattice,
+    member_reach,
     point_line_distance,
     point_polyline_distance,
 )
@@ -32,7 +35,6 @@ from .geometry import (
 CELL_BUDGET = 10**8
 _BLOCK = 1 << 16
 _ROW = _BLOCK // 4
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +89,6 @@ class TubeFamily:
     def has_curves(self) -> bool:
         return any(isinstance(m.geometry, LipschitzCurve) for m in self.members)
 
-    def expand_integer_weights(self) -> "TubeFamily":
-        """Replace weight-w members by w unit-weight copies (integer w only)."""
-        members = []
-        for m in self.members:
-            if not float(m.weight).is_integer():
-                raise ValidationError(f"weight {m.weight!r} is not an integer")
-            members.extend(FamilyMember(m.geometry, 1.0) for _ in range(int(m.weight)))
-        return TubeFamily(self.axis, self.dim, tuple(members), self.base_radius)
-
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
@@ -132,30 +125,6 @@ def _member_distance(geometry, points) -> np.ndarray:
     if isinstance(geometry, Tube):
         return point_line_distance(points, geometry.line)
     return point_polyline_distance(points, geometry)
-
-
-def family_values(family: TubeFamily, points, radius: float | None = None) -> np.ndarray:
-    """sum_a w_a * indicator(member at ``radius``) at each point (N, n)."""
-    r = family.base_radius if radius is None else radius
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(pts.shape[0])
-    for m in family.members:
-        out += m.weight * (_member_distance(m.geometry, pts) <= r)
-    return out
-
-
-def overlap_integrand(families, points, radii: list[float] | None = None) -> np.ndarray:
-    """prod_j (sum_a w 1_tube)^(1/(n-1)) at each point; empty sums give 0."""
-    n = check_families(families)
-    p = 1.0 / (n - 1)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.ones(pts.shape[0])
-    for j, family in enumerate(sorted(families, key=lambda f: f.axis)):
-        vals = family_values(family, pts, None if radii is None else radii[j])
-        if p != 1.0:
-            vals = np.power(vals, p)
-        out *= vals
-    return out
 
 
 def _check_curve_spans(families, cube: Cube) -> None:
@@ -234,64 +203,8 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     return math.fsum(partials)
 
 
-def _reach(family: TubeFamily, r: float, cube: Cube) -> np.ndarray:
-    """Per-axis bounds, shape (members, 2, n), of the points each member reaches.
-
-    A point that the distance test puts within ``r`` of a member lies in the
-    member's reach: the bounding box, widened by ``r``, of the line over the
-    slab where its x_axis lies within ``r`` of the cube (a tube), or of the
-    vertices (a polyline).  ``r`` is first widened by a bound on the rounding
-    of the computed distance, whose square is off by at most
-    (|1 - |dir|^2| + 32 eps) R^2 (for a line it is a difference of squares,
-    the worse case), where R is the largest distance from a cube corner to
-    an anchor or a vertex.
-    """
-    n, j = family.dim, family.axis
-    is_tube = np.array([isinstance(m.geometry, Tube) for m in family.members], dtype=bool)
-    lines = [m.geometry.line for m in family.members if isinstance(m.geometry, Tube)]
-    curves = [m.geometry.vertices() for m in family.members if not isinstance(m.geometry, Tube)]
-    anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
-    dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
-    origins = np.concatenate([anchors, *curves])
-    far2 = np.max(np.sum((cube.corners()[:, None] - origins) ** 2, axis=-1), initial=0.0)
-    skew = np.max(np.abs(1.0 - np.sum(dirs * dirs, axis=1)), initial=0.0)
-    err2 = float((skew + 32.0 * _EPS) * far2)
-    rr = r + err2 / (math.sqrt(r * r + err2) + r)
-    slab = cube.min_corner[j] + np.array([-rr, cube.side + rr])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a line with no x_j motion gets t from -inf to inf when it lies in
-        # the slab, both ends at one infinity (an empty reach) when it misses
-        # it, and 0/0 on a face of the slab, which counts as lying in it
-        t = np.sort((slab - anchors[:, j, None]) / dirs[:, j, None], axis=1)
-        t[np.isnan(t).any(axis=1)] = -np.inf, np.inf
-        moved = anchors[:, None] + t[..., None] * dirs[:, None]
-        ends = np.where(dirs[:, None] == 0.0, anchors[:, None], moved)
-    reach = np.empty((family.size, 2, n))
-    reach[is_tube] = np.stack([ends.min(axis=1), ends.max(axis=1)], axis=1)
-    if curves:
-        reach[~is_tube] = [(v.min(axis=0), v.max(axis=0)) for v in curves]
-    reach[:, 0] -= rr
-    reach[:, 1] += rr
-    return reach
-
-
-def _bands(reach: np.ndarray, axis: int, lo, h: float, m: int) -> np.ndarray:
-    """Grid index ranges, shape (members, n, 2), of the cells whose centers lie in ``reach``.
-
-    One more cell on each side covers the rounding of the cell centers and
-    of this index arithmetic, so every cell outside a band tests outside its
-    member, and skipping it leaves every bit of the sum unchanged.  Each band
-    spans the whole family axis.
-    """
-    first = np.ceil((reach[:, 0] - lo) / h - 1.5)
-    stop = np.floor((reach[:, 1] - lo) / h + 0.5) + 1.0
-    bands = np.clip(np.stack([first, stop], axis=-1), 0, m).astype(np.int64)
-    bands[:, axis] = 0, m
-    return bands
-
-
 def _box_values(families, radii, bands, p: float, axes, starts) -> np.ndarray:
-    """``overlap_integrand`` on the lattice of ``axes``, each member tested on its band only."""
+    """prod_j (sum_a w 1_tube)^p on the lattice of ``axes``, each member tested on its band only."""
     shape = tuple(a.size for a in axes)
     n = len(shape)
     pts = lattice(axes).reshape(shape + (n,))
@@ -323,19 +236,23 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     Validates the families and the curve spans once.  ``value(m, threads)``
     sums the m^n cells of the cube and raises ``CellBudgetExceeded`` above
     ``CELL_BUDGET`` cells, before any cell is evaluated.  The members'
-    reaches do not depend on the grid, so every level shares them.
+    reaches over the cube's slab do not depend on the grid, so every level
+    shares them.
     """
     n = check_families(families)
     _check_curve_spans(families, cube)
     fams = sorted(families, key=lambda f: f.axis)
     rs = [f.base_radius if radii is None else radii[j] for j, f in enumerate(fams)]
-    reaches = [_reach(f, r, cube) for f, r in zip(fams, rs)]
+    reaches = [
+        member_reach([m.geometry for m in f.members], f.axis, r, cube)[:, 0]
+        for f, r in zip(fams, rs)
+    ]
     p = 1.0 / (n - 1)
 
     def value(m: int, threads: int) -> float:
         _check_cell_budget(m, n)
         h = cube.side / m
-        bands = [_bands(x, f.axis, cube.min_corner, h, m) for f, x in zip(fams, reaches)]
+        bands = [grid_ranges(x, cube.min_corner, h, m) for x in reaches]
         integrand = partial(_box_values, fams, rs, bands, p)
         return h**n * midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
 
@@ -357,10 +274,11 @@ class CountFields:
     """The overlap quadrature on one m^n grid, held as one count field per family.
 
     ``fields[j]`` is ``sum_a w_a 1_tube`` at every cell center for the j-th
-    family by axis, and ``bands[j]`` holds its members' bands (``_bands``).
-    ``moved`` swaps one member: it copies that family's field, subtracts the
-    old member's indicator on its stored band and adds the new member's on a
-    band from one ``_reach`` call; every other field and band is shared.
+    family by axis, and ``bands[j]`` holds its members' bands, the grid
+    ranges of their reach over the cube's slab.  ``moved`` swaps one member:
+    it copies that family's field, subtracts the old member's indicator on
+    its stored band and adds the new member's on its own band; every other
+    field and band is shared.
     The weights are integers whose family sums stay below 2**53, so every
     field holds exact integers whatever the order of adds and subtracts,
     and ``value`` has the bits of ``midpoint_rule(families, cube)(m, threads)``.
@@ -391,7 +309,9 @@ class CountFields:
         fields, bands = [], []
         for f in fams:
             field = np.zeros((m,) * n)
-            band = _bands(_reach(f, f.base_radius, cube), f.axis, cube.min_corner, h, m)
+            geometries = [member.geometry for member in f.members]
+            reach = member_reach(geometries, f.axis, f.base_radius, cube)[:, 0]
+            band = grid_ranges(reach, cube.min_corner, h, m)
             for member, b in zip(f.members, band):
                 _add_member(field, member, f.base_radius, b, cube, 1.0)
             fields.append(_read_only(field))
@@ -409,9 +329,9 @@ class CountFields:
         cube, r = self.cube, old.base_radius
         field = self.fields[j].copy()
         _add_member(field, old.members[a], r, self.bands[j][a], cube, -1.0)
-        reach = _reach(TubeFamily(old.axis, old.dim, (member,), r), r, cube)
+        reach = member_reach([member.geometry], old.axis, r, cube)[0, 0]
         band = self.bands[j].copy()
-        band[a] = _bands(reach, old.axis, cube.min_corner, cube.side / self.m, self.m)[0]
+        band[a] = grid_ranges(reach, cube.min_corner, cube.side / self.m, self.m)
         _add_member(field, member, r, band[a], cube, 1.0)
 
         def swap(items, item):
@@ -506,6 +426,8 @@ def evaluate_refined(
         raise ValidationError("tol must be positive")
     if start_cells < 1:
         raise ValidationError("start_cells must be >= 1")
+    if max_doublings < 0:
+        raise ValidationError("max_doublings must be >= 0")
     midpoint = midpoint_rule(families, cube)
     n = len(families)
     m = start_cells

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluator import FamilyMember, GridSpec, TubeFamily
-from .geometry import Cube, Direction, Line, LipschitzCurve, Tube, lattice, tangent_basis
+from .geometry import Cube, Direction, Line, LipschitzCurve, Tube, tangent_basis
 from .loomis_whitney import Box, ProjectionFunction
 
 
@@ -217,26 +217,3 @@ def random_lw_instance(n: int, seed: int):
         functions.append(ProjectionFunction(unit, vals))
     box = Box(np.zeros(n), np.ones(n))
     return functions, box, GridSpec(cells)
-
-
-def enumerate_grid_axis_parallel(n: int, k: int, spacing: float) -> list[TubeFamily]:
-    """k^(n-1) unit axis-parallel tubes per axis on a regular anchor grid.
-
-    Anchor projections form the centered grid {(i - (k-1)/2) * spacing} per
-    transverse dimension, so all projected anchors are distinct.
-    """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if n < 2:
-        raise ValidationError("dimension must be >= 2")
-    offsets = (np.arange(k) - (k - 1) / 2.0) * spacing
-    transverse = lattice([offsets] * (n - 1))
-    families = []
-    for axis in range(n):
-        members = []
-        for row in transverse:
-            anchor = np.zeros(n)
-            anchor[[t for t in range(n) if t != axis]] += row
-            members.append(FamilyMember(Tube(Line(anchor, Direction.axis(n, axis)), 1.0)))
-        families.append(TubeFamily(axis, n, tuple(members), 1.0))
-    return families

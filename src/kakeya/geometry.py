@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CellBudgetExceeded
 
 UNIT_NORM_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 # Most tangent-grid cells in one ``cap_cover`` (its arrays peak near 150 MB)
 CAP_NET_CELLS = 1 << 20
 
@@ -356,6 +357,76 @@ def polyline_box_distance(curve: LipschitzCurve, lo, hi) -> np.ndarray:
         )
         np.minimum(best, d2, out=best)
     return np.sqrt(np.maximum(best, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# reach: where a member can be within a radius
+
+
+def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> np.ndarray:
+    """Boxes, shape (members, layers, 2, n), that hold every point a member reaches.
+
+    ``members`` are tubes and polylines over ``axis``; the cube is cut into
+    ``layers`` equal slabs along ``axis``.  Box (a, i) holds every point of
+    slab i within ``r`` of member a: such a point's nearest member point has
+    its x_axis within ``r`` of the slab, so the box is the bounding box,
+    widened by ``r``, of the member over that range of x_axis (a line at the
+    two ends of the range, or on its whole length when it has no x_axis
+    motion and lies in the range; a polyline at the ends, clamped to its
+    span, and at its vertices inside).  ``r`` is first widened by a bound on
+    the rounding of a computed point distance, whose square is off by at
+    most (|1 - |dir|^2| + 32 eps) R^2 (for a line it is a difference of
+    squares, the worse case), where R is the largest distance from the cube
+    to an anchor or a vertex.
+    """
+    n = cube.n
+    is_tube = np.array([isinstance(g, Tube) for g in members], dtype=bool)
+    lines = [g.line for g in members if isinstance(g, Tube)]
+    curves = [g.vertices() for g in members if not isinstance(g, Tube)]
+    anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
+    dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
+    origins = np.concatenate([anchors, *curves])
+    # the farthest corner from an origin takes the farther face on every axis
+    faces = np.maximum((cube.min_corner - origins) ** 2, (cube.max_corner - origins) ** 2)
+    far2 = faces.sum(axis=1).max(initial=0.0)
+    skew = np.abs(1.0 - np.vecdot(dirs, dirs)).max(initial=0.0)
+    err2 = float((skew + 32.0 * _EPS) * far2)
+    rr = r + err2 / (math.sqrt(r * r + err2) + r)
+    # slab i runs from edge i to edge i + 1; widened by rr on both sides
+    edges = np.arange(layers)[:, None] + [0.0, 1.0]
+    slabs = cube.min_corner[axis] + cube.side / layers * edges + [-rr, rr]
+    out = np.empty((is_tube.size, layers, 2, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a line with no x_axis motion gets t from -inf to inf when it lies in
+        # the range, both ends at one infinity (an empty box) when it misses
+        # it, and 0/0 on a face of the range, which counts as lying in it
+        t = (slabs - anchors[:, axis, None, None]) / dirs[:, axis, None, None]
+        t[np.isnan(t).any(axis=-1)] = -np.inf, np.inf
+        moved = anchors[:, None, None] + t[..., None] * dirs[:, None, None]
+        ends = np.where(dirs[:, None, None] == 0.0, anchors[:, None, None], moved)
+    out[is_tube] = np.stack([ends.min(axis=2), ends.max(axis=2)], axis=2)
+    for a, verts in zip(np.flatnonzero(~is_tube), curves):
+        bps = verts[:, axis]
+        pts = np.stack([np.interp(slabs, bps, verts[:, c]) for c in range(n)], axis=-1)
+        inside = ((bps > slabs[:, :1]) & (bps < slabs[:, 1:]))[..., None]
+        out[a, :, 0] = np.minimum(pts.min(axis=1), np.where(inside, verts, np.inf).min(axis=1))
+        out[a, :, 1] = np.maximum(pts.max(axis=1), np.where(inside, verts, -np.inf).max(axis=1))
+    out[:, :, 0] -= rr
+    out[:, :, 1] += rr
+    return out
+
+
+def grid_ranges(boxes, lo, h: float, m: int) -> np.ndarray:
+    """Index ranges [first, stop), shape (..., n, 2), of the grid cells with centers in ``boxes``.
+
+    The grid has m cells of side ``h`` per axis from the corner ``lo``, cell
+    i centered at lo + (i + 0.5) h; ``boxes`` has shape (..., 2, n).  One
+    more cell on each side covers the rounding of the cell centers and of
+    this index arithmetic.  The ranges are clipped to [0, m].
+    """
+    first = np.ceil((boxes[..., 0, :] - lo) / h - 1.5)
+    stop = np.floor((boxes[..., 1, :] - lo) / h + 0.5) + 1.0
+    return np.clip(np.stack([first, stop], axis=-1), 0, m).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -213,15 +213,6 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def ball_sum_l1(b: BallSum, ambient_dim: int) -> float:
-    """Exact L1 norm omega_d * r^d * sum_a w_a of a ball sum in R^d."""
-    if ambient_dim != b.centers.shape[1]:
-        raise ValidationError("ambient dimension mismatch")
-    return unit_ball_volume(ambient_dim) * b.radius**ambient_dim * float(
-        np.sum(b.weights)
-    )
-
-
 def ball_sum_to_grid(b: BallSum, box: Box, cells_per_side: int) -> ProjectionFunction:
     """Rasterize a ball sum onto a grid (cell-center sampling)."""
     h = box.sides / cells_per_side

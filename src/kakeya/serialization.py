@@ -23,6 +23,7 @@ round-trip bit-exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from numbers import Integral, Real
@@ -103,6 +104,28 @@ def _numbers(values, name: str) -> np.ndarray:
     ]
     _require(len({np.shape(r) for r in rows}) <= 1, f"{name} must not be a ragged array")
     return np.array(rows, dtype=float)
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """``values``, a nested array of finite numbers, as a float array.
+
+    One pass collects the element types, which costs about what the
+    conversion does (a ``_number`` call per element costs five times more).
+    A bool, a string, a ragged array, a non-finite number or an integer too
+    large for a float is bad input, named by its field.
+    """
+    message = f"{name} must be an array of finite numbers"
+    try:
+        grid = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(message) from None
+    leaves = [values]
+    for _ in range(grid.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    kinds = set(map(type, leaves))
+    _require(isinstance(values, list) and kinds <= {int, float} and np.isfinite(grid).all(),
+             message)
+    return grid
 
 
 def _boolean(value, name: str) -> bool:
@@ -247,22 +270,6 @@ _REGIME_KINDS = {
 }
 
 
-def regime_to_json(regime: Regime) -> dict:
-    if isinstance(regime, AxisParallel):
-        return {"kind": "axis_parallel"}
-    if isinstance(regime, SmallAngle):
-        return {"kind": "small_angle", "delta": regime.delta}
-    if isinstance(regime, GeneralAngle):
-        return {"kind": "general"}
-    if isinstance(regime, Lipschitz):
-        return {"kind": "lipschitz", "delta": regime.delta,
-                "breakpoints": regime.breakpoints}
-    if isinstance(regime, Weighted):
-        return {"kind": "weighted", "low": regime.low, "high": regime.high,
-                "delta": regime.delta}
-    raise ValidationError(f"unknown regime {regime!r}")
-
-
 def regime_from_json(data) -> Regime:
     _require(isinstance(data, dict) and "kind" in data, "regime stanza needs a kind")
     kind = data["kind"]
@@ -278,18 +285,6 @@ def regime_from_json(data) -> Regime:
         return Lipschitz(delta, _integer(data["breakpoints"], "gen.regime.breakpoints"))
     return Weighted(_number(data["low"], "gen.regime.low"),
                     _number(data["high"], "gen.regime.high"), delta)
-
-
-def genspec_to_json(spec: GenSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": spec.n,
-        "counts": list(spec.counts),
-        "regime": regime_to_json(spec.regime),
-        "cube": cube_to_json(spec.cube),
-        "seed": spec.seed,
-        "radius": spec.radius,
-    }
 
 
 @_parser
@@ -355,7 +350,8 @@ def lw_inputs_from_json(data) -> tuple[list[ProjectionFunction], Box]:
     """Loomis-Whitney inputs: {"functions": [{"box", "values"}, ...], "box"}."""
     fns = [
         ProjectionFunction(
-            _box_from_json(f["box"], f"functions[{i}].box"), np.asarray(f["values"], dtype=float)
+            _box_from_json(f["box"], f"functions[{i}].box"),
+            _grid(f["values"], f"functions[{i}].values"),
         )
         for i, f in enumerate(data["functions"])
     ]

@@ -11,7 +11,13 @@ instances; the certifier only uses the constants they justify.
 plain way, with the exact distance test on every (member, subcube) pair.
 
 ``weighted_multiplicity_check`` compares integer weights against unit-weight
-copies of each member on one grid.
+copies of each member (``expand_integer_weights``) on one grid.
+
+``family_values`` and ``overlap_integrand`` are the overlap integrand one
+point at a time, every member tested at every point; ``step_bound`` is one
+certificate rung on a given cube; ``ball_sum_l1`` is the exact L1 norm of a
+ball sum.  ``enumerate_grid_axis_parallel`` and ``genspec_to_json`` build
+test inputs: regular axis-parallel families, and a generator spec's JSON.
 
 ``scalar_cap_net`` and ``first_cap`` are the reduction's cap net and cap
 choice one cap at a time: each kept tangent-grid cell goes through the scalar
@@ -30,8 +36,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from kakeya.certifier import Constants, _check_step, _step_detail
 from kakeya.errors import PropertyViolation, ValidationError
-from kakeya.evaluator import FamilyMember, TubeFamily, check_families, midpoint_rule
+from kakeya.evaluator import (
+    FamilyMember,
+    TubeFamily,
+    _member_distance,
+    check_families,
+    midpoint_rule,
+)
+from kakeya.generators import AxisParallel, GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted
 from kakeya.geometry import (
     Cap,
     Cube,
@@ -40,6 +54,7 @@ from kakeya.geometry import (
     Line,
     Tube,
     angle_from_axis,
+    lattice,
     line_box_distance,
     point_line_distance,
     polyline_box_distance,
@@ -47,7 +62,9 @@ from kakeya.geometry import (
     subdivision_counts,
     tangent_basis,
 )
+from kakeya.loomis_whitney import BallSum, unit_ball_volume
 from kakeya.reduction import split_by_caps
+from kakeya.serialization import SCHEMA_VERSION, cube_to_json
 
 
 def cube_line_max_distance(cube: Cube, line: Line) -> float:
@@ -119,6 +136,57 @@ def dense_subcube_counts(families, cube: Cube, delta: float, w: float):
     return sub_side, counts, weights
 
 
+def family_values(family: TubeFamily, points, radius: float | None = None) -> np.ndarray:
+    """sum_a w_a * indicator(member at ``radius``) at each point (N, n)."""
+    r = family.base_radius if radius is None else radius
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros(pts.shape[0])
+    for m in family.members:
+        out += m.weight * (_member_distance(m.geometry, pts) <= r)
+    return out
+
+
+def overlap_integrand(families, points, radii: list[float] | None = None) -> np.ndarray:
+    """prod_j (sum_a w 1_tube)^(1/(n-1)) at each point; empty sums give 0."""
+    n = check_families(families)
+    p = 1.0 / (n - 1)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.ones(pts.shape[0])
+    for j, family in enumerate(sorted(families, key=lambda f: f.axis)):
+        vals = family_values(family, pts, None if radii is None else radii[j])
+        if p != 1.0:
+            vals = np.power(vals, p)
+        out *= vals
+    return out
+
+
+def step_bound(families, cube: Cube, delta: float):
+    """The ``StepDetail`` of one scale step on ``cube``, after the step's preconditions.
+
+    Requires cube side >= delta^-1 W, a shared base radius, and member
+    angles (tubes) / Lipschitz constants (curves) at most delta.
+    """
+    n, w = _check_step(families, cube, delta)
+    return _step_detail(families, cube, delta, w, Constants.for_dimension(n).c_lw)
+
+
+def ball_sum_l1(b: BallSum, ambient_dim: int) -> float:
+    """Exact L1 norm omega_d * r^d * sum_a w_a of a ball sum in R^d."""
+    if ambient_dim != b.centers.shape[1]:
+        raise ValidationError("ambient dimension mismatch")
+    return unit_ball_volume(ambient_dim) * b.radius**ambient_dim * float(np.sum(b.weights))
+
+
+def expand_integer_weights(family: TubeFamily) -> TubeFamily:
+    """The family with each weight-w member replaced by w unit-weight copies (integer w only)."""
+    members = []
+    for m in family.members:
+        if not float(m.weight).is_integer():
+            raise ValidationError(f"weight {m.weight!r} is not an integer")
+        members.extend(FamilyMember(m.geometry, 1.0) for _ in range(int(m.weight)))
+    return TubeFamily(family.axis, family.dim, tuple(members), family.base_radius)
+
+
 def weighted_multiplicity_check(families, cube: Cube, grid) -> bool:
     """Integer-weight evaluation equals the multiplicity-expanded evaluation.
 
@@ -126,7 +194,7 @@ def weighted_multiplicity_check(families, cube: Cube, grid) -> bool:
     weights sum exactly in floating point).
     """
     check_families(families)
-    expanded = [f.expand_integer_weights() for f in families]
+    expanded = [expand_integer_weights(f) for f in families]
     m = grid.cells_per_side
     return midpoint_rule(families, cube)(m, 1) == midpoint_rule(expanded, cube)(m, 1)
 
@@ -255,3 +323,55 @@ def reduce_per_tuple(families, cube: Cube, nets, delta: float, nu=None) -> list:
             delta=delta, cap_indices=combo,
         ))
     return problems
+
+
+def enumerate_grid_axis_parallel(n: int, k: int, spacing: float) -> list[TubeFamily]:
+    """k^(n-1) unit axis-parallel tubes per axis on a regular anchor grid.
+
+    Anchor projections form the centered grid {(i - (k-1)/2) * spacing} per
+    transverse dimension, so all projected anchors are distinct.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if n < 2:
+        raise ValidationError("dimension must be >= 2")
+    offsets = (np.arange(k) - (k - 1) / 2.0) * spacing
+    transverse = lattice([offsets] * (n - 1))
+    families = []
+    for axis in range(n):
+        members = []
+        for row in transverse:
+            anchor = np.zeros(n)
+            anchor[[t for t in range(n) if t != axis]] += row
+            members.append(FamilyMember(Tube(Line(anchor, Direction.axis(n, axis)), 1.0)))
+        families.append(TubeFamily(axis, n, tuple(members), 1.0))
+    return families
+
+
+def regime_to_json(regime) -> dict:
+    if isinstance(regime, AxisParallel):
+        return {"kind": "axis_parallel"}
+    if isinstance(regime, SmallAngle):
+        return {"kind": "small_angle", "delta": regime.delta}
+    if isinstance(regime, GeneralAngle):
+        return {"kind": "general"}
+    if isinstance(regime, Lipschitz):
+        return {"kind": "lipschitz", "delta": regime.delta,
+                "breakpoints": regime.breakpoints}
+    if isinstance(regime, Weighted):
+        return {"kind": "weighted", "low": regime.low, "high": regime.high,
+                "delta": regime.delta}
+    raise ValidationError(f"unknown regime {regime!r}")
+
+
+def genspec_to_json(spec: GenSpec) -> dict:
+    """The ``gen`` stanza that ``serialization.genspec_from_json`` reads back as ``spec``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "n": spec.n,
+        "counts": list(spec.counts),
+        "regime": regime_to_json(spec.regime),
+        "cube": cube_to_json(spec.cube),
+        "seed": spec.seed,
+        "radius": spec.radius,
+    }

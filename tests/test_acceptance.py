@@ -31,7 +31,6 @@ from kakeya.generators import (
     Lipschitz,
     SmallAngle,
     Weighted,
-    enumerate_grid_axis_parallel,
     generate,
     random_lw_instance,
 )
@@ -47,7 +46,12 @@ from kakeya.loomis_whitney import unit_ball_volume, verify_lw
 from kakeya.reduction import reduce_general_to_small_angle
 
 from conftest import axis_tube_family, family, tube
-from lemmas import weighted_multiplicity_check
+from lemmas import (
+    enumerate_grid_axis_parallel,
+    expand_integer_weights,
+    genspec_to_json,
+    weighted_multiplicity_check,
+)
 
 
 def report(criterion, message):
@@ -241,7 +245,7 @@ def test_criterion_07_weighted_equivalence():
     ]
     g = GridSpec(64)
     v_rat = evaluate_overlap(rational, cube, g).value
-    expanded = [f.expand_integer_weights() for f in integer]
+    expanded = [expand_integer_weights(f) for f in integer]
     v_exp = evaluate_overlap(expanded, cube, g).value
     assert v_rat * q == v_exp
     report(7, "integer weights bit-identical, rational weights match after scaling")
@@ -334,7 +338,7 @@ def _cli_failure(label, proc):
 
 def test_criterion_10_determinism(tmp_path):
     # every command byte-identical across runs, and across 1 vs 8 workers
-    from kakeya.serialization import dump_json, genspec_to_json
+    from kakeya.serialization import dump_json
 
     gen_stanza = {
         "schema_version": 1,

@@ -15,7 +15,6 @@ from kakeya.certifier import (
     cover_for_arbitrary_s,
     delta_for_epsilon,
     scale_count,
-    step_bound,
     step_numeric_bound,
     verify_step_inequality,
 )
@@ -25,7 +24,13 @@ from kakeya.generators import GenSpec, Lipschitz, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube, line_box_distance
 
 from conftest import axis_tube_family, count_midpoint_sums, family, shifted, tube
-from lemmas import dense_subcube_counts, identically_one_check, member_box_distances
+from lemmas import (
+    dense_subcube_counts,
+    expand_integer_weights,
+    identically_one_check,
+    member_box_distances,
+    step_bound,
+)
 
 
 def count_intersections(family, cube, w):
@@ -384,7 +389,7 @@ class TestCertify:
             axis_tube_family(0, 2, anchors, weights=[2.0, 1.0, 3.0]),
             axis_tube_family(1, 2, anchors, weights=[1.0, 4.0, 1.0]),
         ]
-        expanded = [f.expand_integer_weights() for f in weighted]
+        expanded = [expand_integer_weights(f) for f in weighted]
         cube = Cube.centered([0.0, 0.0], 10.0)
         cw = certify_multiscale(weighted, cube, 0.1)
         ce = certify_multiscale(expanded, cube, 0.1)

@@ -13,12 +13,13 @@ from kakeya.serialization import (
     config_from_json,
     config_to_json,
     dump_json,
-    genspec_to_json,
     load_json,
     search_from_json,
 )
 from kakeya.generators import GenSpec, SmallAngle
 from kakeya.geometry import Cube
+
+from lemmas import genspec_to_json
 
 
 def genspec_file(tmp_path, seed=42, counts=(4, 4), delta=0.1, side=10.0):
@@ -365,6 +366,14 @@ def _set_lw_function_sides_bool(data):
     data["functions"][1]["box"]["sides"] = [True, 1.0]
 
 
+def _set_lw_values_string_and_bool(data):
+    data["functions"][0]["values"][0][:2] = ["1.5", True]
+
+
+def _set_lw_value_huge(data):
+    data["functions"][2]["values"][1][0] = 10**400
+
+
 def _add_direction_sets(data):
     data["direction_sets"] = [
         {"center": [1.0, 0.0], "ang_radius": 0.2},
@@ -491,6 +500,18 @@ BAD_INPUTS = {
     "verify_lw_function_box_sides_bool": lambda p: [
         "verify-lw", "--config", edited_lw_golden(p, _set_lw_function_sides_bool)
     ],
+    "verify_lw_values_string_and_bool": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_lw_values_string_and_bool)
+    ],
+    "verify_lw_value_too_large_for_a_float": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_lw_value_huge)
+    ],
+    "refine_negative_doublings": lambda p: [
+        "eval", "--config", generated_config(p), "--refine", "--max-doublings", -1
+    ],
+    "sweep_negative_doublings": lambda p: [
+        "sweep", "--config", sweep_file(p), "--max-doublings", -1
+    ],
     "sweep_grid_flag": lambda p: ["sweep", "--config", sweep_file(p), "--grid", 16],
     "search_tol_flag": lambda p: ["search", "--config", search_file(p), "--tol", 0.1],
 }
@@ -556,6 +577,12 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("verify_lw_box_sides_bool", "box.sides[0] must be a finite number, got True"),
         ("verify_lw_function_box_sides_bool",
          "functions[1].box.sides[0] must be a finite number, got True"),
+        ("verify_lw_values_string_and_bool",
+         "functions[0].values must be an array of finite numbers"),
+        ("verify_lw_value_too_large_for_a_float",
+         "functions[2].values must be an array of finite numbers"),
+        ("refine_negative_doublings", "max_doublings must be >= 0"),
+        ("sweep_negative_doublings", "max_doublings must be >= 0"),
         ("sweep_grid_flag", "unrecognized arguments: --grid 16"),
         ("search_tol_flag", "unrecognized arguments: --tol 0.1"),
     ],

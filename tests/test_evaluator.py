@@ -10,11 +10,11 @@ from kakeya.evaluator import (
     evaluate_overlap,
     evaluate_refined,
     exact_overlap_2d,
-    overlap_integrand,
 )
 from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube
 
 from conftest import axis_tube_family, count_midpoint_sums, family, tube
+from lemmas import overlap_integrand
 
 TRICYLINDER = 8.0 * (2.0 - math.sqrt(2.0))
 

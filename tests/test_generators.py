@@ -13,7 +13,6 @@ from kakeya.generators import (
     SmallAngle,
     Weighted,
     _axis_frame,
-    enumerate_grid_axis_parallel,
     generate,
 )
 from kakeya.geometry import (
@@ -25,6 +24,8 @@ from kakeya.geometry import (
     tangent_basis,
 )
 from kakeya.serialization import Configuration, config_to_json
+
+from lemmas import enumerate_grid_axis_parallel
 
 
 def spec_json(spec):

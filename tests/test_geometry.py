@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kakeya.errors import CellBudgetExceeded
-from kakeya.evaluator import family_values
 from kakeya.geometry import (
     Cap,
     Cube,
@@ -17,10 +17,13 @@ from kakeya.geometry import (
     angle_from_axis,
     cap_cover,
     frame_maps,
+    grid_ranges,
     lattice,
     line_box_distance,
+    member_reach,
     point_line_distance,
     point_polyline_distance,
+    polyline_box_distance,
     subcube_grid,
     subdivision_counts,
     tangent_basis,
@@ -29,6 +32,7 @@ from kakeya.geometry import (
 from conftest import cap_nets, family, tube
 from lemmas import (
     cube_line_max_distance,
+    family_values,
     fatten_axis_parallel,
     frame_map,
     line_angle,
@@ -132,6 +136,90 @@ class TestCurveIndicator:
     def test_lip_validation(self):
         with pytest.raises(ValueError):
             LipschitzCurve(0, [0.0, 1.0], [[0.0], [1.0]], 0.5)
+
+
+@st.composite
+def reach_cases(draw):
+    """(members, axis, r, cube, layers): tubes and polylines around a cube cut into layers.
+
+    Tubes with no motion along the axis lie inside a layer, outside the
+    cube's slab, or exactly on a layer's face; others point anywhere.
+    Polylines have vertices on both sides of the slab.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    axis = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    cube = Cube(rng.uniform(-5.0, 5.0, n), draw(st.floats(1.0, 8.0)))
+    r = draw(st.floats(0.1, 2.0))
+    layers = draw(st.integers(1, 12))
+    lo, side = cube.min_corner[axis], cube.side
+    members = []
+    for kind in draw(st.lists(st.sampled_from(["inside", "outside", "face", "general", "polyline"]),
+                              min_size=1, max_size=4)):
+        anchor = cube.min_corner + rng.uniform(-0.5, 1.5, n) * side
+        if kind == "polyline":
+            bps = np.sort(rng.uniform(lo - side, lo + 2.0 * side, int(rng.integers(2, 7))))
+            values = anchor[np.arange(n) != axis] + rng.normal(0.0, side, (bps.size, n - 1))
+            slopes = np.linalg.norm(np.diff(values, axis=0), axis=1) / np.diff(bps)
+            members.append(LipschitzCurve(axis, bps, values, 1.01 * float(slopes.max())))
+            continue
+        direction = rng.normal(size=n)
+        if kind != "general":
+            direction[axis] = 0.0
+            anchor[axis] = {
+                "inside": lo + rng.uniform(0.0, side),
+                "outside": lo + side + r * rng.uniform(1.0, 3.0) * rng.choice([-1.0, 1.0]),
+                "face": lo + side / layers * int(rng.integers(0, layers + 1)),
+            }[kind]
+            if kind == "outside" and anchor[axis] < lo + side:
+                anchor[axis] -= side
+        members.append(Tube(Line(anchor, Direction.normalized(direction)), r))
+    return members, axis, r, cube, layers
+
+
+class TestMemberReach:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(reach_cases())
+    def test_cells_outside_the_bands_test_outside_the_member(self, case):
+        members, axis, r, cube, layers = case
+        n, lo = cube.n, cube.min_corner
+        reach = member_reach(members, axis, r, cube, layers)
+        assert reach.shape == (len(members), layers, 2, n)
+        edges = lo[axis] + cube.side / layers * np.arange(layers + 1)
+        # the lattice of cell centers of an m^n midpoint grid
+        m = 29 if n == 2 else 13
+        h = cube.side / m
+        centers = lo + (np.arange(m) + 0.5)[:, None] * h
+        points = lattice(centers.T)
+        index = lattice([np.arange(m)] * n)
+        # the k^n subcubes of a tiling whose rows along the axis are the layers
+        k, s = layers, cube.side / layers
+        sub_lo = subcube_grid(cube, k)
+        sub_index = lattice([np.arange(k)] * n)
+        for member, boxes in zip(members, reach):
+            if isinstance(member, Tube):
+                d_points = point_line_distance(points, member.line)
+                d_subs = line_box_distance(member.line, sub_lo, sub_lo + s)
+            else:
+                d_points = point_polyline_distance(points, member)
+                d_subs = polyline_box_distance(member, sub_lo, sub_lo + s)
+            for i, box in enumerate(boxes):
+                band = grid_ranges(box, lo, h, m)
+                in_band = np.all((index >= band[:, 0]) & (index < band[:, 1]), axis=1)
+                x = points[:, axis]
+                in_slab = (x >= edges[i]) & (x <= edges[i + 1])
+                assert np.all(d_points[in_slab & ~in_band] > r)
+                band = grid_ranges(box + [[-0.5 * s], [0.5 * s]], lo, s, k)
+                in_band = np.all((sub_index >= band[:, 0]) & (sub_index < band[:, 1]), axis=1)
+                in_layer = sub_index[:, axis] == i
+                assert np.all(d_subs[in_layer & ~in_band] > r)
+
+    def test_a_line_outside_the_slab_reaches_nothing(self):
+        cube = Cube(np.zeros(3), 4.0)
+        line = Line(np.array([5.5, 1.0, 1.0]), Direction.normalized([0.0, 1.0, 1.0]))
+        reach = member_reach([Tube(line, 1.0)], 0, 1.0, cube)
+        band = grid_ranges(reach[0, 0], cube.min_corner, 0.5, 8)
+        assert np.any(band[:, 0] >= band[:, 1])
 
 
 class TestAngleFromAxis:

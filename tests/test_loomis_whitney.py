@@ -11,7 +11,6 @@ from kakeya.loomis_whitney import (
     BallSum,
     Box,
     ProjectionFunction,
-    ball_sum_l1,
     ball_sum_to_grid,
     lw_right,
     project,
@@ -20,6 +19,7 @@ from kakeya.loomis_whitney import (
 )
 
 from conftest import axis_tube_family
+from lemmas import ball_sum_l1
 
 
 def lw_left(fs, box, grid):

@@ -23,13 +23,13 @@ from kakeya.evaluator import (
     evaluate_overlap,
     midpoint_rule,
     midpoint_sum,
-    overlap_integrand,
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Tube, lattice
 from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
 from conftest import family, shifted, tube
+from lemmas import overlap_integrand
 
 BLOCK = 1 << 16
 
