@@ -31,7 +31,6 @@ from .geometry import (
     Line,
     LinearMap,
     LipschitzCurve,
-    Tube,
     angle_from_axis,
     cap_cover,
 )

@@ -42,8 +42,8 @@ from .evaluator import (
 )
 from .geometry import (
     Cube,
+    Line,
     LipschitzCurve,
-    Tube,
     angle_from_axis,
     grid_ranges,
     line_box_distance,
@@ -125,8 +125,8 @@ def _validate_small_angle(families, delta: float) -> None:
     for f in families:
         for m in f.members:
             g = m.geometry
-            if isinstance(g, Tube):
-                ang = angle_from_axis(g.line.direction, f.axis)
+            if isinstance(g, Line):
+                ang = angle_from_axis(g.direction, f.axis)
                 if ang > delta + 1e-9:
                     raise ValidationError(
                         f"axis-{f.axis} tube at angle {ang:.3e} exceeds delta {delta:.3e}"
@@ -155,7 +155,7 @@ def _check_step_delta(delta: float) -> None:
 
 def _check_step(families, cube: Cube, delta: float) -> tuple[int, float]:
     """Preconditions of one scale step; returns (n, W)."""
-    n = check_families(families)
+    n = len(check_families(families))
     _check_step_delta(delta)
     w = _common_radius(families)
     if cube.side < w / delta * (1.0 - 1e-12):
@@ -214,8 +214,8 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
             if idx.size == 0:
                 continue
             lo = np.stack([grid[c][idx[:, c]] for c in range(n)], axis=1)
-            if isinstance(g, Tube):
-                d = line_box_distance(g.line, lo, lo + sub_side)
+            if isinstance(g, Line):
+                d = line_box_distance(g, lo, lo + sub_side)
             else:
                 d = polyline_box_distance(g, lo, lo + sub_side)
             near = np.ravel_multi_index(tuple(idx[d <= w].T), (k,) * n)
@@ -296,7 +296,8 @@ def certify_multiscale(families, cube: Cube, delta: float) -> Certificate:
     the requested cube, so the bound applies to it.  A rung that would tile
     more than DETAIL_BUDGET subcubes gets no step detail (None).
     """
-    n = check_families(families)
+    fams = check_families(families)
+    n = len(fams)
     _check_step_delta(delta)
     if cube.side < 1.0 - 1e-12:
         raise ValidationError("certification requires cube side >= 1")
@@ -309,9 +310,7 @@ def certify_multiscale(families, cube: Cube, delta: float) -> Certificate:
     m_steps = scale_count(cube.side, delta)
     cover_los, _ = cover_for_arbitrary_s(cube, delta, m_steps)
     multiplicity = cover_los.shape[0]
-    counts = tuple(
-        f.total_weight for f in sorted(families, key=lambda fam: fam.axis)
-    )
+    counts = tuple(f.total_weight for f in fams)
     p = 1.0 / (n - 1.0)
     count_product = float(np.prod([c**p for c in counts]))
     final_bound = multiplicity * consts.c_step**m_steps * count_product

@@ -2,7 +2,9 @@
 
 The central object is ``int_Q prod_j (sum_a w_a 1_tube)^(1/(n-1))``, evaluated
 by a midpoint rule on a regular grid of cell centers; n = 2 additionally has
-an exact polygon-clipping oracle.
+an exact polygon-clipping oracle.  A member is its core curve, a ``Line`` or
+a ``LipschitzCurve``, and its tube is the closed neighborhood of the family's
+one radius around it.
 
 Grid sums are computed in fixed-size blocks keyed by flattened cell index and
 folded in index order, so the result is bit-identical for any worker count.
@@ -23,8 +25,8 @@ import numpy as np
 from .errors import CellBudgetExceeded, ValidationError
 from .geometry import (
     Cube,
+    Line,
     LipschitzCurve,
-    Tube,
     grid_ranges,
     lattice,
     member_reach,
@@ -39,7 +41,7 @@ _ROW = _BLOCK // 4
 
 @dataclass(frozen=True, eq=False)
 class FamilyMember:
-    geometry: Tube | LipschitzCurve
+    geometry: Line | LipschitzCurve
     weight: float = 1.0
 
     def __post_init__(self):
@@ -49,7 +51,7 @@ class FamilyMember:
 
 @dataclass(frozen=True, eq=False)
 class TubeFamily:
-    """Weighted tubes/curves sharing one axis and one base radius."""
+    """Weighted lines and curves around one axis: the cores of tubes of radius ``base_radius``."""
 
     axis: int
     dim: int
@@ -64,18 +66,12 @@ class TubeFamily:
         members = tuple(self.members)
         for m in members:
             g = m.geometry
+            if not isinstance(g, (Line, LipschitzCurve)):
+                raise ValidationError(f"unsupported member geometry {type(g).__name__}")
             if g.n != self.dim:
                 raise ValidationError("member dimension differs from family dimension")
-            if isinstance(g, Tube):
-                if abs(g.radius - self.base_radius) > 1e-12 * self.base_radius:
-                    raise ValidationError(
-                        "all member tubes must carry the family base radius"
-                    )
-            elif isinstance(g, LipschitzCurve):
-                if g.axis != self.axis:
-                    raise ValidationError("curve axis differs from family axis")
-            else:
-                raise ValidationError(f"unsupported member geometry {type(g).__name__}")
+            if isinstance(g, LipschitzCurve) and g.axis != self.axis:
+                raise ValidationError("curve axis differs from family axis")
         object.__setattr__(self, "members", members)
 
     @property
@@ -109,21 +105,21 @@ class OverlapValue:
     converged: bool = True
 
 
-def check_families(families) -> int:
-    """Validate one family per axis 0..n-1; returns n."""
+def check_families(families) -> tuple:
+    """Validate one family per axis 0..n-1; returns them as a tuple in axis order."""
     if not families:
         raise ValidationError("no families given")
     n = families[0].dim
-    axes = sorted(f.axis for f in families)
-    if len(families) != n or axes != list(range(n)) or any(f.dim != n for f in families):
+    fams = tuple(sorted(families, key=lambda f: f.axis))
+    if [f.axis for f in fams] != list(range(n)) or any(f.dim != n for f in fams):
         raise ValidationError("need exactly one family per coordinate axis")
-    return n
+    return fams
 
 
 def _member_distance(geometry, points) -> np.ndarray:
-    """Distance from each point (N, n) to a member's axis line or polyline."""
-    if isinstance(geometry, Tube):
-        return point_line_distance(points, geometry.line)
+    """Distance from each point (N, n) to a member's line or polyline."""
+    if isinstance(geometry, Line):
+        return point_line_distance(points, geometry)
     return point_polyline_distance(points, geometry)
 
 
@@ -237,11 +233,12 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     sums the m^n cells of the cube and raises ``CellBudgetExceeded`` above
     ``CELL_BUDGET`` cells, before any cell is evaluated.  The members'
     reaches over the cube's slab do not depend on the grid, so every level
-    shares them.
+    shares them.  ``radii``, one per family in axis order, replaces the
+    families' base radii.
     """
-    n = check_families(families)
-    _check_curve_spans(families, cube)
-    fams = sorted(families, key=lambda f: f.axis)
+    fams = check_families(families)
+    n = len(fams)
+    _check_curve_spans(fams, cube)
     rs = [f.base_radius if radii is None else radii[j] for j, f in enumerate(fams)]
     reaches = [
         member_reach([m.geometry for m in f.members], f.axis, r, cube)[:, 0]
@@ -299,9 +296,9 @@ class CountFields:
         ``CellBudgetExceeded`` above ``CELL_BUDGET`` cells, both before any
         field is allocated.
         """
-        n = check_families(families)
-        _check_curve_spans(families, cube)
-        fams = tuple(sorted(families, key=lambda f: f.axis))
+        fams = check_families(families)
+        n = len(fams)
+        _check_curve_spans(fams, cube)
         for f in fams:
             _check_integer_weights(f)
         _check_cell_budget(m, n)
@@ -387,7 +384,6 @@ def evaluate_overlap(
     cube: Cube,
     grid: GridSpec,
     *,
-    radii: list[float] | None = None,
     threads: int = 1,
 ) -> OverlapValue:
     """Midpoint-rule value of the overlap functional over the cube.
@@ -395,7 +391,7 @@ def evaluate_overlap(
     The error estimate is the difference against the half-resolution grid
     (requires an even cells_per_side; otherwise it is reported unavailable).
     """
-    midpoint = midpoint_rule(families, cube, radii)
+    midpoint = midpoint_rule(families, cube)
     m = grid.cells_per_side
     value = midpoint(m, threads)
     err = abs(value - midpoint(m // 2, threads)) if m % 2 == 0 else None
@@ -503,9 +499,9 @@ def _convex_intersection_area(poly_a, poly_b) -> float:
     return _polygon_area(out)
 
 
-def tube_cube_polygon_2d(tube: Tube, cube: Cube) -> list[tuple[float, float]]:
-    """Convex polygon tube ∩ cube in R^2 (strip clipped to the square)."""
-    if tube.n != 2:
+def tube_cube_polygon_2d(line: Line, r: float, cube: Cube) -> list[tuple[float, float]]:
+    """Convex polygon tube ∩ cube in R^2: the radius-``r`` strip around ``line``, clipped."""
+    if line.n != 2:
         raise ValidationError("polygon clipping is 2-d only")
     lo = cube.min_corner
     hi = cube.max_corner
@@ -515,12 +511,12 @@ def tube_cube_polygon_2d(tube: Tube, cube: Cube) -> list[tuple[float, float]]:
         (float(hi[0]), float(hi[1])),
         (float(lo[0]), float(hi[1])),
     ]
-    d = tube.line.direction.components
-    a = tube.line.anchor
+    d = line.direction.components
+    a = line.anchor
     normal = (-float(d[1]), float(d[0]))
     base = normal[0] * float(a[0]) + normal[1] * float(a[1])
-    poly = _clip_halfplane(square, normal, base + tube.radius)
-    poly = _clip_halfplane(poly, (-normal[0], -normal[1]), -(base - tube.radius))
+    poly = _clip_halfplane(square, normal, base + r)
+    poly = _clip_halfplane(poly, (-normal[0], -normal[1]), -(base - r))
     return poly
 
 
@@ -531,15 +527,14 @@ def exact_overlap_2d(families, cube: Cube) -> float:
     sum_{a,b} w_a w_b area(T_a ∩ T_b ∩ Q); each term is the area of an
     intersection of convex polygons (shoelace formula).
     """
-    n = check_families(families)
-    if n != 2:
+    fams = check_families(families)
+    if len(fams) != 2:
         raise ValidationError("exact oracle requires n = 2")
-    fams = sorted(families, key=lambda f: f.axis)
     for f in fams:
         if f.has_curves():
             raise ValidationError("exact oracle supports straight tubes only")
     polys = [
-        [(m.weight, tube_cube_polygon_2d(m.geometry, cube)) for m in f.members]
+        [(m.weight, tube_cube_polygon_2d(m.geometry, f.base_radius, cube)) for m in f.members]
         for f in fams
     ]
     terms = []

@@ -19,7 +19,7 @@ import numpy as np
 from .certifier import Certificate, certify_multiscale
 from .errors import ValidationError
 from .evaluator import CountFields, FamilyMember, GridSpec, OverlapValue, evaluate_refined
-from .geometry import Cube, Line, Tube
+from .geometry import Cube, Line
 from .generators import AxisParallel, GenSpec, SmallAngle, Weighted, _direction_in_cap, generate
 
 SWEEP_CSV_COLUMNS = (
@@ -138,11 +138,10 @@ def _perturb(rng, families, cube: Cube, angle_limit: float):
     j = int(rng.integers(0, len(families)))
     a = int(rng.integers(0, families[j].size))
     member = families[j].members[a]
-    tube = member.geometry
-    anchor = tube.line.anchor + rng.uniform(-1.0, 1.0, cube.n) * cube.side * _STEP
+    anchor = member.geometry.anchor + rng.uniform(-1.0, 1.0, cube.n) * cube.side * _STEP
     anchor = np.clip(anchor, cube.min_corner, cube.max_corner)
     direction = _direction_in_cap(rng, cube.n, families[j].axis, angle_limit)
-    return j, a, FamilyMember(Tube(Line(anchor, direction), tube.radius), member.weight)
+    return j, a, FamilyMember(Line(anchor, direction), member.weight)
 
 
 def extremal_search(

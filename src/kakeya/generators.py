@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluator import FamilyMember, GridSpec, TubeFamily
-from .geometry import Cube, Direction, Line, LipschitzCurve, Tube, tangent_basis
+from .geometry import Cube, Direction, Line, LipschitzCurve, tangent_basis
 from .loomis_whitney import Box, ProjectionFunction
 
 
@@ -178,7 +178,7 @@ def generate(spec: GenSpec) -> list[TubeFamily]:
             else:
                 anchor = _anchor_in_cube(rng, spec.cube)
                 direction = _direction_in_cap(rng, spec.n, axis, _angle_limit(spec))
-                geom = Tube(Line(anchor, direction), spec.radius)
+                geom = Line(anchor, direction)
             if isinstance(spec.regime, Weighted):
                 weight = rng.uniform(spec.regime.low, spec.regime.high)
             members.append(FamilyMember(geom, weight))

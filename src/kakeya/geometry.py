@@ -1,11 +1,13 @@
-"""Geometric primitives: lines, tubes, cubes, spherical caps, polyline graphs.
+"""Geometric primitives: lines, polyline graphs, cubes, spherical caps.
 
 Everything here is immutable after construction (arrays are copied and marked
-read-only), so values can be shared freely between threads.
+read-only), so values can be shared freely between threads.  A tube is the
+neighborhood of a core curve, a ``Line`` or a ``LipschitzCurve``; its radius
+belongs to the family, so the functions that need one take it as an argument.
 
 Conventions:
   * axes are 0-based,
-  * tube neighborhoods are closed (distance <= radius counts as inside),
+  * neighborhoods are closed (distance <= radius counts as inside),
   * line directions are unoriented; angle measurements normalize the sign.
 """
 
@@ -93,22 +95,6 @@ class Line:
 
 
 @dataclass(frozen=True, eq=False)
-class Tube:
-    """Closed radius-neighborhood of a line."""
-
-    line: Line
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError("tube radius must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.line.n
-
-
-@dataclass(frozen=True, eq=False)
 class LipschitzCurve:
     """Piecewise-linear graph over the x_axis coordinate.
 
@@ -185,10 +171,6 @@ class Cube:
     @property
     def max_corner(self) -> np.ndarray:
         return self.min_corner + self.side
-
-    @property
-    def volume(self) -> float:
-        return float(self.side**self.n)
 
     def corners(self) -> np.ndarray:
         """All 2^n vertices, shape (2^n, n)."""
@@ -366,7 +348,7 @@ def polyline_box_distance(curve: LipschitzCurve, lo, hi) -> np.ndarray:
 def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> np.ndarray:
     """Boxes, shape (members, layers, 2, n), that hold every point a member reaches.
 
-    ``members`` are tubes and polylines over ``axis``; the cube is cut into
+    ``members`` are lines and polylines over ``axis``; the cube is cut into
     ``layers`` equal slabs along ``axis``.  Box (a, i) holds every point of
     slab i within ``r`` of member a: such a point's nearest member point has
     its x_axis within ``r`` of the slab, so the box is the bounding box,
@@ -380,9 +362,9 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     to an anchor or a vertex.
     """
     n = cube.n
-    is_tube = np.array([isinstance(g, Tube) for g in members], dtype=bool)
-    lines = [g.line for g in members if isinstance(g, Tube)]
-    curves = [g.vertices() for g in members if not isinstance(g, Tube)]
+    is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
+    lines = [g for g in members if isinstance(g, Line)]
+    curves = [g.vertices() for g in members if not isinstance(g, Line)]
     anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
     dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
     origins = np.concatenate([anchors, *curves])
@@ -395,7 +377,7 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     # slab i runs from edge i to edge i + 1; widened by rr on both sides
     edges = np.arange(layers)[:, None] + [0.0, 1.0]
     slabs = cube.min_corner[axis] + cube.side / layers * edges + [-rr, rr]
-    out = np.empty((is_tube.size, layers, 2, n))
+    out = np.empty((is_line.size, layers, 2, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a line with no x_axis motion gets t from -inf to inf when it lies in
         # the range, both ends at one infinity (an empty box) when it misses
@@ -404,8 +386,8 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
         t[np.isnan(t).any(axis=-1)] = -np.inf, np.inf
         moved = anchors[:, None, None] + t[..., None] * dirs[:, None, None]
         ends = np.where(dirs[:, None, None] == 0.0, anchors[:, None, None], moved)
-    out[is_tube] = np.stack([ends.min(axis=2), ends.max(axis=2)], axis=2)
-    for a, verts in zip(np.flatnonzero(~is_tube), curves):
+    out[is_line] = np.stack([ends.min(axis=2), ends.max(axis=2)], axis=2)
+    for a, verts in zip(np.flatnonzero(~is_line), curves):
         bps = verts[:, axis]
         pts = np.stack([np.interp(slabs, bps, verts[:, c]) for c in range(n)], axis=-1)
         inside = ((bps > slabs[:, :1]) & (bps < slabs[:, 1:]))[..., None]

@@ -48,10 +48,6 @@ class Box:
     def max_corner(self) -> np.ndarray:
         return self.min_corner + self.sides
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectionFunction:
@@ -92,13 +88,6 @@ class ProjectionFunction:
             raise ValidationError("projection falls outside the function's box")
         idx = np.floor((coords - lo) / self.cell_sides[k]).astype(int)
         return np.clip(idx, 0, self.values.shape[k] - 1)
-
-    def lookup(self, points) -> np.ndarray:
-        """Nearest-cell values at points (N, dim); raises outside the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValidationError("points must have one coordinate per function axis")
-        return self.values[tuple(self._cell_index(k, pts[:, k]) for k in range(self.dim))]
 
     def lookup_grid(self, axes) -> np.ndarray:
         """Nearest-cell values on the product lattice of the 1-d ``axes``."""

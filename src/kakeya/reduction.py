@@ -33,7 +33,6 @@ from .geometry import (
     Direction,
     LinearMap,
     Line,
-    Tube,
     angle_from_axis,
     cap_cover,
     cap_index,
@@ -67,12 +66,12 @@ class ReducedProblem:
         for f in self.sources:
             members = []
             for m in f.members:
-                tube = m.geometry
-                d = tube.line.direction.components
+                line = m.geometry
+                d = line.direction.components
                 d = d if d[f.axis] >= 0.0 else -d
-                anchor = self.scale * self.map.apply(tube.line.anchor)
+                anchor = self.scale * self.map.apply(line.anchor)
                 new_dir = Direction.normalized(self.map.matrix @ d)
-                members.append(FamilyMember(Tube(Line(anchor, new_dir), 1.0), m.weight))
+                members.append(FamilyMember(Line(anchor, new_dir), m.weight))
             out.append(TubeFamily(f.axis, f.dim, tuple(members), 1.0))
         return tuple(out)
 
@@ -100,9 +99,9 @@ def split_by_caps(family: TubeFamily, centers: np.ndarray, radius: float) -> dic
     buckets: dict[int, list[FamilyMember]] = {}
     for m in family.members:
         g = m.geometry
-        if not isinstance(g, Tube):
+        if not isinstance(g, Line):
             raise ValidationError("cap splitting applies to straight tubes only")
-        i = cap_index(centers, g.line.direction, radius + 1e-12)
+        i = cap_index(centers, g.direction, radius + 1e-12)
         if i is None:
             raise ValidationError("a member direction lies in no cap")
         buckets.setdefault(i, []).append(m)
@@ -132,7 +131,7 @@ def _first_wide_angle(split, pos, mats, delta):
         subs = list(caps.values())
         sizes = np.array([f.size for f in subs])
         starts = np.cumsum(sizes) - sizes
-        dirs = np.array([m.geometry.line.direction.components for f in subs for m in f.members])
+        dirs = np.array([m.geometry.direction.components for f in subs for m in f.members])
         counts = sizes[pos[j]]
         tuples = np.repeat(np.arange(len(counts)), counts)
         rows = np.repeat(starts[pos[j]] - (np.cumsum(counts) - counts), counts)
@@ -150,17 +149,16 @@ def _first_wide_angle(split, pos, mats, delta):
 def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProblem]:
     """One ReducedProblem per tuple of nonempty caps, one cap per axis.
 
-    ``nets[j]`` is axis j's (centers, radius).  The P tuples run in
-    ``itertools.product`` order over each axis's nonempty caps and are handled
-    as arrays: frame p's column j is the center of tuple p's axis-j cap, one
-    determinant of the stacked frames serves the wedge precondition (|det| >=
-    nu/2, unless ``nu`` is None) and the singular-frame test (|det| <
-    SINGULAR_DET), and ``frame_maps`` maps the frames before the first that
-    fails either.  The checks fail as a walk over the tuples would: on the
+    ``families`` come in axis order, and ``nets[j]`` is axis j's (centers,
+    radius).  The P tuples run in ``itertools.product`` order over each
+    axis's nonempty caps and are handled as arrays: frame p's column j is the
+    center of tuple p's axis-j cap, one determinant of the stacked frames
+    serves the wedge precondition (|det| >= nu/2, unless ``nu`` is None) and
+    the singular-frame test (|det| < SINGULAR_DET), and ``frame_maps`` maps
+    the frames before the first that fails either.  The checks fail as a walk over the tuples would: on the
     first failing tuple, wedge, then singular, then every mapped member
     angle <= delta.
     """
-    families = sorted(families, key=lambda f: f.axis)
     split = [split_by_caps(f, *nets[f.axis]) for f in families]
     if not all(split):
         return []
@@ -218,13 +216,14 @@ def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[Redu
     nonempty cap tuple yields one ReducedProblem whose transformed angles are
     re-validated against delta (never assumed).
     """
-    n = check_families(families)
+    fams = check_families(families)
+    n = len(fams)
     limit = 1.0 / (10.0 * n)
     for f in families:
         for m in f.members:
-            if not isinstance(m.geometry, Tube):
+            if not isinstance(m.geometry, Line):
                 raise ValidationError("reduction applies to straight tubes only")
-            ang = angle_from_axis(m.geometry.line.direction, f.axis)
+            ang = angle_from_axis(m.geometry.direction, f.axis)
             if ang > limit * (1.0 + 1e-9):
                 raise ValidationError(
                     f"member angle {ang:.3e} exceeds the (10n)^-1 limit {limit:.3e}"
@@ -232,7 +231,7 @@ def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[Redu
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     rho = delta / 10.0
     nets = [_net(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
-    return _reduce_with_caps(families, cube, nets, delta)
+    return _reduce_with_caps(fams, cube, nets, delta)
 
 
 def transversal_sigma_bound(n: int, nu: float) -> float:
@@ -257,17 +256,18 @@ def transversal_reduce(
     precondition violation.  Distortion factors are computed from the actual
     frame maps (the a priori Poly(nu^-1) bound L^n is only a ceiling).
     """
-    n = check_families(families)
+    fams = check_families(families)
+    n = len(fams)
     if len(direction_sets) != n:
         raise ValidationError("need one direction cap per axis")
     if not (0.0 < nu <= 1.0):
         raise ValidationError("nu must lie in (0, 1]")
-    for f in sorted(families, key=lambda f: f.axis):
+    for f in fams:
         cap = direction_sets[f.axis]
         for m in f.members:
-            if not isinstance(m.geometry, Tube):
+            if not isinstance(m.geometry, Line):
                 raise ValidationError("reduction applies to straight tubes only")
-            direction = m.geometry.line.direction
+            direction = m.geometry.direction
             if cap_index(cap.center.components[None], direction, cap.ang_radius + 1e-9) is None:
                 raise ValidationError(
                     f"axis-{f.axis} member direction escapes its direction set"
@@ -278,5 +278,5 @@ def transversal_reduce(
     if not rho > 0.0:
         raise ValidationError(f"nu {nu!r} is too small: the cap radius underflows to 0")
     nets = [_net(cap, min(rho, cap.ang_radius)) for cap in direction_sets]
-    return _reduce_with_caps(families, cube, nets, delta, nu)
+    return _reduce_with_caps(fams, cube, nets, delta, nu)
 

@@ -15,8 +15,9 @@ Configuration schema (version 1):
       ]
     }
 
-Members carry either ``anchor``+``dir`` (straight tube) or ``polyline``
-(Lipschitz graph).  Numbers are written with full repr precision, so files
+Members carry either ``anchor``+``dir`` (a ``Line``) or ``polyline`` (a
+``LipschitzCurve``): the core of a tube whose radius is the family's one
+``radius``.  Numbers are written with full repr precision, so files
 round-trip bit-exactly.
 """
 
@@ -42,7 +43,7 @@ from .generators import (
     SmallAngle,
     Weighted,
 )
-from .geometry import Cap, Cube, Direction, Line, LipschitzCurve, Tube
+from .geometry import Cap, Cube, Direction, Line, LipschitzCurve
 from .loomis_whitney import Box, ProjectionFunction
 
 SCHEMA_VERSION = 1
@@ -171,10 +172,10 @@ def cube_from_json(data) -> Cube:
 
 def member_to_json(member: FamilyMember) -> dict:
     g = member.geometry
-    if isinstance(g, Tube):
+    if isinstance(g, Line):
         return {
-            "anchor": g.line.anchor.tolist(),
-            "dir": g.line.direction.components.tolist(),
+            "anchor": g.anchor.tolist(),
+            "dir": g.direction.components.tolist(),
             "weight": member.weight,
         }
     return {
@@ -187,7 +188,7 @@ def member_to_json(member: FamilyMember) -> dict:
     }
 
 
-def member_from_json(data, axis: int, radius: float, name: str) -> FamilyMember:
+def member_from_json(data, axis: int, name: str) -> FamilyMember:
     _require(isinstance(data, dict), "member stanza must be an object")
     weight = _number(data.get("weight", 1.0), f"{name}.weight")
     if "polyline" in data:
@@ -203,7 +204,7 @@ def member_from_json(data, axis: int, radius: float, name: str) -> FamilyMember:
              "member needs anchor+dir or polyline")
     line = Line(_numbers(data["anchor"], f"{name}.anchor"),
                 Direction(_numbers(data["dir"], f"{name}.dir")))
-    return FamilyMember(Tube(line, radius), weight)
+    return FamilyMember(line, weight)
 
 
 def family_to_json(family: TubeFamily) -> dict:
@@ -246,7 +247,7 @@ def config_from_json(data) -> Configuration:
         axis = _integer(stanza["axis"], f"families[{i}].axis")
         radius = _number(stanza.get("radius", 1.0), f"families[{i}].radius")
         members = tuple(
-            member_from_json(m, axis, radius, f"families[{i}].members[{k}]")
+            member_from_json(m, axis, f"families[{i}].members[{k}]")
             for k, m in enumerate(stanza.get("members", []))
         )
         families.append(TubeFamily(axis, n, members, radius))

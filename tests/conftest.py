@@ -4,11 +4,12 @@ from hypothesis import strategies as st
 
 from kakeya import evaluator
 from kakeya.evaluator import FamilyMember, TubeFamily
-from kakeya.geometry import Cap, Cube, Direction, Line, LipschitzCurve, Tube
+from kakeya.geometry import Cap, Cube, Direction, Line, LipschitzCurve
 
 
-def tube(anchor, direction, radius=1.0):
-    return Tube(Line(np.asarray(anchor, dtype=float), Direction.normalized(direction)), radius)
+def tube(anchor, direction):
+    """The core line of a tube: its radius is the radius of the family that holds it."""
+    return Line(np.asarray(anchor, dtype=float), Direction.normalized(direction))
 
 
 def family(axis, dim, geometries, radius=1.0, weights=None):
@@ -20,7 +21,7 @@ def family(axis, dim, geometries, radius=1.0, weights=None):
 
 
 def axis_tube_family(axis, dim, anchors, radius=1.0, weights=None):
-    tubes = [tube(a, Direction.axis(dim, axis).components, radius) for a in anchors]
+    tubes = [tube(a, Direction.axis(dim, axis).components) for a in anchors]
     return family(axis, dim, tubes, radius, weights)
 
 
@@ -30,8 +31,8 @@ def shifted(family: TubeFamily, offsets) -> TubeFamily:
     for member, off in zip(family.members, offsets):
         g = member.geometry
         off = np.where(np.arange(family.dim) == family.axis, 0.0, off)
-        if isinstance(g, Tube):
-            g = Tube(Line(g.line.anchor + off, g.line.direction), g.radius)
+        if isinstance(g, Line):
+            g = Line(g.anchor + off, g.direction)
         else:
             g = LipschitzCurve(g.axis, g.breakpoints, g.values + np.delete(off, g.axis), g.lip)
         members.append(FamilyMember(g, member.weight))

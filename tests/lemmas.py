@@ -14,7 +14,9 @@ plain way, with the exact distance test on every (member, subcube) pair.
 copies of each member (``expand_integer_weights``) on one grid.
 
 ``family_values`` and ``overlap_integrand`` are the overlap integrand one
-point at a time, every member tested at every point; ``step_bound`` is one
+point at a time, every member tested at every point; ``lookup`` is a
+projection function's nearest-cell value at given points, the pointwise
+reference of its lattice lookup (``lookup_grid``); ``step_bound`` is one
 certificate rung on a given cube; ``ball_sum_l1`` is the exact L1 norm of a
 ball sum.  ``enumerate_grid_axis_parallel`` and ``genspec_to_json`` build
 test inputs: regular axis-parallel families, and a generator spec's JSON.
@@ -27,7 +29,7 @@ angle between unoriented directions.
 ``frame_map``, ``wedge_volume`` and ``reduce_per_tuple`` are the reduction
 one cap tuple at a time: a ``Direction`` per cap center, one determinant,
 inverse and singular-value call per frame, and every member mapped into new
-``Direction``/``Line``/``Tube`` objects as the tuple is reached.
+``Direction``/``Line`` objects as the tuple is reached.
 """
 
 import itertools
@@ -52,7 +54,6 @@ from kakeya.geometry import (
     Direction,
     LinearMap,
     Line,
-    Tube,
     angle_from_axis,
     lattice,
     line_box_distance,
@@ -62,7 +63,7 @@ from kakeya.geometry import (
     subdivision_counts,
     tangent_basis,
 )
-from kakeya.loomis_whitney import BallSum, unit_ball_volume
+from kakeya.loomis_whitney import BallSum, ProjectionFunction, unit_ball_volume
 from kakeya.reduction import split_by_caps
 from kakeya.serialization import SCHEMA_VERSION, cube_to_json
 
@@ -72,46 +73,48 @@ def cube_line_max_distance(cube: Cube, line: Line) -> float:
     return float(np.max(point_line_distance(cube.corners(), line)))
 
 
-def identically_one_check(tube: Tube, cube: Cube, delta: float, w: float) -> bool:
-    """Exact check that the radius delta^-1 w neighborhood covers the cube.
+def identically_one_check(line: Line, radius: float, cube: Cube, delta: float) -> bool:
+    """Exact check that the radius delta^-1 ``radius`` neighborhood of ``line`` covers the cube.
 
-    Max distance from the cube to the axis line is attained at a vertex
+    Max distance from the cube to the line is attained at a vertex
     (convexity), so the check is a finite corner computation.  Under the step
-    preconditions (cube side <= delta^-1 w / 10n, tube meets the cube at
-    radius w, delta <= 0.9) this always holds.
+    preconditions (cube side <= delta^-1 radius / 10n, the line within
+    ``radius`` of the cube, delta <= 0.9) this always holds.
     """
-    return cube_line_max_distance(cube, tube.line) <= w / delta
+    return cube_line_max_distance(cube, line) <= radius / delta
 
 
-def fatten_axis_parallel(tube: Tube, axis: int, cube: Cube, delta: float) -> Tube:
-    """Axis-parallel tube of doubled radius dominating ``tube`` on the cube.
+def fatten_axis_parallel(
+    line: Line, radius: float, axis: int, cube: Cube, delta: float
+) -> tuple[Line, float]:
+    """(line, radius) of an axis-parallel tube of doubled radius dominating the tube on the cube.
 
-    The surrogate axis passes through the point where the tube's axis line
-    meets the hyperplane x_axis = cube-center component; requires the tube to
-    make an angle <= delta with the axis and the cube to be small enough
-    (side <= radius/(10 n delta)).
+    The tube is the ``radius`` neighborhood of ``line``.  The surrogate line
+    passes through the point where ``line`` meets the hyperplane x_axis =
+    cube-center component; requires the line to make an angle <= delta with
+    the axis and the cube to be small enough (side <= radius/(10 n delta)).
     """
-    n = tube.n
-    theta = angle_from_axis(tube.line.direction, axis)
+    n = line.n
+    theta = angle_from_axis(line.direction, axis)
     if theta > delta + 1e-9:
         raise ValueError(f"tube angle {theta:.3e} exceeds delta {delta:.3e}")
-    if cube.side > tube.radius / (delta * 10.0 * n) * (1.0 + 1e-9):
+    if cube.side > radius / (delta * 10.0 * n) * (1.0 + 1e-9):
         raise ValueError("cube too large for axis-parallel fattening")
-    d = tube.line.direction.components
+    d = line.direction.components
     if d[axis] < 0.0:
         d = -d
     center = cube.min_corner[axis] + 0.5 * cube.side
-    t = (center - tube.line.anchor[axis]) / d[axis]
-    crossing = tube.line.anchor + t * d
-    return Tube(Line(crossing, Direction.axis(n, axis)), 2.0 * tube.radius)
+    t = (center - line.anchor[axis]) / d[axis]
+    crossing = line.anchor + t * d
+    return Line(crossing, Direction.axis(n, axis)), 2.0 * radius
 
 
 def member_box_distances(family, lo, hi) -> np.ndarray:
-    """Distances, shape (members, B), from each member's axis line / polyline to B boxes."""
+    """Distances, shape (members, B), from each member's line / polyline to B boxes."""
     out = np.empty((len(family.members), np.atleast_2d(lo).shape[0]))
     for i, m in enumerate(family.members):
-        if isinstance(m.geometry, Tube):
-            out[i] = line_box_distance(m.geometry.line, lo, hi)
+        if isinstance(m.geometry, Line):
+            out[i] = line_box_distance(m.geometry, lo, hi)
         else:
             out[i] = polyline_box_distance(m.geometry, lo, hi)
     return out
@@ -127,7 +130,7 @@ def dense_subcube_counts(families, cube: Cube, delta: float, w: float):
     his = los + sub_side
     counts = np.zeros((len(families), los.shape[0]), dtype=np.int64)
     weights = np.zeros(counts.shape)
-    for j, f in enumerate(sorted(families, key=lambda fam: fam.axis)):
+    for j, f in enumerate(check_families(families)):
         if f.members:
             near = member_box_distances(f, los, his) <= w
             counts[j] = np.sum(near, axis=0)
@@ -148,16 +151,24 @@ def family_values(family: TubeFamily, points, radius: float | None = None) -> np
 
 def overlap_integrand(families, points, radii: list[float] | None = None) -> np.ndarray:
     """prod_j (sum_a w 1_tube)^(1/(n-1)) at each point; empty sums give 0."""
-    n = check_families(families)
-    p = 1.0 / (n - 1)
+    fams = check_families(families)
+    p = 1.0 / (len(fams) - 1)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.ones(pts.shape[0])
-    for j, family in enumerate(sorted(families, key=lambda f: f.axis)):
+    for j, family in enumerate(fams):
         vals = family_values(family, pts, None if radii is None else radii[j])
         if p != 1.0:
             vals = np.power(vals, p)
         out *= vals
     return out
+
+
+def lookup(f: ProjectionFunction, points) -> np.ndarray:
+    """Nearest-cell values of ``f`` at points (N, dim); raises outside its box."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != f.dim:
+        raise ValidationError("points must have one coordinate per function axis")
+    return f.values[tuple(f._cell_index(k, pts[:, k]) for k in range(f.dim))]
 
 
 def step_bound(families, cube: Cube, delta: float):
@@ -275,17 +286,17 @@ def transform_problem(families, cube: Cube, lmap: LinearMap, delta: float):
     for f in families:
         members = []
         for m in f.members:
-            tube = m.geometry
-            d = tube.line.direction.components
+            line = m.geometry
+            d = line.direction.components
             d = d if d[f.axis] >= 0.0 else -d
-            anchor = scale * lmap.apply(tube.line.anchor)
+            anchor = scale * lmap.apply(line.anchor)
             new_dir = Direction.normalized(lmap.matrix @ d)
             ang = angle_from_axis(new_dir, f.axis)
             if ang > delta * (1.0 + 1e-9):
                 raise PropertyViolation(
                     f"transformed angle {ang:.3e} exceeds delta {delta:.3e}"
                 )
-            members.append(FamilyMember(Tube(Line(anchor, new_dir), 1.0), m.weight))
+            members.append(FamilyMember(Line(anchor, new_dir), m.weight))
         out_families.append(TubeFamily(f.axis, f.dim, tuple(members), 1.0))
     mapped = scale * lmap.apply(cube.corners())
     lo = mapped.min(axis=0)
@@ -303,7 +314,7 @@ def reduce_per_tuple(families, cube: Cube, nets, delta: float, nu=None) -> list:
     Each tuple is checked as it is reached: center wedge >= nu/2 (unless
     ``nu`` is None), then a nonsingular frame, then every mapped angle.
     """
-    split = [split_by_caps(f, *nets[f.axis]) for f in sorted(families, key=lambda f: f.axis)]
+    split = [split_by_caps(f, *nets[f.axis]) for f in check_families(families)]
     problems = []
     for combo in itertools.product(*split):
         centers = [Direction(nets[j][0][i]) for j, i in enumerate(combo)]
@@ -343,7 +354,7 @@ def enumerate_grid_axis_parallel(n: int, k: int, spacing: float) -> list[TubeFam
         for row in transverse:
             anchor = np.zeros(n)
             anchor[[t for t in range(n) if t != axis]] += row
-            members.append(FamilyMember(Tube(Line(anchor, Direction.axis(n, axis)), 1.0)))
+            members.append(FamilyMember(Line(anchor, Direction.axis(n, axis))))
         families.append(TubeFamily(axis, n, tuple(members), 1.0))
     return families
 

@@ -39,7 +39,6 @@ from kakeya.geometry import (
     Direction,
     Line,
     LipschitzCurve,
-    Tube,
     angle_from_axis,
 )
 from kakeya.loomis_whitney import unit_ball_volume, verify_lw
@@ -210,7 +209,7 @@ def test_criterion_06_reduction_end_to_end():
             assert p.map.volume_distortion <= 2.0**2
             for f in p.families:
                 for m in f.members:
-                    assert angle_from_axis(m.geometry.line.direction, f.axis) <= p.delta * (1 + 1e-9)
+                    assert angle_from_axis(m.geometry.direction, f.axis) <= p.delta * (1 + 1e-9)
             total += p.distortion_factor * certify_multiscale(p.families, p.cube, p.delta).final_bound
         exact = exact_overlap_2d(fams, cube)
         assert total >= exact
@@ -288,7 +287,7 @@ def test_criterion_09_known_value_quadrature():
 
     cube3 = Cube.centered([0.0, 0.0, 0.0], 10.0)
     fams3 = [
-        family(j, 3, [Tube(Line(np.zeros(3), Direction.axis(3, j)), 1.0)]) for j in range(3)
+        family(j, 3, [Line(np.zeros(3), Direction.axis(3, j))]) for j in range(3)
     ]
     tricyl = 8.0 * (2.0 - math.sqrt(2.0))
     v3 = evaluate_overlap(fams3, cube3, GridSpec(256))

@@ -21,7 +21,7 @@ from kakeya.certifier import (
 from kakeya.errors import ValidationError
 from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
 from kakeya.generators import GenSpec, Lipschitz, SmallAngle, Weighted, generate
-from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube, line_box_distance
+from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, line_box_distance
 
 from conftest import axis_tube_family, count_midpoint_sums, family, shifted, tube
 from lemmas import (
@@ -150,14 +150,14 @@ class TestCountIntersections:
         for _ in range(50):
             n = int(rng.integers(2, 4))
             tubes = [
-                Tube(Line(rng.uniform(-4, 4, n), Direction.normalized(rng.normal(size=n))), 1.0)
+                Line(rng.uniform(-4, 4, n), Direction.normalized(rng.normal(size=n)))
                 for _ in range(5)
             ]
             f = family(0, n, tubes)
             cube = Cube(rng.uniform(-3, 1, n), float(rng.uniform(1, 3)))
             margin = 0.08
             dists = [
-                line_box_distance(t.line, cube.min_corner[None, :], cube.max_corner[None, :])[0]
+                line_box_distance(t, cube.min_corner[None, :], cube.max_corner[None, :])[0]
                 for t in tubes
             ]
             if any(abs(d - 1.0) < margin for d in dists):
@@ -168,7 +168,7 @@ class TestCountIntersections:
             pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
             from kakeya.geometry import point_line_distance
 
-            oracle = sum(1 for t in tubes if point_line_distance(pts, t.line).min() <= 1.0)
+            oracle = sum(1 for t in tubes if point_line_distance(pts, t).min() <= 1.0)
             assert count_intersections(f, cube, 1.0) == oracle
         assert checked >= 25
 
@@ -187,17 +187,17 @@ class TestIdenticallyOne:
             target = cube.min_corner + cube.side * rng.uniform(0, 1, n)
             anchor = target + rng.normal(size=n) * 0.1
             anchor += (w * 0.9) * rng.uniform(-1, 1) * np.eye(n)[0]
-            t = Tube(Line(anchor, Direction.normalized(rng.normal(size=n))), w)
-            d = line_box_distance(t.line, cube.min_corner[None, :], cube.max_corner[None, :])[0]
+            t = Line(anchor, Direction.normalized(rng.normal(size=n)))
+            d = line_box_distance(t, cube.min_corner[None, :], cube.max_corner[None, :])[0]
             if d > w:
                 continue
-            if not identically_one_check(t, cube, delta, w):
+            if not identically_one_check(t, w, cube, delta):
                 failures += 1
         assert failures == 0
 
     def test_huge_cube_can_fail(self):
         t = tube([0.0, 0.0], [1.0, 0.0])
-        assert not identically_one_check(t, Cube.centered([0.0, 0.0], 1000.0), 0.1, 1.0)
+        assert not identically_one_check(t, 1.0, Cube.centered([0.0, 0.0], 1000.0), 0.1)
 
 
 class TestStepBound:
@@ -398,8 +398,8 @@ class TestCertify:
 
     def test_requires_unit_radius(self):
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [1.0, 0.0], 2.0)], radius=2.0),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0], 2.0)], radius=2.0),
+            family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])], radius=2.0),
+            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])], radius=2.0),
         ]
         with pytest.raises(ValidationError):
             certify_multiscale(fams, Cube.centered([0.0, 0.0], 4.0), 0.1)

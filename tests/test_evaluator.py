@@ -10,8 +10,9 @@ from kakeya.evaluator import (
     evaluate_overlap,
     evaluate_refined,
     exact_overlap_2d,
+    midpoint_rule,
 )
-from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, Tube
+from kakeya.geometry import Cube, Direction, Line, LipschitzCurve
 
 from conftest import axis_tube_family, count_midpoint_sums, family, tube
 from lemmas import overlap_integrand
@@ -20,8 +21,8 @@ TRICYLINDER = 8.0 * (2.0 - math.sqrt(2.0))
 
 
 def perpendicular(radius=1.0):
-    f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0], radius)], radius)
-    f2 = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0], radius)], radius)
+    f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])], radius)
+    f2 = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])], radius)
     return [f1, f2]
 
 
@@ -55,7 +56,7 @@ class TestEvaluateOverlap:
     def test_tricylinder(self):
         cube = Cube.centered([0.0, 0.0, 0.0], 10.0)
         fams = [
-            family(j, 3, [Tube(Line(np.zeros(3), Direction.axis(3, j)), 1.0)])
+            family(j, 3, [Line(np.zeros(3), Direction.axis(3, j))])
             for j in range(3)
         ]
         v = evaluate_overlap(fams, cube, GridSpec(128))
@@ -113,8 +114,8 @@ class TestEvaluateOverlap:
         anchors = rng.uniform(-4, 4, (3, 2))
         small = [axis_tube_family(j, 2, anchors, radius=0.8) for j in range(2)]
         g = GridSpec(100)
-        big = evaluate_overlap(small, cube2, g, radii=[1.1, 1.1])
-        assert evaluate_overlap(small, cube2, g).value <= big.value
+        big = midpoint_rule(small, cube2, [1.1, 1.1])(g.cells_per_side, 1)
+        assert evaluate_overlap(small, cube2, g).value <= big
 
     def test_superadditive_in_members(self, cube2, rng):
         anchors = rng.uniform(-4, 4, (3, 2))
@@ -179,7 +180,7 @@ class TestEvaluateRefined:
         anchors = rng.uniform(-4, 4, (4, 2))
         fams = [axis_tube_family(j, 2, anchors) for j in range(2)]
         v = evaluate_refined(fams, cube2, 1e-2, 5)
-        bound = cube2.volume * np.prod([f.total_weight for f in fams])
+        bound = cube2.side**2 * np.prod([f.total_weight for f in fams])
         assert 0.0 <= v.value <= bound
 
     def test_matches_exact_oracle_50_configs(self, rng):
@@ -245,7 +246,7 @@ class TestExactOverlap2d:
     def test_rejects_n3_and_curves(self):
         cube3 = Cube.centered([0.0, 0.0, 0.0], 4.0)
         fams3 = [
-            family(j, 3, [Tube(Line(np.zeros(3), Direction.axis(3, j)), 1.0)])
+            family(j, 3, [Line(np.zeros(3), Direction.axis(3, j))])
             for j in range(3)
         ]
         with pytest.raises(ValidationError):
@@ -292,4 +293,4 @@ class TestAverageIntegral:
         fams = [axis_tube_family(j, 2, anchors) for j in range(2)]
         v = evaluate_overlap(fams, cube2, GridSpec(100))
         counts = np.prod([f.total_weight for f in fams]) ** (1.0 / 1.0)
-        assert v.value / cube2.volume <= counts + 1e-12
+        assert v.value / cube2.side**2 <= counts + 1e-12

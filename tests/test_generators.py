@@ -18,8 +18,8 @@ from kakeya.generators import (
 from kakeya.geometry import (
     Cube,
     Direction,
+    Line,
     LipschitzCurve,
-    Tube,
     angle_from_axis,
     tangent_basis,
 )
@@ -75,25 +75,25 @@ class TestRegimeValidity:
         spec = GenSpec(3, (20, 20, 20), SmallAngle(0.07), Cube.centered([0.0] * 3, 8.0), seed=3)
         for f in generate(spec):
             for m in f.members:
-                assert angle_from_axis(m.geometry.line.direction, f.axis) <= 0.07 + 1e-12
+                assert angle_from_axis(m.geometry.direction, f.axis) <= 0.07 + 1e-12
 
     def test_general_angle_bound(self):
         spec = GenSpec(2, (30, 30), GeneralAngle(), CUBE, seed=4)
         for f in generate(spec):
             for m in f.members:
-                assert angle_from_axis(m.geometry.line.direction, f.axis) <= 1.0 / 20 + 1e-12
+                assert angle_from_axis(m.geometry.direction, f.axis) <= 1.0 / 20 + 1e-12
 
     def test_axis_parallel_exact(self):
         spec = GenSpec(2, (10, 10), AxisParallel(), CUBE, seed=5)
         for f in generate(spec):
             for m in f.members:
-                assert angle_from_axis(m.geometry.line.direction, f.axis) == 0.0
+                assert angle_from_axis(m.geometry.direction, f.axis) == 0.0
 
     def test_anchors_inside_cube(self):
         spec = GenSpec(2, (25, 25), SmallAngle(0.1), CUBE, seed=6)
         for f in generate(spec):
             for m in f.members:
-                anchor = m.geometry.line.anchor
+                anchor = m.geometry.anchor
                 assert np.all(CUBE.min_corner <= anchor) and np.all(anchor <= CUBE.max_corner)
 
     def test_lipschitz_members_valid(self):
@@ -122,7 +122,7 @@ class TestGridEnumeration:
     def test_single_tube_per_axis(self):
         fams = enumerate_grid_axis_parallel(2, 1, 4.0)
         assert [f.size for f in fams] == [1, 1]
-        assert all(isinstance(m.geometry, Tube) for f in fams for m in f.members)
+        assert all(isinstance(m.geometry, Line) for f in fams for m in f.members)
 
     def test_disjoint_grid_exact_value(self):
         # n=2, k=3, spacing 4: nine 2x2 crossing squares, integral 36
@@ -134,6 +134,6 @@ class TestGridEnumeration:
         fams = enumerate_grid_axis_parallel(3, 3, 2.0)
         for f in fams:
             projected = {
-                tuple(np.delete(m.geometry.line.anchor, f.axis)) for m in f.members
+                tuple(np.delete(m.geometry.anchor, f.axis)) for m in f.members
             }
             assert len(projected) == f.size == 9

@@ -13,7 +13,6 @@ from kakeya.geometry import (
     Direction,
     Line,
     LipschitzCurve,
-    Tube,
     angle_from_axis,
     cap_cover,
     frame_maps,
@@ -41,9 +40,9 @@ from lemmas import (
 )
 
 
-def tube_indicator(t, p):
-    """The overlap quadrature's indicator of one tube at one point."""
-    return family_values(family(0, len(p), [t], t.radius), [p])[0]
+def tube_indicator(line, radius, p):
+    """The overlap quadrature's indicator of the ``radius`` tube around ``line`` at one point."""
+    return family_values(family(0, len(p), [line], radius), [p])[0]
 
 
 def curve_indicator(curve, radius, p):
@@ -51,10 +50,10 @@ def curve_indicator(curve, radius, p):
     return family_values(family(curve.axis, curve.n, [curve], radius), [p])[0]
 
 
-def tube_intersects_cube(t, cube):
+def tube_intersects_cube(line, radius, cube):
     """The certifier's exact tube-cube predicate."""
-    d = line_box_distance(t.line, cube.min_corner[None, :], cube.max_corner[None, :])
-    return d[0] <= t.radius
+    d = line_box_distance(line, cube.min_corner[None, :], cube.max_corner[None, :])
+    return d[0] <= radius
 
 
 class TestDirection:
@@ -76,23 +75,22 @@ class TestDirection:
 class TestTubeIndicator:
     def test_point_on_axis(self):
         t = tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert tube_indicator(t, [0.0, 0.0, 0.0]) == 1
+        assert tube_indicator(t, 1.0, [0.0, 0.0, 0.0]) == 1
 
     def test_closed_boundary(self):
         t = tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert tube_indicator(t, [0.0, 1.0, 0.0]) == 1
+        assert tube_indicator(t, 1.0, [0.0, 1.0, 0.0]) == 1
 
     def test_just_outside(self):
         t = tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert tube_indicator(t, [0.0, 1.0 + 1e-9, 0.0]) == 0
+        assert tube_indicator(t, 1.0, [0.0, 1.0 + 1e-9, 0.0]) == 0
 
     def test_monotone_in_radius(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            t1 = Tube(Line(rng.uniform(-2, 2, n), Direction.normalized(rng.normal(size=n))), 0.7)
-            t2 = Tube(t1.line, 1.3)
+            line = Line(rng.uniform(-2, 2, n), Direction.normalized(rng.normal(size=n)))
             p = rng.uniform(-3, 3, n)
-            assert tube_indicator(t1, p) <= tube_indicator(t2, p)
+            assert tube_indicator(line, 0.7, p) <= tube_indicator(line, 1.3, p)
 
 
 class TestCurveIndicator:
@@ -107,13 +105,13 @@ class TestCurveIndicator:
         slope = 0.05
         curve = LipschitzCurve(0, [-50.0, 50.0], [[-50.0 * slope], [50.0 * slope]], slope)
         direction = Direction.normalized([1.0, slope])
-        t = Tube(Line(np.zeros(2), direction), 1.0)
+        line = Line(np.zeros(2), direction)
         for _ in range(300):
             p = rng.uniform(-10, 10, 2)
-            line_dist = point_line_distance(p[None, :], t.line)[0]
+            line_dist = point_line_distance(p[None, :], line)[0]
             if abs(line_dist - 1.0) < 1e-6:
                 continue
-            assert curve_indicator(curve, 1.0, p) == tube_indicator(t, p)
+            assert curve_indicator(curve, 1.0, p) == tube_indicator(line, 1.0, p)
 
     def test_zigzag_matches_per_segment_oracle(self, rng):
         delta = 0.1
@@ -140,9 +138,9 @@ class TestCurveIndicator:
 
 @st.composite
 def reach_cases(draw):
-    """(members, axis, r, cube, layers): tubes and polylines around a cube cut into layers.
+    """(members, axis, r, cube, layers): lines and polylines around a cube cut into layers.
 
-    Tubes with no motion along the axis lie inside a layer, outside the
+    Lines with no motion along the axis lie inside a layer, outside the
     cube's slab, or exactly on a layer's face; others point anywhere.
     Polylines have vertices on both sides of the slab.
     """
@@ -173,7 +171,7 @@ def reach_cases(draw):
             }[kind]
             if kind == "outside" and anchor[axis] < lo + side:
                 anchor[axis] -= side
-        members.append(Tube(Line(anchor, Direction.normalized(direction)), r))
+        members.append(Line(anchor, Direction.normalized(direction)))
     return members, axis, r, cube, layers
 
 
@@ -197,9 +195,9 @@ class TestMemberReach:
         sub_lo = subcube_grid(cube, k)
         sub_index = lattice([np.arange(k)] * n)
         for member, boxes in zip(members, reach):
-            if isinstance(member, Tube):
-                d_points = point_line_distance(points, member.line)
-                d_subs = line_box_distance(member.line, sub_lo, sub_lo + s)
+            if isinstance(member, Line):
+                d_points = point_line_distance(points, member)
+                d_subs = line_box_distance(member, sub_lo, sub_lo + s)
             else:
                 d_points = point_polyline_distance(points, member)
                 d_subs = polyline_box_distance(member, sub_lo, sub_lo + s)
@@ -217,9 +215,42 @@ class TestMemberReach:
     def test_a_line_outside_the_slab_reaches_nothing(self):
         cube = Cube(np.zeros(3), 4.0)
         line = Line(np.array([5.5, 1.0, 1.0]), Direction.normalized([0.0, 1.0, 1.0]))
-        reach = member_reach([Tube(line, 1.0)], 0, 1.0, cube)
+        reach = member_reach([line], 0, 1.0, cube)
         band = grid_ranges(reach[0, 0], cube.min_corner, 0.5, 8)
         assert np.any(band[:, 0] >= band[:, 1])
+
+    def test_the_rounding_bound_covers_a_far_anchor(self):
+        # |d|^2 - 1 = 5.3e-13 (a valid Direction) with the anchor 1.4e6 back
+        # along the line: the computed squared distance is off by about 1, so
+        # boxes widened by r alone miss 178 cells that the distance kernel
+        # puts within r
+        line = Line(
+            np.array([-1424543.5073765921, 33522.283530345856]),
+            Direction(np.array([0.9997232574854863, -0.023524634814161727])),
+        )
+        cube = Cube(np.array([-8.0, -8.0]), 16.0)
+        m, r = 128, 1.0
+        h = cube.side / m
+        points = lattice([cube.min_corner[k] + (np.arange(m) + 0.5) * h for k in range(2)])
+        index = lattice([np.arange(m)] * 2)
+        band = grid_ranges(member_reach([line], 0, r, cube)[0, 0], cube.min_corner, h, m)
+        in_band = np.all((index >= band[:, 0]) & (index < band[:, 1]), axis=1)
+        near = point_line_distance(points, line) <= r
+        assert near.sum() > 0 and not np.any(near & ~in_band)
+
+    def test_a_line_on_a_widened_face_spans_its_whole_length(self):
+        # the first member fixes the rounding bound and, having no x_0 motion
+        # and x_0 = 0 on the cube's face, its box starts at that face widened
+        # by the bound; the second member lies exactly there, so 0/0 arises
+        cube = Cube(np.zeros(2), 4.0)
+        far = Line(np.array([0.0, 100.0]), Direction.axis(2, 1))
+        face = member_reach([far], 0, 1.0, cube, 3)[0, 0, 0, 0]
+        line = Line(np.array([face, 1.0]), Direction.axis(2, 1))
+        reach = member_reach([far, line], 0, 1.0, cube, 3)
+        assert not np.any(np.isnan(reach))
+        assert reach[1, 0, 0, 0] < face < reach[1, 0, 1, 0]
+        band = grid_ranges(reach[1, 0], cube.min_corner, 0.5, 8)
+        assert band[1].tolist() == [0, 8]
 
 
 class TestAngleFromAxis:
@@ -239,34 +270,32 @@ class TestAngleFromAxis:
 class TestTubeCubeIntersection:
     def test_axis_through_center(self):
         t = tube([0.0, 0.0], [1.0, 0.0])
-        assert tube_intersects_cube(t, Cube.centered([0.0, 0.0], 2.0))
+        assert tube_intersects_cube(t, 1.0, Cube.centered([0.0, 0.0], 2.0))
 
     def test_far_away(self):
-        t = tube([0.0, 0.0], [1.0, 0.0], radius=1.0)
+        t = tube([0.0, 0.0], [1.0, 0.0])
         cube = Cube(np.array([0.0, 1.0 + 1.0 + 0.5]), 1.0)
-        assert not tube_intersects_cube(t, cube)
+        assert not tube_intersects_cube(t, 1.0, cube)
 
     def test_matches_sampling_oracle(self, rng):
         # dense-grid oracle with a margin guard against resolution limits
         hits = 0
         for _ in range(100):
             n = int(rng.integers(2, 4))
-            t = Tube(
-                Line(rng.uniform(-3, 3, n), Direction.normalized(rng.normal(size=n))),
-                float(rng.uniform(0.3, 1.5)),
-            )
+            line = Line(rng.uniform(-3, 3, n), Direction.normalized(rng.normal(size=n)))
+            radius = float(rng.uniform(0.3, 1.5))
             cube = Cube(rng.uniform(-3, 0, n), float(rng.uniform(1.0, 3.0)))
-            exact = line_box_distance(t.line, cube.min_corner[None, :], cube.max_corner[None, :])[0]
+            exact = line_box_distance(line, cube.min_corner[None, :], cube.max_corner[None, :])[0]
             margin = 0.08
-            if abs(exact - t.radius) < margin:
+            if abs(exact - radius) < margin:
                 continue
             hits += 1
             k = 61
             axes = [np.linspace(cube.min_corner[j], cube.max_corner[j], k) for j in range(n)]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([g.ravel() for g in mesh], axis=1)
-            sampled = point_line_distance(pts, t.line).min()
-            assert (sampled <= t.radius) == tube_intersects_cube(t, cube)
+            sampled = point_line_distance(pts, line).min()
+            assert (sampled <= radius) == tube_intersects_cube(line, radius, cube)
         assert hits >= 60
 
 
@@ -313,7 +342,7 @@ class TestSubdivideCube:
             k, sub_side = subdivision_counts(cube, delta, w)
             los = subcube_grid(cube, k)
             vol = los.shape[0] * sub_side**n
-            assert abs(vol - cube.volume) / cube.volume < 1e-9
+            assert abs(vol - side**n) / side**n < 1e-9
             lower = w / (delta * 20 * n)
             upper = w / (delta * 10 * n)
             assert lower * (1 - 1e-9) <= sub_side <= upper * (1 + 1e-9)
@@ -331,10 +360,10 @@ class TestFattenAxisParallel:
     def test_axis_parallel_input(self):
         t = tube([0.0, 3.0], [1.0, 0.0])
         cube = Cube.centered([0.0, 3.0], 0.4)
-        fat = fatten_axis_parallel(t, 0, cube, 0.1)
-        assert fat.radius == 2.0
-        assert np.allclose(fat.line.direction.components, [1.0, 0.0])
-        assert abs(fat.line.anchor[1] - 3.0) < 1e-12
+        fat, fat_radius = fatten_axis_parallel(t, 1.0, 0, cube, 0.1)
+        assert fat_radius == 2.0
+        assert np.allclose(fat.direction.components, [1.0, 0.0])
+        assert abs(fat.anchor[1] - 3.0) < 1e-12
 
     def test_containment_on_cube(self, rng):
         # pointwise domination at sampled cube points, tilted at angle delta
@@ -343,22 +372,22 @@ class TestFattenAxisParallel:
             direction = Direction.normalized(
                 [1.0] + list(math.tan(delta) * rng.uniform(-0.7, 0.7, n - 1))
             )
-            t = Tube(Line(rng.uniform(-1, 1, n), direction), 1.0)
+            t = Line(rng.uniform(-1, 1, n), direction)
             side = 1.0 / (delta * 10 * n)
             cube = Cube(rng.uniform(-1, 1, n), side)
-            fat = fatten_axis_parallel(t, 0, cube, delta)
+            fat, fat_radius = fatten_axis_parallel(t, 1.0, 0, cube, delta)
             pts = cube.min_corner + cube.side * rng.uniform(0, 1, (10**4, n))
-            inside_orig = point_line_distance(pts, t.line) <= t.radius
-            inside_fat = point_line_distance(pts, fat.line) <= fat.radius
+            inside_orig = point_line_distance(pts, t) <= 1.0
+            inside_fat = point_line_distance(pts, fat) <= fat_radius
             assert not np.any(inside_orig & ~inside_fat)
 
     def test_rejects_violated_preconditions(self):
         t = tube([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            fatten_axis_parallel(t, 0, Cube(np.zeros(2), 100.0), 0.1)
+            fatten_axis_parallel(t, 1.0, 0, Cube(np.zeros(2), 100.0), 0.1)
         steep = tube([0.0, 0.0], [1.0, 0.5])
         with pytest.raises(ValueError):
-            fatten_axis_parallel(steep, 0, Cube(np.zeros(2), 0.4), 0.1)
+            fatten_axis_parallel(steep, 1.0, 0, Cube(np.zeros(2), 0.4), 0.1)
 
 
 class TestCapCover:

@@ -14,7 +14,6 @@ from kakeya.geometry import (
     Cube,
     Direction,
     Line,
-    Tube,
     angle_from_axis,
     cap_cover,
     cap_index,
@@ -65,7 +64,7 @@ class TestSplitByCaps:
         centers = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
         for i, part in split_by_caps(f, centers, 0.01).items():
             for m in part.members:
-                assert line_angle(m.geometry.line.direction, Direction(centers[i])) <= 0.01 + 1e-12
+                assert line_angle(m.geometry.direction, Direction(centers[i])) <= 0.01 + 1e-12
 
     def test_rejects_uncovered_direction(self):
         f = family(0, 2, [tube([0.0, 0.0], [1.0, 0.5])])
@@ -103,9 +102,9 @@ class TestSplitByCaps:
         expected = [first_cap(oracle, radius, d, 1e-12) for d in directions]
         assert [cap_index(centers, d, radius + 1e-12) for d in directions] == expected
         inside = [(d, i) for d, i in zip(directions, expected) if i is not None]
-        f = family(0, n, [Tube(Line(np.zeros(n), d), 1.0) for d, _ in inside])
+        f = family(0, n, [Line(np.zeros(n), d) for d, _ in inside])
         parts = split_by_caps(f, centers, radius)
-        placed = {id(m.geometry.line.direction): i for i, p in parts.items() for m in p.members}
+        placed = {id(m.geometry.direction): i for i, p in parts.items() for m in p.members}
         assert placed == {id(d): i for d, i in inside}
 
 
@@ -148,7 +147,7 @@ class TestReduceGeneral:
             assert p.distortion_factor >= 1.0
             for f in p.families:
                 for m in f.members:
-                    assert angle_from_axis(m.geometry.line.direction, f.axis) <= p.delta * (1 + 1e-9)
+                    assert angle_from_axis(m.geometry.direction, f.axis) <= p.delta * (1 + 1e-9)
 
     def test_reassembled_bound_dominates_oracle(self):
         for seed in (1, 5, 9):
@@ -192,7 +191,7 @@ class TestTransversalReduce:
             assert p.distortion_factor >= 1.0
             for f in p.families:
                 for m in f.members:
-                    assert angle_from_axis(m.geometry.line.direction, f.axis) <= p.delta * (1 + 1e-9)
+                    assert angle_from_axis(m.geometry.direction, f.axis) <= p.delta * (1 + 1e-9)
 
     def test_distortion_matches_direct_svd(self):
         cube = Cube.centered([0.0, 0.0], 6.0)
@@ -261,11 +260,11 @@ def assert_same_problems(problems, oracle):
         for f, g in zip(p.families, q.families):
             assert (f.axis, f.dim, f.base_radius, f.size) == (g.axis, g.dim, g.base_radius, g.size)
             for a, b in zip(f.members, g.members):
-                assert hexes(a.geometry.line.anchor) == hexes(b.geometry.line.anchor)
-                assert hexes(a.geometry.line.direction.components) == hexes(
-                    b.geometry.line.direction.components
+                assert hexes(a.geometry.anchor) == hexes(b.geometry.anchor)
+                assert hexes(a.geometry.direction.components) == hexes(
+                    b.geometry.direction.components
                 )
-                assert (a.geometry.radius, a.weight) == (b.geometry.radius, b.weight)
+                assert a.weight == b.weight
 
 
 def general_nets(n: int, eps: float):
@@ -291,7 +290,7 @@ def cap_family(axis: int, cap: Cap, count: int, cube: Cube, rng):
         v = rng.normal(size=n - 1)
         v *= rng.uniform(0.0, 0.999 * cap.ang_radius) / np.linalg.norm(v)
         anchor = cube.min_corner + cube.side * rng.uniform(size=n)
-        tubes.append(Tube(Line(anchor, exp_map(cap.center.components, v)), 1.0))
+        tubes.append(Line(anchor, exp_map(cap.center.components, v)))
     return family(axis, n, tubes)
 
 

@@ -1,8 +1,11 @@
-"""Every module-level function and class of the package is reached by the program.
+"""Every module-level function and class of the package, and every method and
+property of its classes, is reached by the program.
 
 A name counts as reached when a module of ``src/kakeya`` other than
 ``__init__.py``, or a ``bench/*.py`` file, refers to it outside its own
 definition.  A helper that only the tests need belongs in ``tests/lemmas.py``.
+Dunder methods are exempt, and so are the methods in ``CALLED_FROM_OUTSIDE``,
+which a base class from outside the package calls.
 """
 
 import ast
@@ -11,6 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(p for p in (ROOT / "src" / "kakeya").glob("*.py") if p.name != "__init__.py")
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+DEFS = (ast.FunctionDef, ast.ClassDef)
+# argparse calls ``ArgumentParser.error`` on bad arguments
+CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
 
 
 def references(node):
@@ -24,12 +30,41 @@ def references(node):
             yield sub.name.rpartition(".")[2]
 
 
-def test_every_module_level_name_is_referenced():
-    defined, used = [], set()
+def members(cls):
+    """The methods and properties of a class, dunders left out."""
+    return [
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+
+
+def scan():
+    """(module-level definitions, class members, names used): definitions as dotted names."""
+    defined, methods, used = [], [], set()
     for path in SRC + BENCH:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = path in SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            own = path in SRC and isinstance(node, DEFS)
             if own:
-                defined.append((path.stem, node.name))
+                defined.append(f"{path.stem}.{node.name}")
+            if own and isinstance(node, ast.ClassDef):
+                inner = members(node)
+                methods.extend(f"{path.stem}.{node.name}.{m.name}" for m in inner)
+                for m in inner:
+                    used.update(name for name in references(m) if name != m.name)
+                rest = [sub for sub in node.body if sub not in inner]
+                nodes = node.bases + node.decorator_list + rest
+                used.update(name for sub in nodes for name in references(sub))
+                continue
             used.update(name for name in references(node) if not (own and name == node.name))
-    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+    return defined, methods, used
+
+
+def test_every_module_level_name_is_referenced():
+    defined, _, used = scan()
+    assert [name for name in defined if name.rpartition(".")[2] not in used] == []
+
+
+def test_every_class_member_is_referenced():
+    _, methods, used = scan()
+    unused = [name for name in methods if name.rpartition(".")[2] not in used]
+    assert [name for name in unused if name not in CALLED_FROM_OUTSIDE] == []
