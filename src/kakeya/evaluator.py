@@ -238,7 +238,7 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     """
     fams = check_families(families)
     n = len(fams)
-    _check_curve_spans(fams, cube)
+    _check_curve_spans(families, cube)
     rs = [f.base_radius if radii is None else radii[j] for j, f in enumerate(fams)]
     reaches = [
         member_reach([m.geometry for m in f.members], f.axis, r, cube)[:, 0]
@@ -298,7 +298,7 @@ class CountFields:
         """
         fams = check_families(families)
         n = len(fams)
-        _check_curve_spans(fams, cube)
+        _check_curve_spans(families, cube)
         for f in fams:
             _check_integer_weights(f)
         _check_cell_budget(m, n)

@@ -155,9 +155,9 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     center of tuple p's axis-j cap, one determinant of the stacked frames
     serves the wedge precondition (|det| >= nu/2, unless ``nu`` is None) and
     the singular-frame test (|det| < SINGULAR_DET), and ``frame_maps`` maps
-    the frames before the first that fails either.  The checks fail as a walk over the tuples would: on the
-    first failing tuple, wedge, then singular, then every mapped member
-    angle <= delta.
+    the frames before the first that fails either.  The checks fail as a walk
+    over the tuples would: on the first failing tuple, wedge, then singular,
+    then every mapped member angle <= delta.
     """
     split = [split_by_caps(f, *nets[f.axis]) for f in families]
     if not all(split):

@@ -7,7 +7,7 @@ from kakeya.evaluator import FamilyMember, TubeFamily
 from kakeya.geometry import Cap, Cube, Direction, Line, LipschitzCurve
 
 
-def tube(anchor, direction):
+def line_through(anchor, direction):
     """The core line of a tube: its radius is the radius of the family that holds it."""
     return Line(np.asarray(anchor, dtype=float), Direction.normalized(direction))
 
@@ -21,8 +21,8 @@ def family(axis, dim, geometries, radius=1.0, weights=None):
 
 
 def axis_tube_family(axis, dim, anchors, radius=1.0, weights=None):
-    tubes = [tube(a, Direction.axis(dim, axis).components) for a in anchors]
-    return family(axis, dim, tubes, radius, weights)
+    lines = [line_through(a, Direction.axis(dim, axis).components) for a in anchors]
+    return family(axis, dim, lines, radius, weights)
 
 
 def shifted(family: TubeFamily, offsets) -> TubeFamily:
@@ -78,6 +78,6 @@ def cube2():
 
 @pytest.fixture
 def perpendicular_families(cube2):
-    f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])])
-    f2 = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])])
+    f1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
+    f2 = family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])])
     return [f1, f2]

@@ -44,7 +44,7 @@ from kakeya.geometry import (
 from kakeya.loomis_whitney import unit_ball_volume, verify_lw
 from kakeya.reduction import reduce_general_to_small_angle
 
-from conftest import axis_tube_family, family, tube
+from conftest import axis_tube_family, family, line_through
 from lemmas import (
     enumerate_grid_axis_parallel,
     expand_integer_weights,
@@ -266,8 +266,8 @@ def test_criterion_08_lipschitz_regime():
     slope = 0.03
     span = 500.0
     curve = LipschitzCurve(0, [-span, span], [[-span * slope], [span * slope]], slope)
-    straight = tube([0.0, 0.0], [1.0, slope])
-    partner = family(1, 2, [tube([0.5, 0.0], [0.0, 1.0])])
+    straight = line_through([0.0, 0.0], [1.0, slope])
+    partner = family(1, 2, [line_through([0.5, 0.0], [0.0, 1.0])])
     g = GridSpec(128)
     vc = evaluate_overlap([family(0, 2, [curve]), partner], cube, g)
     vt = evaluate_overlap([family(0, 2, [straight]), partner], cube, g)
@@ -278,8 +278,8 @@ def test_criterion_08_lipschitz_regime():
 def test_criterion_09_known_value_quadrature():
     # perpendicular strips -> 4 +- 2%; tricylinder -> 8(2-sqrt(2)) +- 2%;
     # oblique strips at pi/6 -> 8 +- 1% against the exact oracle
-    f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])])
-    f2 = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])])
+    f1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
+    f2 = family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])])
     cube = Cube.centered([0.0, 0.0], 10.0)
     v = evaluate_overlap([f1, f2], cube, GridSpec(200))
     perp_err = abs(v.value - 4.0) / 4.0
@@ -295,8 +295,8 @@ def test_criterion_09_known_value_quadrature():
     assert tri_err <= 0.02
 
     theta = math.pi / 6
-    g1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])])
-    g2 = family(1, 2, [tube([0.0, 0.0], [math.cos(theta), math.sin(theta)])])
+    g1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
+    g2 = family(1, 2, [line_through([0.0, 0.0], [math.cos(theta), math.sin(theta)])])
     oracle_cube = Cube.centered([0.0, 0.0], 100.0)
     oracle = exact_overlap_2d([g1, g2], oracle_cube)
     assert abs(oracle - 8.0) < 1e-9

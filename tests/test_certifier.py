@@ -23,7 +23,7 @@ from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
 from kakeya.generators import GenSpec, Lipschitz, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, line_box_distance
 
-from conftest import axis_tube_family, count_midpoint_sums, family, shifted, tube
+from conftest import axis_tube_family, count_midpoint_sums, family, line_through, shifted
 from lemmas import (
     dense_subcube_counts,
     expand_integer_weights,
@@ -94,7 +94,7 @@ def subcube_cases(draw):
     )
     lip = delta * draw(st.floats(0.01, 1.0))
     seed = draw(st.integers(0, 2**32))
-    tubes = generate(
+    straight = generate(
         GenSpec(n, tuple(draw(st.integers(0, 3)) for _ in range(n)), SmallAngle(lip),
                 gen_cube, seed, w)
     )
@@ -107,12 +107,12 @@ def subcube_cases(draw):
     spread = draw(st.sampled_from([0.0, 0.5, 1.5]))
     rng = np.random.default_rng(seed)
     families = []
-    for t, c in zip(tubes, curves):
-        geometries = [m.geometry for m in t.members + c.members]
+    for s, c in zip(straight, curves):
+        geometries = [m.geometry for m in s.members + c.members]
         weights = None
         if draw(st.booleans()):
             weights = rng.uniform(0.0, 5.0, len(geometries)).tolist()
-        f = family(t.axis, n, geometries, w, weights)
+        f = family(s.axis, n, geometries, w, weights)
         families.append(shifted(f, spread * side * rng.uniform(-1.0, 1.0, (f.size, n))))
     return families, cube, delta, w
 
@@ -138,27 +138,27 @@ class TestConstants:
 
 class TestCountIntersections:
     def test_through_center(self):
-        f = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])])
+        f = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
         assert count_intersections(f, Cube.centered([0.0, 0.0], 2.0), 1.0) == 1
 
     def test_all_far(self):
-        f = family(0, 2, [tube([0.0, 50.0], [1.0, 0.0])])
+        f = family(0, 2, [line_through([0.0, 50.0], [1.0, 0.0])])
         assert count_intersections(f, Cube.centered([0.0, 0.0], 2.0), 1.0) == 0
 
     def test_matches_sampling_oracle(self, rng):
         checked = 0
         for _ in range(50):
             n = int(rng.integers(2, 4))
-            tubes = [
+            lines = [
                 Line(rng.uniform(-4, 4, n), Direction.normalized(rng.normal(size=n)))
                 for _ in range(5)
             ]
-            f = family(0, n, tubes)
+            f = family(0, n, lines)
             cube = Cube(rng.uniform(-3, 1, n), float(rng.uniform(1, 3)))
             margin = 0.08
             dists = [
-                line_box_distance(t, cube.min_corner[None, :], cube.max_corner[None, :])[0]
-                for t in tubes
+                line_box_distance(line, cube.min_corner[None, :], cube.max_corner[None, :])[0]
+                for line in lines
             ]
             if any(abs(d - 1.0) < margin for d in dists):
                 continue
@@ -168,7 +168,7 @@ class TestCountIntersections:
             pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
             from kakeya.geometry import point_line_distance
 
-            oracle = sum(1 for t in tubes if point_line_distance(pts, t).min() <= 1.0)
+            oracle = sum(1 for line in lines if point_line_distance(pts, line).min() <= 1.0)
             assert count_intersections(f, cube, 1.0) == oracle
         assert checked >= 25
 
@@ -196,8 +196,8 @@ class TestIdenticallyOne:
         assert failures == 0
 
     def test_huge_cube_can_fail(self):
-        t = tube([0.0, 0.0], [1.0, 0.0])
-        assert not identically_one_check(t, 1.0, Cube.centered([0.0, 0.0], 1000.0), 0.1)
+        line = line_through([0.0, 0.0], [1.0, 0.0])
+        assert not identically_one_check(line, 1.0, Cube.centered([0.0, 0.0], 1000.0), 0.1)
 
 
 class TestStepBound:
@@ -281,7 +281,7 @@ class TestStepBound:
     def test_sparse_counts_match_dense_past_a_curve_span(self):
         # the curve's span [2, 7] ends inside the cube [0, 10] on its axis
         curve = LipschitzCurve(0, np.array([2.0, 5.0, 7.0]), np.array([[3.0], [4.0], [3.5]]), 0.5)
-        fams = [family(0, 2, [curve]), family(1, 2, [tube([4.0, 0.0], [0.3, 1.0])])]
+        fams = [family(0, 2, [curve]), family(1, 2, [line_through([4.0, 0.0], [0.3, 1.0])])]
         detail = assert_counts_match_dense(fams, Cube(np.zeros(2), 10.0), 0.5, 1.0)
         assert detail.count_histograms[0][1] > 0
 
@@ -304,8 +304,8 @@ class TestStepBound:
         assert 0 < sum(rows) < 0.1 * detail.subcube_count * 24
 
     def test_rejects_angle_violation(self, cube2):
-        steep = family(0, 2, [tube([0.0, 0.0], [1.0, 0.4])])
-        flat = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])])
+        steep = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.4])])
+        flat = family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])])
         with pytest.raises(ValidationError):
             step_bound([steep, flat], cube2, 0.1)
 
@@ -398,8 +398,8 @@ class TestCertify:
 
     def test_requires_unit_radius(self):
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])], radius=2.0),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])], radius=2.0),
+            family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])], radius=2.0),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])], radius=2.0),
         ]
         with pytest.raises(ValidationError):
             certify_multiscale(fams, Cube.centered([0.0, 0.0], 4.0), 0.1)

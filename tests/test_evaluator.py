@@ -14,15 +14,15 @@ from kakeya.evaluator import (
 )
 from kakeya.geometry import Cube, Direction, Line, LipschitzCurve
 
-from conftest import axis_tube_family, count_midpoint_sums, family, tube
+from conftest import axis_tube_family, count_midpoint_sums, family, line_through
 from lemmas import overlap_integrand
 
 TRICYLINDER = 8.0 * (2.0 - math.sqrt(2.0))
 
 
 def perpendicular(radius=1.0):
-    f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])], radius)
-    f2 = family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])], radius)
+    f1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])], radius)
+    f2 = family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])], radius)
     return [f1, f2]
 
 
@@ -33,9 +33,9 @@ class TestIntegrand:
 
     def test_sqrt_exponent_n3(self):
         # 4 tubes through the origin in family 0 -> 4^(1/2) * 1 * 1 = 2
-        f0 = family(0, 3, [tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for _ in range(4)])
-        f1 = family(1, 3, [tube([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])])
-        f2 = family(2, 3, [tube([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])])
+        f0 = family(0, 3, [line_through([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for _ in range(4)])
+        f1 = family(1, 3, [line_through([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])])
+        f2 = family(2, 3, [line_through([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])])
         assert overlap_integrand([f0, f1, f2], [[0.0, 0.0, 0.0]])[0] == 2.0
 
     def test_zero_factor(self):
@@ -43,7 +43,7 @@ class TestIntegrand:
         assert overlap_integrand(fams, [[0.0, 5.0]])[0] == 0.0
 
     def test_requires_complete_axes(self):
-        f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])])
+        f1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
         with pytest.raises(ValidationError):
             overlap_integrand([f1, f1], [[0.0, 0.0]])
 
@@ -98,7 +98,7 @@ class TestEvaluateOverlap:
                 j,
                 2,
                 [
-                    tube(rng.uniform(-4, 4, 2), np.eye(2)[j] + 0.05 * rng.normal(size=2))
+                    line_through(rng.uniform(-4, 4, 2), np.eye(2)[j] + 0.05 * rng.normal(size=2))
                     for _ in range(4)
                 ],
             )
@@ -121,7 +121,9 @@ class TestEvaluateOverlap:
         anchors = rng.uniform(-4, 4, (3, 2))
         base = [axis_tube_family(j, 2, anchors) for j in range(2)]
         grown = [
-            family(0, 2, [m.geometry for m in base[0].members] + [tube([0.3, 0.1], [1.0, 0.0])]),
+            family(
+                0, 2, [m.geometry for m in base[0].members] + [line_through([0.3, 0.1], [1.0, 0.0])]
+            ),
             base[1],
         ]
         g = GridSpec(100)
@@ -194,7 +196,7 @@ class TestEvaluateRefined:
                     j,
                     2,
                     [
-                        tube(
+                        line_through(
                             rng.uniform(-3, 3, 2),
                             np.eye(2)[j] + 0.08 * rng.normal(size=2),
                         )
@@ -222,13 +224,13 @@ class TestExactOverlap2d:
     def test_oblique_strips(self):
         # strips of width 2 crossing at angle pi/6: area 2*2/sin(pi/6) = 8
         theta = math.pi / 6
-        f1 = family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])])
-        f2 = family(1, 2, [tube([0.0, 0.0], [math.cos(theta), math.sin(theta)])])
+        f1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
+        f2 = family(1, 2, [line_through([0.0, 0.0], [math.cos(theta), math.sin(theta)])])
         cube = Cube.centered([0.0, 0.0], 100.0)
         assert abs(exact_overlap_2d([f1, f2], cube) - 8.0) < 1e-9
 
     def test_parallel_disjoint(self, cube2):
-        f1 = family(0, 2, [tube([0.0, -3.0], [1.0, 0.0])])
+        f1 = family(0, 2, [line_through([0.0, -3.0], [1.0, 0.0])])
         f2 = family(1, 2, [])
         assert exact_overlap_2d([f1, f2], cube2) == 0.0
         g1 = axis_tube_family(0, 2, [[0.0, -3.0]])
@@ -254,7 +256,7 @@ class TestExactOverlap2d:
         curve = LipschitzCurve(0, [-10.0, 10.0], [[0.0], [0.0]], 0.0)
         fams = [
             family(0, 2, [curve]),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])]),
         ]
         with pytest.raises(ValidationError):
             exact_overlap_2d(fams, Cube.centered([0.0, 0.0], 4.0))
@@ -269,8 +271,8 @@ class TestCurveEvaluation:
         curve = LipschitzCurve(
             0, [-span, span], [[-span * slope + 0.5], [span * slope + 0.5]], slope
         )
-        straight = tube([0.0, 0.5], [1.0, slope])
-        partner = family(1, 2, [tube([0.2, 0.0], [0.0, 1.0])])
+        straight = line_through([0.0, 0.5], [1.0, slope])
+        partner = family(1, 2, [line_through([0.2, 0.0], [0.0, 1.0])])
         cube = Cube.centered([0.0, 0.0], 10.0)
         g = GridSpec(128)
         vc = evaluate_overlap([family(0, 2, [curve]), partner], cube, g)
@@ -281,7 +283,7 @@ class TestCurveEvaluation:
         curve = LipschitzCurve(0, [-1.0, 1.0], [[0.0], [0.0]], 0.0)
         fams = [
             family(0, 2, [curve]),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])]),
         ]
         with pytest.raises(ValidationError):
             evaluate_overlap(fams, Cube.centered([0.0, 0.0], 10.0), GridSpec(16))

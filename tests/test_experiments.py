@@ -9,7 +9,7 @@ from kakeya.generators import AxisParallel, GenSpec, SmallAngle, generate
 from kakeya.geometry import Cube
 from kakeya.loomis_whitney import unit_ball_volume
 
-from conftest import count_midpoint_sums, family, tube
+from conftest import count_midpoint_sums, family, line_through
 
 
 def template(regime=None, counts=(3, 3), seed=5):
@@ -50,7 +50,7 @@ class TestSweep:
         # growing the domain with the tubes held fixed never shrinks the value
         anchors = rng.uniform(-1.5, 1.5, (3, 2))
         fams = [
-            family(j, 2, [tube(a, np.eye(2)[j]) for a in anchors]) for j in range(2)
+            family(j, 2, [line_through(a, np.eye(2)[j]) for a in anchors]) for j in range(2)
         ]
         g = GridSpec(160)
         values = [
@@ -111,12 +111,12 @@ class TestSearch:
         limit = 1.0 / (10 * n)
         concentrated = []
         for j in range(n):
-            tubes = []
+            lines = []
             for i in range(count):
                 ang = limit * (2 * i / (count - 1) - 1)
                 d = np.eye(2)[j] + ang * np.eye(2)[1 - j]
-                tubes.append(tube([0.0, 0.0], d))
-            concentrated.append(family(j, 2, tubes))
+                lines.append(line_through([0.0, 0.0], d))
+            concentrated.append(family(j, 2, lines))
         random_fams = generate(GenSpec(n, (count, count), SmallAngle(limit), cube, seed=12))
         g = GridSpec(256)
         norm = float(count * count)

@@ -28,7 +28,7 @@ from kakeya.geometry import (
     tangent_basis,
 )
 
-from conftest import cap_nets, family, tube
+from conftest import cap_nets, family, line_through
 from lemmas import (
     cube_line_max_distance,
     family_values,
@@ -74,16 +74,16 @@ class TestDirection:
 
 class TestTubeIndicator:
     def test_point_on_axis(self):
-        t = tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert tube_indicator(t, 1.0, [0.0, 0.0, 0.0]) == 1
+        line = line_through([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert tube_indicator(line, 1.0, [0.0, 0.0, 0.0]) == 1
 
     def test_closed_boundary(self):
-        t = tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert tube_indicator(t, 1.0, [0.0, 1.0, 0.0]) == 1
+        line = line_through([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert tube_indicator(line, 1.0, [0.0, 1.0, 0.0]) == 1
 
     def test_just_outside(self):
-        t = tube([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert tube_indicator(t, 1.0, [0.0, 1.0 + 1e-9, 0.0]) == 0
+        line = line_through([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert tube_indicator(line, 1.0, [0.0, 1.0 + 1e-9, 0.0]) == 0
 
     def test_monotone_in_radius(self, rng):
         for _ in range(50):
@@ -269,13 +269,13 @@ class TestAngleFromAxis:
 
 class TestTubeCubeIntersection:
     def test_axis_through_center(self):
-        t = tube([0.0, 0.0], [1.0, 0.0])
-        assert tube_intersects_cube(t, 1.0, Cube.centered([0.0, 0.0], 2.0))
+        line = line_through([0.0, 0.0], [1.0, 0.0])
+        assert tube_intersects_cube(line, 1.0, Cube.centered([0.0, 0.0], 2.0))
 
     def test_far_away(self):
-        t = tube([0.0, 0.0], [1.0, 0.0])
+        line = line_through([0.0, 0.0], [1.0, 0.0])
         cube = Cube(np.array([0.0, 1.0 + 1.0 + 0.5]), 1.0)
-        assert not tube_intersects_cube(t, 1.0, cube)
+        assert not tube_intersects_cube(line, 1.0, cube)
 
     def test_matches_sampling_oracle(self, rng):
         # dense-grid oracle with a margin guard against resolution limits
@@ -358,9 +358,9 @@ class TestSubdivideCube:
 
 class TestFattenAxisParallel:
     def test_axis_parallel_input(self):
-        t = tube([0.0, 3.0], [1.0, 0.0])
+        line = line_through([0.0, 3.0], [1.0, 0.0])
         cube = Cube.centered([0.0, 3.0], 0.4)
-        fat, fat_radius = fatten_axis_parallel(t, 1.0, 0, cube, 0.1)
+        fat, fat_radius = fatten_axis_parallel(line, 1.0, 0, cube, 0.1)
         assert fat_radius == 2.0
         assert np.allclose(fat.direction.components, [1.0, 0.0])
         assert abs(fat.anchor[1] - 3.0) < 1e-12
@@ -382,10 +382,10 @@ class TestFattenAxisParallel:
             assert not np.any(inside_orig & ~inside_fat)
 
     def test_rejects_violated_preconditions(self):
-        t = tube([0.0, 0.0], [1.0, 0.0])
+        line = line_through([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            fatten_axis_parallel(t, 1.0, 0, Cube(np.zeros(2), 100.0), 0.1)
-        steep = tube([0.0, 0.0], [1.0, 0.5])
+            fatten_axis_parallel(line, 1.0, 0, Cube(np.zeros(2), 100.0), 0.1)
+        steep = line_through([0.0, 0.0], [1.0, 0.5])
         with pytest.raises(ValueError):
             fatten_axis_parallel(steep, 1.0, 0, Cube(np.zeros(2), 0.4), 0.1)
 

@@ -28,7 +28,7 @@ from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weig
 from kakeya.geometry import Cube, Line, lattice
 from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
-from conftest import family, shifted, tube
+from conftest import family, line_through, shifted
 from lemmas import lookup, overlap_integrand
 
 BLOCK = 1 << 16
@@ -147,10 +147,20 @@ def test_overlap_matches_dense_with_lines_square_to_their_axis(m):
     # over the cube, one misses it, one is axis-parallel in two coordinates
     cube = Cube(np.array([-2.0, -2.0, -2.0]), 4.0)
     families = [
-        family(0, 3, [tube([0.3, 0.0, 0.0], [0.0, 0.6, 0.8]), tube([3.5, 0.0, 0.0], [0.0, 1.0, 0.0]),
-                      tube([0.0, 0.5, -0.5], [0.0, 0.0, 1.0]), tube([0.0, 0.2, 0.3], [1.0, 0.1, 0.0])]),
-        family(1, 3, [tube([0.1, 0.0, 0.2], [0.1, 1.0, 0.0]), tube([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])]),
-        family(2, 3, [tube([0.0, 0.3, 0.0], [0.0, 0.1, 1.0]), tube([1.0, -1.0, 0.0], [0.0, 0.0, 1.0])]),
+        family(0, 3, [
+            line_through([0.3, 0.0, 0.0], [0.0, 0.6, 0.8]),
+            line_through([3.5, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            line_through([0.0, 0.5, -0.5], [0.0, 0.0, 1.0]),
+            line_through([0.0, 0.2, 0.3], [1.0, 0.1, 0.0]),
+        ]),
+        family(1, 3, [
+            line_through([0.1, 0.0, 0.2], [0.1, 1.0, 0.0]),
+            line_through([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+        ]),
+        family(2, 3, [
+            line_through([0.0, 0.3, 0.0], [0.0, 0.1, 1.0]),
+            line_through([1.0, -1.0, 0.0], [0.0, 0.0, 1.0]),
+        ]),
     ]
     got = evaluate_overlap(families, cube, GridSpec(m))
     assert got.value > 0.0
@@ -162,7 +172,7 @@ def moved_member(member: FamilyMember, axis: int, offset, rng) -> FamilyMember:
     g = member.geometry
     if isinstance(g, Line):
         direction = np.eye(g.n)[axis] + rng.uniform(-0.1, 0.1, g.n)
-        return FamilyMember(tube(g.anchor + offset, direction), member.weight)
+        return FamilyMember(line_through(g.anchor + offset, direction), member.weight)
     alone = TubeFamily(axis, g.n, (member,), 1.0)
     return shifted(alone, [offset]).members[0]
 
@@ -238,15 +248,15 @@ def test_count_fields_member_moved_out_of_the_cube():
 def test_count_fields_reject_non_integer_weights():
     cube = Cube(np.zeros(2), 6.0)
     families = [
-        family(0, 2, [tube([0.0, 3.0], [1.0, 0.0])], weights=[1.5]),
-        family(1, 2, [tube([3.0, 0.0], [0.0, 1.0])]),
+        family(0, 2, [line_through([0.0, 3.0], [1.0, 0.0])], weights=[1.5]),
+        family(1, 2, [line_through([3.0, 0.0], [0.0, 1.0])]),
     ]
     with pytest.raises(ValidationError, match="not an integer"):
         CountFields.build(families, cube, 16)
-    whole = [family(0, 2, [tube([0.0, 3.0], [1.0, 0.0])], weights=[2.0]), families[1]]
+    whole = [family(0, 2, [line_through([0.0, 3.0], [1.0, 0.0])], weights=[2.0]), families[1]]
     fields = CountFields.build(whole, cube, 16)
     with pytest.raises(ValidationError, match="not an integer"):
-        fields.moved(1, 0, FamilyMember(tube([2.0, 0.0], [0.0, 1.0]), 0.5))
+        fields.moved(1, 0, FamilyMember(line_through([2.0, 0.0], [0.0, 1.0]), 0.5))
 
 
 def test_count_fields_refuse_the_cell_budget_before_allocating():

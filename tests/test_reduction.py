@@ -28,7 +28,7 @@ from kakeya.reduction import (
     transversal_sigma_bound,
 )
 
-from conftest import axis_tube_family, cap_nets, family, tube
+from conftest import axis_tube_family, cap_nets, family, line_through
 from lemmas import (
     first_cap,
     line_angle,
@@ -41,33 +41,34 @@ from lemmas import (
 
 class TestSplitByCaps:
     def test_single_covering_cap(self):
-        f = family(0, 2, [tube([0.0, 0.0], [1.0, 0.02]), tube([1.0, 0.0], [1.0, -0.03])])
+        lines = [line_through([0.0, 0.0], [1.0, 0.02]), line_through([1.0, 0.0], [1.0, -0.03])]
+        f = family(0, 2, lines)
         parts = split_by_caps(f, np.array([[1.0, 0.0]]), 0.1)
         assert len(parts) == 1 and parts[0].size == f.size
 
     def test_counts_preserved(self, rng):
-        tubes = [
-            tube(rng.uniform(-2, 2, 2), [1.0, float(rng.uniform(-0.04, 0.04))])
+        lines = [
+            line_through(rng.uniform(-2, 2, 2), [1.0, float(rng.uniform(-0.04, 0.04))])
             for _ in range(20)
         ]
-        f = family(0, 2, tubes)
+        f = family(0, 2, lines)
         centers = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
         parts = split_by_caps(f, centers, 0.01)
         assert sum(p.size for p in parts.values()) == 20
 
     def test_per_cap_homogeneity(self, rng):
-        tubes = [
-            tube(rng.uniform(-2, 2, 2), [1.0, float(rng.uniform(-0.04, 0.04))])
+        lines = [
+            line_through(rng.uniform(-2, 2, 2), [1.0, float(rng.uniform(-0.04, 0.04))])
             for _ in range(20)
         ]
-        f = family(0, 2, tubes)
+        f = family(0, 2, lines)
         centers = cap_cover(Cap(Direction.axis(2, 0), 0.05), 0.01)
         for i, part in split_by_caps(f, centers, 0.01).items():
             for m in part.members:
                 assert line_angle(m.geometry.direction, Direction(centers[i])) <= 0.01 + 1e-12
 
     def test_rejects_uncovered_direction(self):
-        f = family(0, 2, [tube([0.0, 0.0], [1.0, 0.5])])
+        f = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.5])])
         with pytest.raises(ValidationError):
             split_by_caps(f, np.array([[1.0, 0.0]]), 0.1)
 
@@ -121,8 +122,11 @@ class TestReduceGeneral:
         delta = delta_for_epsilon(eps, Constants.for_dimension(2))
         rho = delta / 10.0
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [1.0, rho * 0.5]), tube([1.0, 1.0], [1.0, -rho * 0.5])]),
-            family(1, 2, [tube([0.0, 0.0], [rho * 0.3, 1.0])]),
+            family(0, 2, [
+                line_through([0.0, 0.0], [1.0, rho * 0.5]),
+                line_through([1.0, 1.0], [1.0, -rho * 0.5]),
+            ]),
+            family(1, 2, [line_through([0.0, 0.0], [rho * 0.3, 1.0])]),
         ]
         cube = Cube.centered([0.0, 0.0], 4.0)
         problems = reduce_general_to_small_angle(fams, cube, eps)
@@ -162,8 +166,8 @@ class TestReduceGeneral:
 
     def test_rejects_large_angles(self):
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [1.0, 0.2])]),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+            family(0, 2, [line_through([0.0, 0.0], [1.0, 0.2])]),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])]),
         ]
         with pytest.raises(ValidationError):
             reduce_general_to_small_angle(fams, Cube.centered([0.0, 0.0], 4.0), 3.0)
@@ -212,8 +216,8 @@ class TestTransversalReduce:
         # both families point along (nearly) the same direction: wedge ~ 0
         shared = Direction.normalized([1.0, 1.0])
         fams = [
-            family(0, 2, [tube([0.0, 0.0], shared.components)]),
-            family(1, 2, [tube([0.0, 0.0], shared.components + np.array([0.0, 1e-4]))]),
+            family(0, 2, [line_through([0.0, 0.0], shared.components)]),
+            family(1, 2, [line_through([0.0, 0.0], shared.components + np.array([0.0, 1e-4]))]),
         ]
         caps = [Cap(shared, 0.01), Cap(shared, 0.01)]
         with pytest.raises(ValidationError):
@@ -221,8 +225,8 @@ class TestTransversalReduce:
 
     def test_wedge_precondition_on_members(self):
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])]),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+            family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])]),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])]),
         ]
         caps = [Cap(Direction.axis(2, 0), 0.02), Cap(Direction.axis(2, 1), 0.02)]
         problems = transversal_reduce(fams, Cube.centered([0.0, 0.0], 4.0), caps, nu=0.99, eps=3.0)
@@ -285,13 +289,13 @@ def transversal_nets(caps, nu: float, eps: float):
 def cap_family(axis: int, cap: Cap, count: int, cube: Cube, rng):
     """``count`` tubes with directions inside ``cap`` and anchors in ``cube``."""
     n = cap.center.n
-    tubes = []
+    lines = []
     for _ in range(count):
         v = rng.normal(size=n - 1)
         v *= rng.uniform(0.0, 0.999 * cap.ang_radius) / np.linalg.norm(v)
         anchor = cube.min_corner + cube.side * rng.uniform(size=n)
-        tubes.append(Line(anchor, exp_map(cap.center.components, v)))
-    return family(axis, n, tubes)
+        lines.append(Line(anchor, exp_map(cap.center.components, v)))
+    return family(axis, n, lines)
 
 
 @st.composite
@@ -363,8 +367,11 @@ class TestBatchedReduction:
         rows = [u, [1.0, 0.0]] if wedge_first else [[1.0, 0.0], u]
         nets = [(np.array(rows), 0.5), (np.array([[0.0, 1.0]]), 0.5)]
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [math.cos(0.3), math.sin(0.3)]), tube([0.0, 1.0], u)]),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+            family(0, 2, [
+                line_through([0.0, 0.0], [math.cos(0.3), math.sin(0.3)]),
+                line_through([0.0, 1.0], u),
+            ]),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])]),
         ]
         return fams, Cube.centered([0.0, 0.0], 4.0), nets, 0.03, 0.9
 
@@ -382,8 +389,8 @@ class TestBatchedReduction:
 
     def test_first_axis_reports_on_a_shared_tuple(self):
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [math.cos(0.3), math.sin(0.3)])]),
-            family(1, 2, [tube([0.0, 0.0], [math.sin(0.2), math.cos(0.2)])]),
+            family(0, 2, [line_through([0.0, 0.0], [math.cos(0.3), math.sin(0.3)])]),
+            family(1, 2, [line_through([0.0, 0.0], [math.sin(0.2), math.cos(0.2)])]),
         ]
         nets = [(np.eye(2)[j : j + 1], 0.5) for j in range(2)]
         with pytest.raises(PropertyViolation, match="transformed angle 3.000e-01"):
@@ -394,8 +401,8 @@ class TestBatchedReduction:
         delta = 0.03
         angle = delta * (1.0 + excess)
         fams = [
-            family(0, 2, [tube([0.0, 0.0], [math.cos(angle), math.sin(angle)])]),
-            family(1, 2, [tube([0.0, 0.0], [0.0, 1.0])]),
+            family(0, 2, [line_through([0.0, 0.0], [math.cos(angle), math.sin(angle)])]),
+            family(1, 2, [line_through([0.0, 0.0], [0.0, 1.0])]),
         ]
         nets = [(np.eye(2)[j : j + 1], 0.5) for j in range(2)]
         args = (fams, Cube.centered([0.0, 0.0], 4.0), nets, delta)
@@ -405,7 +412,10 @@ class TestBatchedReduction:
 
     def test_wedge_is_tested_before_a_singular_frame(self):
         d = [1.0, 3e-13]
-        fams = [family(0, 2, [tube([0.0, 0.0], [1.0, 0.0])]), family(1, 2, [tube([0.0, 0.0], d)])]
+        fams = [
+            family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])]),
+            family(1, 2, [line_through([0.0, 0.0], d)]),
+        ]
         nets = [(np.array([[1.0, 0.0]]), 1e-17), (np.array([d]), 1e-17)]
         cube = Cube.centered([0.0, 0.0], 4.0)
         for nu, message in [(1e-12, "center wedge 3.000e-13 < nu/2"),

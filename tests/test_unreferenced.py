@@ -9,6 +9,7 @@ which a base class from outside the package calls.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,25 +39,56 @@ def members(cls):
     ]
 
 
+def scan_module(stem, source, own=True):
+    """(module-level definitions, class members, names used) of one module.
+
+    Definitions are dotted names, and only an ``own`` (package) module has
+    them.  What a definition refers to inside itself does not count as a use
+    of it: a class is not reached by its own methods, bases or body.
+    """
+    defined, methods, used = [], [], set()
+    for node in ast.parse(source).body:
+        if not (own and isinstance(node, DEFS)):
+            used.update(references(node))
+            continue
+        defined.append(f"{stem}.{node.name}")
+        parts = [(node, {node.name})]
+        if isinstance(node, ast.ClassDef):
+            inner = members(node)
+            methods.extend(f"{stem}.{node.name}.{m.name}" for m in inner)
+            rest = [sub for sub in node.body if sub not in inner]
+            outer = node.bases + node.keywords + node.decorator_list + rest
+            parts = [(m, {m.name, node.name}) for m in inner]
+            parts += [(sub, {node.name}) for sub in outer]
+        for sub, names in parts:
+            used.update(name for name in references(sub) if name not in names)
+    return defined, methods, used
+
+
 def scan():
-    """(module-level definitions, class members, names used): definitions as dotted names."""
+    """``scan_module`` over the package and the bench, merged."""
     defined, methods, used = [], [], set()
     for path in SRC + BENCH:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = path in SRC and isinstance(node, DEFS)
-            if own:
-                defined.append(f"{path.stem}.{node.name}")
-            if own and isinstance(node, ast.ClassDef):
-                inner = members(node)
-                methods.extend(f"{path.stem}.{node.name}.{m.name}" for m in inner)
-                for m in inner:
-                    used.update(name for name in references(m) if name != m.name)
-                rest = [sub for sub in node.body if sub not in inner]
-                nodes = node.bases + node.decorator_list + rest
-                used.update(name for sub in nodes for name in references(sub))
-                continue
-            used.update(name for name in references(node) if not (own and name == node.name))
+        d, m, u = scan_module(path.stem, path.read_text(encoding="utf-8"), path in SRC)
+        defined += d
+        methods += m
+        used |= u
     return defined, methods, used
+
+
+def test_a_class_named_only_in_its_own_body_is_unreferenced():
+    source = textwrap.dedent(
+        """
+        class Foo(Base):
+            size = Foo.default
+
+            def grown(self) -> Foo:
+                return Foo(self.size + 1)
+        """
+    )
+    defined, methods, used = scan_module("m", source)
+    assert defined == ["m.Foo"] and methods == ["m.Foo.grown"]
+    assert "Foo" not in used and "grown" not in used and "Base" in used
 
 
 def test_every_module_level_name_is_referenced():
