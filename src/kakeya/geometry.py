@@ -38,7 +38,7 @@ def _frozen(values, shape_check=None) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if shape_check is not None and not shape_check(arr.shape):
         raise ValueError(f"unexpected array shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite coordinates")
     arr.setflags(write=False)
     return arr
@@ -201,7 +201,7 @@ class LinearMap:
 
     ``length_distortion`` holds the (min, max) singular value and
     ``volume_distortion`` is |det|.  The map holds the values it is given;
-    ``frame_maps`` computes them for a whole stack of matrices at once.
+    ``frame_inverses`` computes them for a whole stack of matrices at once.
     """
 
     matrix: np.ndarray
@@ -534,15 +534,25 @@ def cap_index(centers: np.ndarray, direction: Direction, bound: float):
     return None
 
 
-def frame_maps(frames) -> list[LinearMap]:
-    """Linear maps sending each frame's columns v_j to the axis vectors e_j.
+def frame_inverses(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maps sending each frame's columns v_j to the axis vectors e_j, stacked.
 
     ``frames`` stacks P invertible frames, shape (P, n, n); map p is the
-    inverse of frame p.  One inverse, one singular-value and one determinant
-    call serve the whole stack, and numpy runs the same LAPACK routine on each
-    matrix, so map p has the bits of a call on frame p alone.
+    inverse of frame p.  Returns the ``LinearMap`` fields of every map as
+    arrays: the matrices (P, n, n), the (min, max) singular values (P, 2) and
+    |det| (P,).  They are checked as ``LinearMap`` checks one map (finite,
+    then invertible), and the first map to fail raises its ``ValueError``.
+    One inverse, one singular-value and one determinant call serve the whole
+    stack, and numpy runs the same LAPACK routine on each matrix, so row p
+    has the bits of a call on frame p alone.
     """
     mats = np.linalg.inv(frames)
-    svals = np.linalg.svd(mats, compute_uv=False).tolist()
-    dets = np.abs(np.linalg.det(mats)).tolist()
-    return [LinearMap(m, (s[-1], s[0]), d) for m, s, d in zip(mats, svals, dets)]
+    lengths = np.linalg.svd(mats, compute_uv=False)[:, [-1, 0]]
+    dets = np.abs(np.linalg.det(mats))
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    bad = ~(finite & (dets > 0.0) & (lengths[:, 0] > 0.0))
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise ValueError("non-finite coordinates" if not finite[p]
+                         else "linear map must be invertible")
+    return mats, lengths, dets

@@ -22,7 +22,7 @@ from .evaluator import GridSpec, midpoint_sum
 from .geometry import _frozen, lattice
 
 #: relative roundoff floor folded into quadrature error estimates
-ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
+ROUNDOFF_FLOOR = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)

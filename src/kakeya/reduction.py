@@ -36,7 +36,7 @@ from .geometry import (
     angle_from_axis,
     cap_cover,
     cap_index,
-    frame_maps,
+    frame_inverses,
 )
 
 SINGULAR_DET = 1e-12  # a frame with |det| below this is singular
@@ -46,18 +46,34 @@ SINGULAR_DET = 1e-12  # a frame with |det| below this is singular
 class ReducedProblem:
     """One small-angle subproblem with its bound bookkeeping multiplier.
 
-    ``sources`` are the cap tuple's sub-families of the original problem, one
-    per axis in axis order, and ``scale`` is 1 / (sigma_max * base radius).
-    The mapped families are built from them on first read of ``families``.
+    A problem is one row of the stacked reduction, held as Python floats:
+    the map's ``matrix`` rows, ``length_distortion`` (min, max singular
+    value) and ``volume_distortion`` (|det|), and the cube's ``min_corner``
+    and ``side``, all checked once for the whole stack.  ``map`` and ``cube``
+    are built from them on first read.  ``sources`` are the cap tuple's
+    sub-families of the original problem, one per axis in axis order, and
+    ``scale`` is 1 / (sigma_max * base radius); the mapped families are built
+    from them on first read of ``families``.
     """
 
-    map: LinearMap
-    cube: Cube
+    matrix: list = field(repr=False)
+    length_distortion: tuple
+    volume_distortion: float
+    min_corner: list
+    side: float
     distortion_factor: float
     delta: float
     cap_indices: tuple
     sources: tuple = field(repr=False)
     scale: float = field(repr=False)
+
+    @cached_property
+    def map(self) -> LinearMap:
+        return LinearMap(self.matrix, self.length_distortion, self.volume_distortion)
+
+    @cached_property
+    def cube(self) -> Cube:
+        return Cube(self.min_corner, self.side)
 
     @cached_property
     def families(self) -> tuple:
@@ -80,10 +96,10 @@ class ReducedProblem:
             "cap_indices": list(self.cap_indices),
             "delta": self.delta,
             "distortion_factor": self.distortion_factor,
-            "matrix": self.map.matrix.tolist(),
-            "length_distortion": list(self.map.length_distortion),
-            "volume_distortion": self.map.volume_distortion,
-            "cube": {"min_corner": self.cube.min_corner.tolist(), "side": self.cube.side},
+            "matrix": [list(row) for row in self.matrix],
+            "length_distortion": list(self.length_distortion),
+            "volume_distortion": self.volume_distortion,
+            "cube": {"min_corner": list(self.min_corner), "side": self.side},
             "member_counts": [f.size for f in self.sources],
         }
 
@@ -154,10 +170,14 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     axis's nonempty caps and are handled as arrays: frame p's column j is the
     center of tuple p's axis-j cap, one determinant of the stacked frames
     serves the wedge precondition (|det| >= nu/2, unless ``nu`` is None) and
-    the singular-frame test (|det| < SINGULAR_DET), and ``frame_maps`` maps
-    the frames before the first that fails either.  The checks fail as a walk
-    over the tuples would: on the first failing tuple, wedge, then singular,
-    then every mapped member angle <= delta.
+    the singular-frame test (|det| < SINGULAR_DET), and ``frame_inverses``
+    maps the frames before the first that fails either.  The checks fail as a
+    walk over the tuples would: on the first failing tuple, wedge, then
+    singular, then every mapped member angle <= delta.  The maps, the cubes
+    (each centered on its mapped cube's bounding box) and the distortion
+    factors are checked for the whole stack as ``LinearMap`` and ``Cube``
+    check one, with the same first failure, and each problem is one row of
+    the stacked results, listed once per array.
     """
     split = [split_by_caps(f, *nets[f.axis]) for f in families]
     if not all(split):
@@ -166,18 +186,17 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     pos = np.unravel_index(np.arange(math.prod(shape)), shape)
     combos = np.stack([np.array(list(caps))[k] for caps, k in zip(split, pos)], axis=1)
     frames = np.stack([nets[j][0][combos[:, j]] for j in range(len(split))], axis=2)
-    dets = np.abs(np.linalg.det(frames))
-    bad = dets < SINGULAR_DET
+    wedges = np.abs(np.linalg.det(frames))
+    bad = wedges < SINGULAR_DET
     if nu is not None:
-        bad |= dets < nu / 2.0
+        bad |= wedges < nu / 2.0
     stop = int(np.argmax(bad)) if bad.any() else len(combos)
-    maps = frame_maps(frames[:stop])
-    mats = np.array([lmap.matrix for lmap in maps]).reshape(stop, *frames.shape[1:])
+    mats, lengths, dets = frame_inverses(frames[:stop])
     wide = _first_wide_angle(split, [k[:stop] for k in pos], mats, delta)
     if wide is not None:
         raise PropertyViolation(f"transformed angle {wide[1]:.3e} exceeds delta {delta:.3e}")
     if stop < len(combos):
-        combo, wedge = tuple(combos[stop].tolist()), float(dets[stop])
+        combo, wedge = tuple(combos[stop].tolist()), float(wedges[stop])
         if nu is not None and wedge < nu / 2.0:
             raise ValidationError(
                 f"cap tuple {combo} has center wedge {wedge:.3e} < nu/2; "
@@ -186,25 +205,38 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
         raise ValidationError(f"cap tuple {combo} has a singular frame: |det| = {wedge:.3e}")
     # the cube's corners through every map at once, each map rescaled to unit radius
     w = families[0].base_radius
-    sigma_max = np.array([lmap.length_distortion[1] for lmap in maps])
-    scales = 1.0 / (sigma_max * w)
+    scales = 1.0 / (lengths[:, 1] * w)
     mapped = scales[:, None, None] * (cube.corners() @ mats.transpose(0, 2, 1))
     lo, hi = mapped.min(axis=1), mapped.max(axis=1)
-    sides = np.maximum((hi - lo).max(axis=1) * (1.0 + 1e-12), 1.0).tolist()
-    centers = 0.5 * (lo + hi)
+    sides = np.maximum((hi - lo).max(axis=1) * (1.0 + 1e-12), 1.0)
+    min_corners = 0.5 * (lo + hi) - 0.5 * sides[:, None]
+    # Cube's checks on every row; as in a walk over the tuples, the distortion
+    # factors (a float power can overflow) of the rows before the first failure come first
+    finite = np.isfinite(min_corners).all(axis=1)
+    good = finite & (sides > 0.0)
+    first_bad = len(combos) if good.all() else int(np.argmin(good))
+    length_rows, det_list = lengths.tolist(), dets.tolist()
     n = cube.n
+    factors = [s_max**n * w**n / det for (_, s_max), det in zip(length_rows[:first_bad], det_list)]
+    if first_bad < len(combos):
+        raise ValueError("non-finite coordinates" if not finite[first_bad]
+                         else "cube side must be positive")
     return [
         ReducedProblem(
-            map=lmap,
-            cube=Cube.centered(center, side),
-            distortion_factor=lmap.length_distortion[1] ** n * w**n / lmap.volume_distortion,
+            matrix=matrix,
+            length_distortion=tuple(length),
+            volume_distortion=det,
+            min_corner=min_corner,
+            side=side,
+            distortion_factor=factor,
             delta=delta,
             cap_indices=combo,
             sources=tuple(caps[i] for caps, i in zip(split, combo)),
             scale=scale,
         )
-        for lmap, center, side, combo, scale in zip(
-            maps, centers, sides, map(tuple, combos.tolist()), scales.tolist()
+        for matrix, length, det, min_corner, side, factor, combo, scale in zip(
+            mats.tolist(), length_rows, det_list, min_corners.tolist(), sides.tolist(),
+            factors, map(tuple, combos.tolist()), scales.tolist(),
         )
     ]
 

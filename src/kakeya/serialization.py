@@ -359,10 +359,115 @@ def lw_inputs_from_json(data) -> tuple[list[ProjectionFunction], Box]:
     return fns, _box_from_json(data["box"], "box")
 
 
+_string_text = json.encoder.encode_basestring_ascii
+
+# The text of a leaf by its exact type, each a C function.  A float's text is
+# its repr, and ``_FLOAT_TEXT`` then renames the reprs of NaN and the
+# infinities: no other leaf text can be "nan", "inf" or "-inf" (a string's
+# text is quoted).
+_LEAF_TEXT = {
+    str: _string_text,
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_TEXT.get(text, text)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a number, bool or None as a string."""
+    if isinstance(key, str):
+        return _string_text(key)
+    if isinstance(key, float):
+        key = _float_text(key)
+    elif key is True or key is False or key is None:
+        key = _LEAF_TEXT[type(key)](key)
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _string_text(key)
+
+
+def _append(value, out: list, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` breaks a line at its depth.
+
+    A leaf's exact type picks its text.  Any other value is tested for the
+    types ``json`` accepts, subclasses included; no object is an instance of
+    two of them (their layouts conflict), so the order of the tests does not
+    matter.
+    """
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        text = leaf(value)
+        out.append(_FLOAT_TEXT.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = sep = newline + "  "
+        comma = "," + inner
+        out.append("{")
+        for k, v in value.items():
+            key = sep + _key_text(k) + ": "
+            leaf = _LEAF_TEXT.get(type(v))
+            if leaf is None:
+                out.append(key)
+                _append(v, out, inner)
+            else:
+                text = leaf(v)
+                out.append(key + _FLOAT_TEXT.get(text, text))
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = sep = newline + "  "
+        comma = "," + inner
+        try:  # a list of leaves (a point, a matrix row) in one join
+            texts = [_LEAF_TEXT[type(v)](v) for v in value]
+        except KeyError:
+            out.append("[")
+            for v in value:
+                out.append(sep)
+                _append(v, out, inner)
+                sep = comma
+            out.append(newline + "]")
+            return
+        text = comma.join(texts)
+        if "n" in text:  # a NaN or an infinity, or else a null or a string holding an n
+            text = comma.join([_FLOAT_TEXT.get(t, t) for t in texts])
+        out.append("[" + inner + text + newline + "]")
+    elif isinstance(value, str):
+        out.append(_string_text(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(obj: dict, fh) -> None:
-    """Stream ``obj`` to the text file ``fh`` as every JSON output: indent 2, then a newline."""
-    json.dump(obj, fh, indent=2)
-    fh.write("\n")
+    """Write ``obj`` to the text file ``fh`` as every JSON output: indent 2, then a newline.
+
+    The text is ``json.dumps(obj, indent=2) + "\\n"`` byte for byte, built in
+    one pass and written at once.  Types are tested as ``json`` tests them
+    (str, int, float, list or tuple, dict; subclasses included), so an
+    ``np.float64`` is a float and an ``np.int64`` a ``TypeError``; NaN and
+    infinities are written as ``NaN`` and ``Infinity``.
+    """
+    out = []
+    _append(obj, out, "\n")
+    out.append("\n")
+    fh.write("".join(out))
 
 
 def dump_json(obj: dict, path) -> None:

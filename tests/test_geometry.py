@@ -12,10 +12,11 @@ from kakeya.geometry import (
     Cube,
     Direction,
     Line,
+    LinearMap,
     LipschitzCurve,
     angle_from_axis,
     cap_cover,
-    frame_maps,
+    frame_inverses,
     grid_ranges,
     lattice,
     line_box_distance,
@@ -452,10 +453,10 @@ class TestCapCover:
 
 class TestFrameMap:
     def test_identity_frame(self):
-        (m,) = frame_maps(np.eye(2)[None])
-        assert np.allclose(m.matrix, np.eye(2))
-        assert m.length_distortion == (1.0, 1.0)
-        assert m.volume_distortion == 1.0
+        mats, lengths, dets = frame_inverses(np.eye(2)[None])
+        assert np.allclose(mats[0], np.eye(2))
+        assert lengths.tolist() == [[1.0, 1.0]]
+        assert dets.tolist() == [1.0]
 
     def test_distortion_bounds_near_axes(self, rng):
         # frames within (10n)^-1 of the axes distort lengths by at most 2
@@ -468,23 +469,32 @@ class TestFrameMap:
                     pert -= pert[j] * np.eye(n)[j]
                     pert *= rng.uniform(0, limit) / max(np.linalg.norm(pert), 1e-12)
                     frames[p, :, j] = Direction.normalized(np.eye(n)[j] + pert).components
-            for m in frame_maps(frames):
-                lo, hi = m.length_distortion
+            _, lengths, dets = frame_inverses(frames)
+            for (lo, hi), det in zip(lengths, dets):
                 assert 0.5 <= lo <= hi <= 2.0
-                assert m.volume_distortion <= 2.0**n
+                assert det <= 2.0**n
 
     def test_maps_frame_to_axes(self, rng):
         frame = [Direction.normalized(np.eye(3)[j] + 0.02 * rng.normal(size=3)) for j in range(3)]
-        (m,) = frame_maps(np.stack([d.components for d in frame], axis=1)[None])
+        mats, _, _ = frame_inverses(np.stack([d.components for d in frame], axis=1)[None])
         for j in range(3):
-            assert np.allclose(m.matrix @ frame[j].components, np.eye(3)[j], atol=1e-12)
+            assert np.allclose(mats[0] @ frame[j].components, np.eye(3)[j], atol=1e-12)
 
     def test_rejects_singular(self):
         d = Direction.axis(2, 0)
         with pytest.raises(ValueError):
             frame_map([d, d])
         with pytest.raises(np.linalg.LinAlgError):
-            frame_maps(np.array([[[1.0, 1.0], [0.0, 0.0]]]))
+            frame_inverses(np.array([[[1.0, 1.0], [0.0, 0.0]]]))
+
+    def test_checks_each_map_as_linear_map_does(self):
+        # the inverse of diag(1e200, 1e200) has |det| 1e-400, which underflows to 0
+        flat = np.diag([1e200, 1e200])
+        with pytest.raises(ValueError, match="linear map must be invertible"):
+            frame_inverses(np.stack([np.eye(2), flat, np.eye(2)]))
+        inv = np.linalg.inv(flat)
+        with pytest.raises(ValueError, match="linear map must be invertible"):
+            LinearMap(inv, (1e-200, 1e-200), abs(float(np.linalg.det(inv))))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_batched_maps_have_the_bits_of_one_frame_calls(self, n, rng):
@@ -494,11 +504,12 @@ class TestFrameMap:
             for _ in range(200)
         ]
         stacked = np.array([np.stack([d.components for d in f], axis=1) for f in frames])
-        for batched, frame in zip(frame_maps(stacked), frames):
+        mats, lengths, dets = frame_inverses(stacked)
+        for mat, length, det, frame in zip(mats, lengths.tolist(), dets.tolist(), frames):
             one = frame_map(frame)
-            assert batched.matrix.tobytes() == one.matrix.tobytes()
-            assert batched.length_distortion == one.length_distortion
-            assert batched.volume_distortion == one.volume_distortion
+            assert mat.tobytes() == one.matrix.tobytes()
+            assert tuple(length) == one.length_distortion
+            assert det == one.volume_distortion
 
 
 class TestWedgeVolume:

@@ -136,6 +136,12 @@ class TestVerifyLw:
                     continue
                 assert check.ratio <= 1.0 + 3.0 * check.error_estimate
 
+    def test_fields_are_python_floats(self):
+        check = verify_lw(*random_lw_instance(3, 7))
+        assert not check.degenerate
+        assert {type(v) for v in (check.left, check.right, check.ratio,
+                                  check.error_estimate)} == {float}
+
     def test_disjoint_supports_strict(self):
         # disjointly supported halves with overlapping projections: strict gap
         left = np.zeros((2, 2))

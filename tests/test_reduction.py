@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from kakeya.geometry import (
     Cap,
     Cube,
     Direction,
+    LinearMap,
     Line,
     angle_from_axis,
     cap_cover,
@@ -27,6 +30,7 @@ from kakeya.reduction import (
     transversal_reduce,
     transversal_sigma_bound,
 )
+from kakeya.serialization import config_from_json, load_json
 
 from conftest import axis_tube_family, cap_nets, family, line_through
 from lemmas import (
@@ -355,6 +359,38 @@ class TestBatchedReduction:
         assert "families" not in vars(p)
         assert p.families is p.families
         assert p.to_json()["member_counts"] == [f.size for f in p.families]
+
+    def test_reduce_builds_no_map_cube_or_mapped_member(self, monkeypatch):
+        golden = Path(__file__).resolve().parent / "golden"
+        config = config_from_json(load_json(golden / "general_n3.config.json"))
+        built = Counter()
+        for cls in (LinearMap, Cube, Direction):
+            def counted(self, build=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                build(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        problems = reduce_general_to_small_angle(config.families, config.cube, 3.75)
+        rows = [p.to_json() for p in problems]
+        # the one Direction per axis is the center of that axis's whole cap
+        assert len(problems) > 1 and built == Counter(Direction=config.n)
+        for p, row in zip(problems, rows):
+            assert row["matrix"] == p.map.matrix.tolist()
+            assert row["length_distortion"] == list(p.map.length_distortion)
+            assert row["volume_distortion"] == p.map.volume_distortion
+            assert row["cube"] == {"min_corner": p.cube.min_corner.tolist(), "side": p.cube.side}
+        assert built["LinearMap"] == built["Cube"] == len(problems)
+
+    def test_a_cube_mapped_past_the_float_range_fails_as_the_walk_does(self):
+        cube = Cube.centered([0.0, 0.0], 8.0)
+        fams = generate(GenSpec(2, (4, 4), GeneralAngle(), cube, seed=5))
+        nets, delta = general_nets(2, 3.0)
+        far = Cube(np.array([-1.79e308, -1.79e308]), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                _reduce_with_caps(fams, far, nets, delta)
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                reduce_per_tuple(fams, far, nets, delta)
 
     @staticmethod
     def order_case(wedge_first: bool):
