@@ -343,6 +343,8 @@ def main(argv=None) -> int:
                 args.threads = _default_threads()
             elif args.threads < 1:
                 raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+        if hasattr(args, "tol") and not 0.0 <= args.tol < float("inf"):
+            raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

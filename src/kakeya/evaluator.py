@@ -8,9 +8,10 @@ one radius around it.
 
 Grid sums are computed in fixed-size blocks keyed by flattened cell index and
 folded in index order, so the result is bit-identical for any worker count.
-Each member's distance is computed only on its band, the cells it can reach
-(``geometry.member_reach`` and ``geometry.grid_ranges``); the cells outside
-add exactly zero, so the bits match a dense sum.
+``_add_member`` alone adds a member's weighted indicator to a grid (a block's
+slab, or the whole grid of ``CountFields``), only on the member's band, the
+cells it can reach (``geometry.member_reach`` and ``geometry.grid_ranges``);
+the cells outside add exactly zero, so the bits match a dense sum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -163,11 +163,24 @@ def _slabs(start: int, stop: int, m: int, n: int) -> tuple[list, int]:
     return boxes, first
 
 
+def cell_centers(lo, h, m: int) -> list:
+    """The m cell centers ``lo[k] + (i + 0.5) * h[k]`` along each axis k."""
+    return [lo[k] + (np.arange(m) + 0.5) * h[k] for k in range(len(lo))]
+
+
+def power_product(factors, p: float, shape) -> np.ndarray:
+    """prod_j f_j^p on an array of ``shape``; each factor broadcasts to it."""
+    out = np.ones(shape)
+    for f in factors:
+        out *= f if p == 1.0 else np.power(f, p)
+    return out
+
+
 def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     """Sum of ``integrand`` over the centers of the m^n cells of sides ``h``.
 
-    Cell ``i`` has center ``lo[k] + (i_k + 0.5) * h[k]``.  The cells are
-    walked in flat C order in blocks of ``_BLOCK``.  For each block,
+    The centers are ``cell_centers(lo, h, m)``.  The cells are walked in
+    flat C order in blocks of ``_BLOCK``.  For each block,
     ``integrand(axes, starts)`` is called on the boxes of ``_slabs`` that
     cover it: ``axes[k]`` holds the box's cell centers along axis k and
     ``starts[k]`` the grid index of the first of them, and the call returns
@@ -178,7 +191,7 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     """
     n = len(lo)
     total = m**n
-    centers = [lo[k] + (np.arange(m) + 0.5) * h[k] for k in range(n)]
+    centers = cell_centers(lo, h, m)
 
     def block_sum(start: int) -> float:
         stop = min(start + _BLOCK, total)
@@ -199,26 +212,17 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     return math.fsum(partials)
 
 
-def _box_values(families, radii, bands, p: float, axes, starts) -> np.ndarray:
-    """prod_j (sum_a w 1_tube)^p on the lattice of ``axes``, each member tested on its band only."""
-    shape = tuple(a.size for a in axes)
-    n = len(shape)
-    pts = lattice(axes).reshape(shape + (n,))
-    lo = np.asarray(starts)
-    out = np.ones(shape)
-    for family, r, band in zip(families, radii, bands):
-        vals = np.zeros(shape)
-        firsts = (np.maximum(band[..., 0], lo) - lo).tolist()
-        stops = (np.minimum(band[..., 1], lo + shape) - lo).tolist()
-        for member, first, stop in zip(family.members, firsts, stops):
-            if any(a >= b for a, b in zip(first, stop)):
-                continue
-            box = tuple(map(slice, first, stop))
-            sub = pts[box]
-            d = _member_distance(member.geometry, sub.reshape(-1, n))
-            vals[box] += (member.weight * (d <= r)).reshape(sub.shape[:-1])
-        out *= vals if p == 1.0 else np.power(vals, p)
-    return out
+def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: float) -> None:
+    """Add ``sign * w * (d <= r)`` of the member to ``field`` on the index box [first, stop).
+
+    ``axes[k]`` holds the cell centers of ``field`` along axis k.
+    """
+    if any(a >= b for a, b in zip(first, stop)):
+        return
+    box = tuple(map(slice, first, stop))
+    d = _member_distance(member.geometry, lattice([x[s] for x, s in zip(axes, box)]))
+    view = field[box]
+    view += (sign * member.weight * (d <= r)).reshape(view.shape)
 
 
 def _check_cell_budget(m: int, n: int) -> None:
@@ -250,7 +254,19 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
         _check_cell_budget(m, n)
         h = cube.side / m
         bands = [grid_ranges(x, cube.min_corner, h, m) for x in reaches]
-        integrand = partial(_box_values, fams, rs, bands, p)
+
+        def integrand(axes, starts):
+            shape = tuple(x.size for x in axes)
+            lo, size = np.array(starts)[:, None], np.array(shape)[:, None]
+            fields = []
+            for f, r, band in zip(fams, rs, bands):
+                fields.append(np.zeros(shape))
+                # the bands clipped to the slab, in its own indices
+                ranges = np.clip(band - lo, 0, size).transpose(0, 2, 1)
+                for member, (first, stop) in zip(f.members, ranges.tolist()):
+                    _add_member(fields[-1], axes, member, r, first, stop, 1.0)
+            return power_product(fields, p, shape)
+
         return h**n * midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
 
     return value
@@ -271,22 +287,20 @@ class CountFields:
     """The overlap quadrature on one m^n grid, held as one count field per family.
 
     ``fields[j]`` is ``sum_a w_a 1_tube`` at every cell center for the j-th
-    family by axis, and ``bands[j]`` holds its members' bands, the grid
-    ranges of their reach over the cube's slab.  ``moved`` swaps one member:
-    it copies that family's field, subtracts the old member's indicator on
-    its stored band and adds the new member's on its own band; every other
-    field and band is shared.
-    The weights are integers whose family sums stay below 2**53, so every
-    field holds exact integers whatever the order of adds and subtracts,
-    and ``value`` has the bits of ``midpoint_rule(families, cube)(m, threads)``.
-    Build with ``CountFields.build``.
+    family by axis, each member added by ``_add_member`` on its band.
+    ``moved`` swaps one member: it copies that family's field and subtracts
+    the old member and adds the new one on bands from one ``member_reach``
+    call on the two; every other field is shared.  Any band that holds a
+    member's reach gives the same bits, as a cell outside it adds exactly
+    0.0.  The weights are integers whose family sums stay below 2**53, so
+    every field holds exact integers in any order of adds and subtracts, and
+    ``value`` has the bits of ``midpoint_rule(families, cube)(m, threads)``.
     """
 
     families: tuple
     cube: Cube
     m: int
     fields: tuple
-    bands: tuple
 
     @classmethod
     def build(cls, families, cube: Cube, m: int) -> "CountFields":
@@ -302,18 +316,11 @@ class CountFields:
         for f in fams:
             _check_integer_weights(f)
         _check_cell_budget(m, n)
-        h = cube.side / m
-        fields, bands = [], []
-        for f in fams:
-            field = np.zeros((m,) * n)
-            geometries = [member.geometry for member in f.members]
-            reach = member_reach(geometries, f.axis, f.base_radius, cube)[:, 0]
-            band = grid_ranges(reach, cube.min_corner, h, m)
-            for member, b in zip(f.members, band):
-                _add_member(field, member, f.base_radius, b, cube, 1.0)
-            fields.append(_read_only(field))
-            bands.append(_read_only(band))
-        return cls(fams, cube, m, tuple(fields), tuple(bands))
+        fields = tuple(
+            _read_only(_add_members(np.zeros((m,) * n), f, f.members, [1.0] * f.size, cube))
+            for f in fams
+        )
+        return cls(fams, cube, m, fields)
 
     def moved(self, j: int, a: int, member: FamilyMember) -> "CountFields":
         """The fields with ``member`` in place of member ``a`` of the j-th family by axis."""
@@ -323,55 +330,35 @@ class CountFields:
         new = TubeFamily(old.axis, old.dim, tuple(members), old.base_radius)
         _check_integer_weights(new)
         _check_curve_spans([new], self.cube)
-        cube, r = self.cube, old.base_radius
-        field = self.fields[j].copy()
-        _add_member(field, old.members[a], r, self.bands[j][a], cube, -1.0)
-        reach = member_reach([member.geometry], old.axis, r, cube)[0, 0]
-        band = self.bands[j].copy()
-        band[a] = grid_ranges(reach, cube.min_corner, cube.side / self.m, self.m)
-        _add_member(field, member, r, band[a], cube, 1.0)
-
-        def swap(items, item):
-            return items[:j] + (item,) + items[j + 1 :]
-
-        return CountFields(
-            swap(self.families, new),
-            self.cube,
-            self.m,
-            swap(self.fields, _read_only(field)),
-            swap(self.bands, _read_only(band)),
-        )
+        swap = (old.members[a], member)
+        field = _add_members(self.fields[j].copy(), old, swap, (-1.0, 1.0), self.cube)
+        families, fields = list(self.families), list(self.fields)
+        families[j], fields[j] = new, _read_only(field)
+        return CountFields(tuple(families), self.cube, self.m, tuple(fields))
 
     def value(self, threads: int = 1) -> float:
         """The midpoint-rule value, through ``midpoint_sum`` on slices of the fields."""
         n = self.cube.n
         p = 1.0 / (n - 1)
         h = self.cube.side / self.m
-        fields = self.fields
 
         def integrand(axes, starts):
             box = tuple(slice(a, a + x.size) for a, x in zip(starts, axes))
-            out = np.ones(tuple(x.size for x in axes))
-            for field in fields:
-                vals = field[box]
-                out *= vals if p == 1.0 else np.power(vals, p)
-            return out
+            return power_product((f[box] for f in self.fields), p, tuple(x.size for x in axes))
 
         return h**n * midpoint_sum(integrand, self.cube.min_corner, (h,) * n, self.m, threads)
 
 
-def _add_member(field, member: FamilyMember, r: float, band, cube: Cube, sign: float) -> None:
-    """Add ``sign`` times the member's weighted indicator to ``field`` on its band."""
-    band = band.tolist()
-    if any(a >= b for a, b in band):
-        return
-    h = cube.side / field.shape[0]
-    lo = cube.min_corner
-    # the cell centers of midpoint_sum, bit for bit, so each test matches the full kernel's
-    axes = [lo[k] + (np.arange(a, b) + 0.5) * h for k, (a, b) in enumerate(band)]
-    d = _member_distance(member.geometry, lattice(axes))
-    view = field[tuple(slice(a, b) for a, b in band)]
-    view += (sign * member.weight * (d <= r)).reshape(view.shape)
+def _add_members(field, family: TubeFamily, members, signs, cube: Cube) -> np.ndarray:
+    """``field`` (m^n cells) plus each family member's indicator times its sign, on its band."""
+    m, r = field.shape[0], family.base_radius
+    h = cube.side / m
+    reach = member_reach([x.geometry for x in members], family.axis, r, cube)[:, 0]
+    bands = grid_ranges(reach, cube.min_corner, h, m).transpose(0, 2, 1).tolist()
+    centers = cell_centers(cube.min_corner, (h,) * cube.n, m)
+    for member, (first, stop), sign in zip(members, bands, signs):
+        _add_member(field, centers, member, r, first, stop, sign)
+    return field
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluator import GridSpec, midpoint_sum
+from .evaluator import GridSpec, cell_centers, midpoint_sum, power_product
 from .geometry import _frozen, lattice
 
 #: relative roundoff floor folded into quadrature error estimates
@@ -153,18 +153,16 @@ def _check_setup(fs, box: Box) -> int:
 
 
 def _left_midpoint(fs, box: Box, m: int) -> float:
-    n = box.n
-    p = 1.0 / (n - 1)
+    p = 1.0 / (box.n - 1)
     h = box.sides / m
 
     def integrand(axes, starts):
         # f_j(pi_j x) is constant along axis j: look it up on the other axes
         # and broadcast it along axis j
-        vals = np.ones(tuple(a.size for a in axes))
-        for j in range(n):
-            fj = fs[j].lookup_grid(axes[:j] + axes[j + 1 :])
-            vals *= np.expand_dims(fj if p == 1.0 else np.power(fj, p), j)
-        return vals
+        factors = (
+            np.expand_dims(f.lookup_grid(axes[:j] + axes[j + 1 :]), j) for j, f in enumerate(fs)
+        )
+        return power_product(factors, p, tuple(a.size for a in axes))
 
     return float(np.prod(h)) * midpoint_sum(integrand, box.min_corner, h, m)
 
@@ -204,10 +202,7 @@ def unit_ball_volume(d: int) -> float:
 
 def ball_sum_to_grid(b: BallSum, box: Box, cells_per_side: int) -> ProjectionFunction:
     """Rasterize a ball sum onto a grid (cell-center sampling)."""
-    h = box.sides / cells_per_side
-    pts = lattice(
-        [box.min_corner[k] + (np.arange(cells_per_side) + 0.5) * h[k] for k in range(box.n)]
-    )
+    pts = lattice(cell_centers(box.min_corner, box.sides / cells_per_side, cells_per_side))
     vals = np.zeros(pts.shape[0])
     for center, w in zip(b.centers, b.weights):
         diff = pts - center

@@ -206,10 +206,12 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     # the cube's corners through every map at once, each map rescaled to unit radius
     w = families[0].base_radius
     scales = 1.0 / (lengths[:, 1] * w)
-    mapped = scales[:, None, None] * (cube.corners() @ mats.transpose(0, 2, 1))
-    lo, hi = mapped.min(axis=1), mapped.max(axis=1)
-    sides = np.maximum((hi - lo).max(axis=1) * (1.0 + 1e-12), 1.0)
-    min_corners = 0.5 * (lo + hi) - 0.5 * sides[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a cube mapped past the float range fails the finiteness check below
+        mapped = scales[:, None, None] * (cube.corners() @ mats.transpose(0, 2, 1))
+        lo, hi = mapped.min(axis=1), mapped.max(axis=1)
+        sides = np.maximum((hi - lo).max(axis=1) * (1.0 + 1e-12), 1.0)
+        min_corners = 0.5 * (lo + hi) - 0.5 * sides[:, None]
     # Cube's checks on every row; as in a walk over the tuples, the distortion
     # factors (a float power can overflow) of the rows before the first failure come first
     finite = np.isfinite(min_corners).all(axis=1)
@@ -217,7 +219,11 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     first_bad = len(combos) if good.all() else int(np.argmin(good))
     length_rows, det_list = lengths.tolist(), dets.tolist()
     n = cube.n
-    factors = [s_max**n * w**n / det for (_, s_max), det in zip(length_rows[:first_bad], det_list)]
+    rows = zip(length_rows[:first_bad], det_list)
+    try:
+        factors = [s_max**n * w**n / det for (_, s_max), det in rows]
+    except OverflowError:
+        raise ValidationError(f"distortion factor (sigma_max W)^{n} overflows at W = {w!r}")
     if first_bad < len(combos):
         raise ValueError("non-finite coordinates" if not finite[first_bad]
                          else "cube side must be positive")
@@ -239,6 +245,14 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
             factors, map(tuple, combos.tolist()), scales.tolist(),
         )
     ]
+
+
+def _reduce(families, cube, nets, delta, nu=None) -> list[ReducedProblem]:
+    """``_reduce_with_caps``, with a cube mapped past the float range reported as bad input."""
+    try:
+        return _reduce_with_caps(families, cube, nets, delta, nu)
+    except ValueError as exc:
+        raise ValidationError(f"the cube maps past the float range: {exc}")
 
 
 def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[ReducedProblem]:
@@ -263,7 +277,7 @@ def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[Redu
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
     rho = delta / 10.0
     nets = [_net(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
-    return _reduce_with_caps(fams, cube, nets, delta)
+    return _reduce(fams, cube, nets, delta)
 
 
 def transversal_sigma_bound(n: int, nu: float) -> float:
@@ -310,5 +324,5 @@ def transversal_reduce(
     if not rho > 0.0:
         raise ValidationError(f"nu {nu!r} is too small: the cap radius underflows to 0")
     nets = [_net(cap, min(rho, cap.ang_radius)) for cap in direction_sets]
-    return _reduce_with_caps(fams, cube, nets, delta, nu)
+    return _reduce(fams, cube, nets, delta, nu)
 

@@ -345,13 +345,36 @@ def _set_near_parallel_frame(data):
     ]
 
 
-def edited_lw_golden(tmp_path, edit):
-    """``tests/golden/lw_n3.input.json`` with ``edit`` applied to its JSON."""
-    data = load_json(Path(__file__).resolve().parent / "golden" / "lw_n3.input.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def edited_golden(tmp_path, name, edit):
+    """``tests/golden/<name>`` with ``edit`` applied to its JSON."""
+    data = load_json(GOLDEN / name)
     edit(data)
-    path = tmp_path / "lw.json"
+    path = tmp_path / name
     dump_json(data, path)
     return path
+
+
+def edited_lw_golden(tmp_path, edit):
+    """``tests/golden/lw_n3.input.json`` with ``edit`` applied to its JSON."""
+    return edited_golden(tmp_path, "lw_n3.input.json", edit)
+
+
+def _set_radius_huge(data):
+    for f in data["families"]:
+        f["radius"] = 1e200
+
+
+def _set_cube_past_the_float_range(data):
+    data["cube"] = {"min_corner": [-1.79e308, -1.79e308, -1.79e308], "side": 1e308}
+
+
+def small_angle_check(command, *flags):
+    """``command`` on ``tests/golden/small_angle_n2.config.json`` at delta 0.2 on a 32-cell grid."""
+    config = GOLDEN / "small_angle_n2.config.json"
+    return [command, "--config", config, "--delta", 0.2, "--grid", 32, *flags]
 
 
 def _set_lw_min_corner_strings(data):
@@ -514,6 +537,18 @@ BAD_INPUTS = {
     ],
     "sweep_grid_flag": lambda p: ["sweep", "--config", sweep_file(p), "--grid", 16],
     "search_tol_flag": lambda p: ["search", "--config", search_file(p), "--tol", 0.1],
+    "certify_tol_nan": lambda p: small_angle_check("certify", "--check", "--tol", "nan"),
+    "verify_step_tol_negative": lambda p: small_angle_check("verify-step", "--tol", -5),
+    "verify_step_tol_nan": lambda p: small_angle_check("verify-step", "--tol", "nan"),
+    "reduce_radius_overflows": lambda p: [
+        "reduce", "--config", edited_golden(p, "general_n3.config.json", _set_radius_huge),
+        "--epsilon", 3.75,
+    ],
+    "reduce_cube_past_the_float_range": lambda p: [
+        "reduce", "--config",
+        edited_golden(p, "general_n3.config.json", _set_cube_past_the_float_range),
+        "--epsilon", 3.75,
+    ],
 }
 
 
@@ -585,6 +620,12 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("sweep_negative_doublings", "max_doublings must be >= 0"),
         ("sweep_grid_flag", "unrecognized arguments: --grid 16"),
         ("search_tol_flag", "unrecognized arguments: --tol 0.1"),
+        ("certify_tol_nan", "--tol must be a finite number >= 0, got nan"),
+        ("verify_step_tol_negative", "--tol must be a finite number >= 0, got -5.0"),
+        ("verify_step_tol_nan", "--tol must be a finite number >= 0, got nan"),
+        ("reduce_radius_overflows", "distortion factor (sigma_max W)^3 overflows at W = 1e+200"),
+        ("reduce_cube_past_the_float_range",
+         "the cube maps past the float range: non-finite coordinates"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):

@@ -25,7 +25,7 @@ from kakeya.evaluator import (
     midpoint_sum,
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
-from kakeya.geometry import Cube, Line, lattice
+from kakeya.geometry import Cube, Direction, Line, grid_ranges, lattice, member_reach
 from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
 from conftest import family, line_through, shifted
@@ -190,10 +190,19 @@ def move_cases(draw):
     counts = tuple(draw(st.integers(1, 3)) for _ in range(n))
     spec = GenSpec(n, counts, regime, cube, draw(st.integers(0, 2**32)), draw(st.floats(0.3, 2.5)))
     rng = np.random.default_rng(spec.seed)
+    generated = generate(spec)
+    cores = [[m.geometry for m in f.members] for f in generated]
+    if draw(st.booleans()):
+        # a line through the cube's center anchored 1.4e6 back along a direction
+        # with |d|^2 - 1 = 5.3e-13: the rounding pad of family 0's bands at build
+        # is orders of magnitude wider than that of a move of two other members
+        d = np.zeros(n)
+        d[:2] = [0.9997232574854863, -0.023524634814161727]
+        cores[0].append(Line(cube.min_corner + 0.5 * cube.side - 1.4e6 * d, Direction(d)))
     families = [
-        family(f.axis, n, [m.geometry for m in f.members], f.base_radius,
-               weights=rng.integers(0, 4, f.size).astype(float).tolist())
-        for f in generate(spec)
+        family(f.axis, n, lines, f.base_radius,
+               weights=rng.integers(0, 4, len(lines)).astype(float).tolist())
+        for f, lines in zip(generated, cores)
     ]
     # one block at n = 2; several blocks at n = 3, where the power is 1/2
     m = draw(st.integers(1, 64) if n == 2 else st.integers(41, 46))
@@ -234,7 +243,9 @@ def test_count_fields_member_moved_out_of_the_cube():
     far = np.array([0.0, 20.0, 0.0])
     gone = moved_member(families[0].members[1], 0, far, np.random.default_rng(1))
     moved = fields.moved(0, 1, gone)
-    first, stop = moved.bands[0][1].T
+    # the moved member's band alone, by the rule the fields use
+    reach = member_reach([gone.geometry], 0, families[0].base_radius, cube)[0, 0]
+    first, stop = grid_ranges(reach, cube.min_corner, cube.side / 44, 44).T
     assert np.any(first >= stop)  # an empty band: the member adds nothing
     assert moved.fields[1] is fields.fields[1] and moved.fields[2] is fields.fields[2]
     for threads in (1, 2):
