@@ -45,9 +45,12 @@ from .geometry import (
     Line,
     LipschitzCurve,
     angle_from_axis,
+    distance_rounding,
     grid_ranges,
     line_box_distance,
     member_reach,
+    point_line_distance,
+    point_polyline_distance,
     polyline_box_distance,
     subcube_grid,
     subdivision_counts,
@@ -187,27 +190,48 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     ``counts[j]`` holds the number of members of the axis-j family within w
     of each subcube and ``weights[j]`` their total weight, N_j(Q); both have
     shape (n, k^n), in the C order of ``subcube_grid``.  Only candidate
-    subcubes get the exact distance test: for each layer of subcubes along
-    the family axis, those that meet the member's reach over the layer
-    (``member_reach``), padded by one subcube on each side.  A subcube meets
-    a box exactly when its center lies within half a side of it, so
-    ``grid_ranges`` on the reach widened by half a subcube gives them.
-    Every other subcube lies farther than w from the member by more than the
-    rounding of the computed distance, so the counts and the member-order
-    weight sums equal a test of every pair, bit for bit.
+    subcubes are tested: for each layer of subcubes along the family axis,
+    those that meet the member's reach over the layer (``member_reach``),
+    padded by one subcube on each side.  A subcube meets a box exactly when
+    its center lies within half a side of it, so ``grid_ranges`` on the
+    reach widened by half a subcube gives them.  Every other subcube lies
+    farther than w from the member by more than the rounding of the
+    computed distance.
+
+    A candidate is decided by its center's computed distance c~ to the
+    member first (``point_line_distance``, ``point_polyline_distance``),
+    with ``err2`` and ``e`` the rounding bounds of ``distance_rounding`` and
+    hd half the subcube's diagonal.  The true center distance c has
+    |c^2 - c~^2| <= err2, and the true box distance D lies in [c - hd, c]:
+    the box holds its center and lies within hd of it.  So
+
+      * c~^2 + err2 <= (w - e)^2 gives D <= c <= w - e: it touches;
+      * c~^2 - err2 > (w + hd + e)^2 gives D >= c - hd > w + e: it does not;
+      * any other subcube gets the exact ``line_box_distance`` /
+        ``polyline_box_distance`` test against w.
+
+    A computed box distance is within ``e`` of D when either is at most w,
+    so the first two classes are the exact test's answers, and the counts
+    and the member-order weight sums equal a test of every pair, bit for
+    bit.
     """
     k, sub_side = subdivision_counts(cube, delta, w)
     n = cube.n
     grid = [cube.min_corner[c] + sub_side * np.arange(k) for c in range(n)]
     layers = np.arange(k)
     half = np.array([[-0.5 * sub_side], [0.5 * sub_side]])
+    half_diagonal = 0.5 * sub_side * math.sqrt(n)
     counts = np.zeros((n, k**n), dtype=np.int64)
     weights = np.zeros(counts.shape)
     for f in families:
         j = f.axis
-        reach = member_reach([m.geometry for m in f.members], j, w, cube, k)
+        members = [m.geometry for m in f.members]
+        reach = member_reach(members, j, w, cube, k)
         bands = grid_ranges(reach + half, cube.min_corner, sub_side, k)
         bands[:, :, j] = np.stack([layers, layers + 1], axis=-1)
+        err2, e = distance_rounding(members, cube, w)
+        inside = (w - e) ** 2 - err2 if w > e else -math.inf
+        outside = (w + half_diagonal + e) ** 2 + err2
         for m, band in zip(f.members, bands):
             g = m.geometry
             idx = _band_cells(band[..., 0], band[..., 1])
@@ -215,12 +239,17 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
                 continue
             lo = np.stack([grid[c][idx[:, c]] for c in range(n)], axis=1)
             if isinstance(g, Line):
-                d = line_box_distance(g, lo, lo + sub_side)
+                point_distance, box_distance = point_line_distance, line_box_distance
             else:
-                d = polyline_box_distance(g, lo, lo + sub_side)
-            near = np.ravel_multi_index(tuple(idx[d <= w].T), (k,) * n)
-            counts[j, near] += 1
-            weights[j, near] += m.weight
+                point_distance, box_distance = point_polyline_distance, polyline_box_distance
+            c2 = point_distance(lo + 0.5 * sub_side, g) ** 2
+            near = c2 <= inside
+            test = np.flatnonzero(~near & (c2 <= outside))
+            if test.size:
+                near[test] = box_distance(g, lo[test], lo[test] + sub_side) <= w
+            flat = np.ravel_multi_index(tuple(idx[near].T), (k,) * n)
+            counts[j, flat] += 1
+            weights[j, flat] += m.weight
     return sub_side, counts, weights
 
 

@@ -127,12 +127,12 @@ def _resolve_delta(args, n: int) -> float:
 def _cmd_certify(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
     delta = _resolve_delta(args, config.n)
+    # a bad --grid fails before the certificate is written
+    grid = GridSpec(args.grid) if args.check else None
     certificate = certifier.certify_multiscale(config.families, config.cube, delta)
     _write_output(certificate, args.out)
     if args.check:
-        value = evaluate_overlap(
-            config.families, config.cube, GridSpec(args.grid), threads=args.threads
-        )
+        value = evaluate_overlap(config.families, config.cube, grid, threads=args.threads)
         if not certifier.check_certificate_soundness(certificate, value, tol=args.tol):
             print(
                 f"violation: value {value.value!r} exceeds bound {certificate.final_bound!r}",

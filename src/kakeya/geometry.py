@@ -345,6 +345,69 @@ def polyline_box_distance(curve: LipschitzCurve, lo, hi) -> np.ndarray:
 # reach: where a member can be within a radius
 
 
+def _squared_rounding(origins, dirs, cube: Cube) -> float:
+    """Bound on the error of a computed squared point distance from a point of ``cube``.
+
+    ``origins`` stacks the members' anchors and vertices and ``dirs`` the
+    lines' directions.  The square (``point_line_distance``,
+    ``point_polyline_distance``) is off by at most (|1 - |dir|^2| + 32 eps) R^2
+    (for a line it is a difference of squares, the worse case), where R is
+    the largest distance from the cube to an origin.
+    """
+    # the farthest corner from an origin takes the farther face on every axis
+    faces = np.maximum((cube.min_corner - origins) ** 2, (cube.max_corner - origins) ** 2)
+    far2 = faces.sum(axis=1).max(initial=0.0)
+    skew = np.abs(1.0 - np.vecdot(dirs, dirs)).max(initial=0.0)
+    return float((skew + 32.0 * _EPS) * far2)
+
+
+def distance_rounding(members, cube: Cube, r: float) -> tuple[float, float]:
+    """Rounding bounds ``(err2, e)`` of the computed distances from ``members`` to ``cube``.
+
+    ``members`` are lines and polylines.  ``err2`` bounds the error of a
+    computed squared point distance from a point of the cube, by the rule
+    ``member_reach`` pads its boxes with (``_squared_rounding``).
+
+    ``e`` bounds the rounding of a box test against ``r``, for a box of the
+    cube whose corners ``lo``, ``lo + side`` and center ``lo + side / 2``
+    are computed in floats.  Its computed distance (``line_box_distance``,
+    ``polyline_box_distance``) and its true one differ by less than ``e``
+    whenever either is at most ``r``, counting also the rounding of the
+    corners and the center, and of the squares a caller compares with
+    (r - e)^2 or (r + hd + e)^2, hd half the box's diagonal.  With
+    L = sqrt(n) M, M the largest |coordinate| of the cube's corners,
+    anchors and vertices, so that every such point has norm at most L, and
+    u = eps/2, the first-order terms are:
+
+      * a computed breakpoint (b - a_k) / d_k is off by 2u relative, which
+        moves the line point by 2u |t d| <= 2u (2L + r), since the nearest
+        point lies within r of a box of the cube;
+      * a piece's stationary point -lin/quad (sums over at most n active
+        axes, each off by (n + 1) u) moves by dt with
+        sqrt(quad) |dt| <= (n + 1) u (|a - b| + |t d|) <= (n + 1) u (4L + r),
+        which bounds the rise of the distance on the piece; a stationary
+        point within dt of a breakpoint is met by that breakpoint's
+        candidate, where the rise is no larger;
+      * evaluating a + t d rounds by u (|t d| + |a + t d|) <= u (3L + 2r),
+        and the n squares, their sum and the square root by (n + 2) u r;
+      * a polyline's segment vector v1 - v0 moves v1 by 2u L;
+      * the box corners and center computed from the cube move the box by
+        at most 3u L;
+      * the squares of the class tests round by 4u (r + L).
+
+    Their sum is below (2n + 10) eps (L + r); ``e`` is twice that, to cover
+    the second-order terms.
+    """
+    n = cube.n
+    lines = [g for g in members if isinstance(g, Line)]
+    anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
+    dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
+    origins = np.concatenate([anchors, *(g.vertices() for g in members if not isinstance(g, Line))])
+    coords = np.abs(np.concatenate([origins.ravel(), cube.min_corner, cube.max_corner]))
+    e = 4.0 * (n + 5) * _EPS * (math.sqrt(n) * float(coords.max()) + r)
+    return _squared_rounding(origins, dirs, cube), e
+
+
 def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> np.ndarray:
     """Boxes, shape (members, layers, 2, n), that hold every point a member reaches.
 
@@ -355,11 +418,9 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     widened by ``r``, of the member over that range of x_axis (a line at the
     two ends of the range, or on its whole length when it has no x_axis
     motion and lies in the range; a polyline at the ends, clamped to its
-    span, and at its vertices inside).  ``r`` is first widened by a bound on
-    the rounding of a computed point distance, whose square is off by at
-    most (|1 - |dir|^2| + 32 eps) R^2 (for a line it is a difference of
-    squares, the worse case), where R is the largest distance from the cube
-    to an anchor or a vertex.
+    span, and at its vertices inside).  ``r`` is first widened by the bound
+    ``_squared_rounding`` puts on the rounding of a computed squared point
+    distance.
     """
     n = cube.n
     is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
@@ -367,12 +428,7 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     curves = [g.vertices() for g in members if not isinstance(g, Line)]
     anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
     dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
-    origins = np.concatenate([anchors, *curves])
-    # the farthest corner from an origin takes the farther face on every axis
-    faces = np.maximum((cube.min_corner - origins) ** 2, (cube.max_corner - origins) ** 2)
-    far2 = faces.sum(axis=1).max(initial=0.0)
-    skew = np.abs(1.0 - np.vecdot(dirs, dirs)).max(initial=0.0)
-    err2 = float((skew + 32.0 * _EPS) * far2)
+    err2 = _squared_rounding(np.concatenate([anchors, *curves]), dirs, cube)
     rr = r + err2 / (math.sqrt(r * r + err2) + r)
     # slab i runs from edge i to edge i + 1; widened by rr on both sides
     edges = np.arange(layers)[:, None] + [0.0, 1.0]

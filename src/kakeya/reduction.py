@@ -222,7 +222,11 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     rows = zip(length_rows[:first_bad], det_list)
     try:
         factors = [s_max**n * w**n / det for (_, s_max), det in rows]
+        # a power raises OverflowError; a product of finite powers becomes inf
+        factors_finite = all(map(math.isfinite, factors))
     except OverflowError:
+        factors_finite = False
+    if not factors_finite:
         raise ValidationError(f"distortion factor (sigma_max W)^{n} overflows at W = {w!r}")
     if first_bad < len(combos):
         raise ValueError("non-finite coordinates" if not finite[first_bad]

@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kakeya import certifier
@@ -21,7 +22,15 @@ from kakeya.certifier import (
 from kakeya.errors import ValidationError
 from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
 from kakeya.generators import GenSpec, Lipschitz, SmallAngle, Weighted, generate
-from kakeya.geometry import Cube, Direction, Line, LipschitzCurve, line_box_distance
+from kakeya.geometry import (
+    Cube,
+    Direction,
+    Line,
+    LipschitzCurve,
+    line_box_distance,
+    subdivision_counts,
+)
+from kakeya.serialization import config_from_json, load_json
 
 from conftest import axis_tube_family, count_midpoint_sums, family, line_through, shifted
 from lemmas import (
@@ -114,6 +123,85 @@ def subcube_cases(draw):
             weights = rng.uniform(0.0, 5.0, len(geometries)).tolist()
         f = family(s.axis, n, geometries, w, weights)
         families.append(shifted(f, spread * side * rng.uniform(-1.0, 1.0, (f.size, n))))
+    return families, cube, delta, w
+
+
+def ulps(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` floats up (down for negative ``steps``)."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+# |d|^2 - 1 = 5.3e-13 and -5.3e-13: from an anchor 1.4e6 back along d, the
+# computed squared point distance falls short by about 1, or exceeds it
+FAR_DIRECTIONS = (
+    [0.9997232574854863, -0.023524634814161727],
+    [0.9997232574849564, -0.023524634814149258],
+)
+
+
+def far_anchor_case(direction):
+    """A line through the cube anchored 1.4e6 back along ``direction``, beside an axis line."""
+    d = np.array(direction)
+    line = Line(np.array([0.1, 0.2]) - 1.4e6 * d, Direction(d))
+    fams = [family(0, 2, [line], 0.5), axis_tube_family(1, 2, [np.zeros(2)], 0.5)]
+    return fams, Cube(np.full(2, -2.0), 4.0), 0.5, 0.5
+
+
+@st.composite
+def margin_cases(draw):
+    """Members on the margins of the subcube classes of ``_subcube_counts``.
+
+    Axis-parallel lines and constant polylines put a row of subcube centers,
+    or a row of subcube faces, at distance w across one axis, then move by
+    -1, 0 or 1 ulp; the subcube corners and centers are computed as
+    ``_subcube_counts`` computes them.  Family 0 can also hold a line
+    through the cube anchored 1.4e6 back along one of ``FAR_DIRECTIONS``.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    delta = draw(st.floats(0.05, 0.9))
+    w = draw(st.floats(0.3, 3.0))
+    upper = w / (delta * 10.0 * n)
+    side = upper * draw(st.floats(1.0, 24.0 if n == 2 else 8.0))
+    cube = Cube(np.array([draw(st.floats(-10.0, 10.0)) for _ in range(n)]), side)
+    k, sub_side = subdivision_counts(cube, delta, w)
+
+    def lo(c, i):
+        return cube.min_corner[c] + sub_side * i
+
+    families = []
+    for j in range(n):
+        geometries = []
+        for _ in range(draw(st.integers(1, 3))):
+            # on the center row of subcubes across every axis but c
+            point = np.array([lo(c, draw(st.integers(0, k - 1))) + 0.5 * sub_side
+                              for c in range(n)])
+            c = draw(st.sampled_from([a for a in range(n) if a != j]))
+            i = draw(st.integers(0, k - 1))
+            point[c] = draw(st.sampled_from([
+                lo(c, i) + 0.5 * sub_side - w,  # centers at w
+                lo(c, i) + 0.5 * sub_side + w,
+                lo(c, i) - w,  # faces at w
+                lo(c, i) + sub_side + w,
+            ]))
+            point[c] = ulps(point[c], draw(st.sampled_from([-1, 0, 1])))
+            if draw(st.booleans()):
+                geometries.append(Line(point, Direction.axis(n, j)))
+            else:
+                # the span can end inside the cube
+                start = cube.min_corner[j] + side * draw(st.sampled_from([-0.5, 0.3]))
+                stop = cube.min_corner[j] + side * draw(st.sampled_from([0.6, 1.5]))
+                values = np.delete(point, j)
+                geometries.append(LipschitzCurve(j, np.array([start, stop]),
+                                                 np.stack([values, values]), 0.0))
+        if j == 0 and draw(st.booleans()):
+            d = np.zeros(n)
+            d[:2] = draw(st.sampled_from(FAR_DIRECTIONS))
+            through = cube.min_corner + side * np.array(
+                [draw(st.floats(0.0, 1.0)) for _ in range(n)])
+            geometries.append(Line(through - 1.4e6 * d, Direction(d)))
+        families.append(family(j, n, geometries, w))
     return families, cube, delta, w
 
 
@@ -278,6 +366,19 @@ class TestStepBound:
     def test_sparse_counts_match_dense(self, case):
         assert_counts_match_dense(*case)
 
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(margin_cases())
+    @example(far_anchor_case(FAR_DIRECTIONS[0]))
+    @example(far_anchor_case(FAR_DIRECTIONS[1]))
+    def test_sparse_counts_match_dense_on_the_class_margins(self, case):
+        assert_counts_match_dense(*case)
+
     def test_sparse_counts_match_dense_past_a_curve_span(self):
         # the curve's span [2, 7] ends inside the cube [0, 10] on its axis
         curve = LipschitzCurve(0, np.array([2.0, 5.0, 7.0]), np.array([[3.0], [4.0], [3.5]]), 0.5)
@@ -302,6 +403,24 @@ class TestStepBound:
         detail = step_bound(fams, cube, 0.1)
         assert detail.subcube_count == 48**3
         assert 0 < sum(rows) < 0.1 * detail.subcube_count * 24
+
+    def test_center_distances_decide_most_band_cells(self, monkeypatch):
+        # small_angle_n2 at delta 0.2: of the 16,277 band cells of both rungs,
+        # 1,902 (11.7%) are on neither side of the tube's margins
+        golden = Path(__file__).resolve().parent / "golden" / "small_angle_n2.config.json"
+        config = config_from_json(load_json(golden))
+        rows = count_box_distance_rows(monkeypatch)
+        cells = []
+        band_cells = certifier._band_cells
+
+        def counted(first, stop):
+            idx = band_cells(first, stop)
+            cells.append(idx.shape[0])
+            return idx
+
+        monkeypatch.setattr(certifier, "_band_cells", counted)
+        certify_multiscale(config.families, config.cube, 0.2)
+        assert 0 < sum(rows) <= 0.25 * sum(cells)
 
     def test_rejects_angle_violation(self, cube2):
         steep = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.4])])

@@ -367,6 +367,12 @@ def _set_radius_huge(data):
         f["radius"] = 1e200
 
 
+def _set_radius_product_overflows(data):
+    # each power (sigma_max W)^3 and W^3 is finite, their product is not
+    for f in data["families"]:
+        f["radius"] = 5.6e102
+
+
 def _set_cube_past_the_float_range(data):
     data["cube"] = {"min_corner": [-1.79e308, -1.79e308, -1.79e308], "side": 1e308}
 
@@ -549,6 +555,12 @@ BAD_INPUTS = {
         edited_golden(p, "general_n3.config.json", _set_cube_past_the_float_range),
         "--epsilon", 3.75,
     ],
+    "certify_check_grid_zero": lambda p: small_angle_check("certify", "--check", "--grid", 0),
+    "reduce_distortion_product_overflows": lambda p: [
+        "reduce", "--config",
+        edited_golden(p, "general_n3.config.json", _set_radius_product_overflows),
+        "--epsilon", 3.75,
+    ],
 }
 
 
@@ -626,6 +638,9 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("reduce_radius_overflows", "distortion factor (sigma_max W)^3 overflows at W = 1e+200"),
         ("reduce_cube_past_the_float_range",
          "the cube maps past the float range: non-finite coordinates"),
+        ("certify_check_grid_zero", "cells_per_side must be >= 1"),
+        ("reduce_distortion_product_overflows",
+         "distortion factor (sigma_max W)^3 overflows at W = 5.6e+102"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
