@@ -49,9 +49,8 @@ from .geometry import (
     grid_ranges,
     line_box_distance,
     member_reach,
-    point_line_distance,
-    point_polyline_distance,
     polyline_box_distance,
+    squared_distances,
     subcube_grid,
     subdivision_counts,
 )
@@ -198,15 +197,15 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     farther than w from the member by more than the rounding of the
     computed distance.
 
-    A candidate is decided by its center's computed distance c~ to the
-    member first (``point_line_distance``, ``point_polyline_distance``),
-    with ``err2`` and ``e`` the rounding bounds of ``distance_rounding`` and
-    hd half the subcube's diagonal.  The true center distance c has
-    |c^2 - c~^2| <= err2, and the true box distance D lies in [c - hd, c]:
-    the box holds its center and lies within hd of it.  So
+    A candidate is decided by its center's computed squared distance c2~
+    to the member first (``squared_distances``), with ``err2`` and ``e`` the
+    rounding bounds of ``distance_rounding`` and hd half the subcube's
+    diagonal.  The true center distance c has |c^2 - c2~| <= err2, and the
+    true box distance D lies in [c - hd, c]: the box holds its center and
+    lies within hd of it.  So
 
-      * c~^2 + err2 <= (w - e)^2 gives D <= c <= w - e: it touches;
-      * c~^2 - err2 > (w + hd + e)^2 gives D >= c - hd > w + e: it does not;
+      * c2~ + err2 <= (w - e)^2 gives D <= c <= w - e: it touches;
+      * c2~ - err2 > (w + hd + e)^2 gives D >= c - hd > w + e: it does not;
       * any other subcube gets the exact ``line_box_distance`` /
         ``polyline_box_distance`` test against w.
 
@@ -237,16 +236,13 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
             idx = _band_cells(band[..., 0], band[..., 1])
             if idx.size == 0:
                 continue
-            lo = np.stack([grid[c][idx[:, c]] for c in range(n)], axis=1)
-            if isinstance(g, Line):
-                point_distance, box_distance = point_line_distance, line_box_distance
-            else:
-                point_distance, box_distance = point_polyline_distance, polyline_box_distance
-            c2 = point_distance(lo + 0.5 * sub_side, g) ** 2
+            c2 = squared_distances([grid[c][idx[:, c]] + 0.5 * sub_side for c in range(n)], g)
             near = c2 <= inside
             test = np.flatnonzero(~near & (c2 <= outside))
             if test.size:
-                near[test] = box_distance(g, lo[test], lo[test] + sub_side) <= w
+                lo = np.stack([grid[c][idx[test, c]] for c in range(n)], axis=1)
+                box_distance = line_box_distance if isinstance(g, Line) else polyline_box_distance
+                near[test] = box_distance(g, lo, lo + sub_side) <= w
             flat = np.ravel_multi_index(tuple(idx[near].T), (k,) * n)
             counts[j, flat] += 1
             weights[j, flat] += m.weight

@@ -23,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CellBudgetExceeded, ValidationError
-from .geometry import (
-    Cube,
-    Line,
-    LipschitzCurve,
-    grid_ranges,
-    lattice,
-    member_reach,
-    point_line_distance,
-    point_polyline_distance,
-)
+from .geometry import Cube, Line, LipschitzCurve, grid_ranges, member_reach, squared_distances
 
 CELL_BUDGET = 10**8
 _BLOCK = 1 << 16
@@ -114,13 +105,6 @@ def check_families(families) -> tuple:
     if [f.axis for f in fams] != list(range(n)) or any(f.dim != n for f in fams):
         raise ValidationError("need exactly one family per coordinate axis")
     return fams
-
-
-def _member_distance(geometry, points) -> np.ndarray:
-    """Distance from each point (N, n) to a member's line or polyline."""
-    if isinstance(geometry, Line):
-        return point_line_distance(points, geometry)
-    return point_polyline_distance(points, geometry)
 
 
 def _check_curve_spans(families, cube: Cube) -> None:
@@ -215,14 +199,20 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
 def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: float) -> None:
     """Add ``sign * w * (d <= r)`` of the member to ``field`` on the index box [first, stop).
 
-    ``axes[k]`` holds the cell centers of ``field`` along axis k.
+    ``axes[k]`` holds the cell centers of ``field`` along axis k.  The
+    distances are computed on the box's open mesh, and the indicator is
+    written over them as 1.0 or 0.0.
     """
     if any(a >= b for a, b in zip(first, stop)):
         return
+    n = len(axes)
     box = tuple(map(slice, first, stop))
-    d = _member_distance(member.geometry, lattice([x[s] for x, s in zip(axes, box)]))
-    view = field[box]
-    view += (sign * member.weight * (d <= r)).reshape(view.shape)
+    mesh = [x[s].reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
+            for k, (x, s) in enumerate(zip(axes, box))]
+    d = squared_distances(mesh, member.geometry)
+    inside = np.less_equal(np.sqrt(d, out=d), r, out=d)
+    inside *= sign * member.weight
+    field[box] += inside
 
 
 def _check_cell_budget(m: int, n: int) -> None:

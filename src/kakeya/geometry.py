@@ -241,30 +241,46 @@ def angle_from_axis(direction: Direction, axis: int) -> float:
 # distances
 
 
-def point_line_distance(points, line: Line) -> np.ndarray:
-    """Distance from each point (N, n) to an infinite line."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rel = pts - line.anchor
-    t = rel @ line.direction.components
-    d2 = np.einsum("ij,ij->i", rel, rel) - t * t
-    return np.sqrt(np.maximum(d2, 0.0))
+def squared_distances(coords, member: Line | LipschitzCurve) -> np.ndarray:
+    """Squared distance from points to a line or polyline, in the residual form.
+
+    ``coords`` holds the points' n coordinate arrays, which broadcast
+    together: a grid's open mesh (axis k's values shaped to run along axis
+    k), or n columns of equal length.  The result has their broadcast shape.
+    A segment o + t v (t in R for a line, in [0, 1] for a polyline segment)
+    gives rel = x - o, t = sum_k rel_k v'_k with v' = v / (v.v), and the
+    squared residual sum_k (rel_k - t v_k)^2; a polyline takes the minimum
+    over its segments.  ``distance_rounding`` bounds the rounding.
+    """
+    if isinstance(member, Line):
+        return _residual_squares(coords, member.anchor, member.direction.components, False)
+    verts = member.vertices()
+    best = _residual_squares(coords, verts[0], verts[1] - verts[0], True)
+    for p0, p1 in zip(verts[1:-1], verts[2:]):
+        np.minimum(best, _residual_squares(coords, p0, p1 - p0, True), out=best)
+    return best
 
 
-def point_polyline_distance(points, curve: LipschitzCurve) -> np.ndarray:
-    """Distance from each point (N, n) to the embedded polyline graph."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    verts = curve.vertices()
-    best = np.full(pts.shape[0], np.inf)
-    for i in range(verts.shape[0] - 1):
-        p0 = verts[i]
-        seg = verts[i + 1] - p0
-        seg2 = float(seg @ seg)
-        rel = pts - p0
-        t = np.clip((rel @ seg) / seg2, 0.0, 1.0)
-        diff = rel - t[:, None] * seg
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        np.minimum(best, d2, out=best)
-    return np.sqrt(np.maximum(best, 0.0))
+def _residual_squares(coords, origin, v, clip: bool) -> np.ndarray:
+    """sum_k (rel_k - t v_k)^2 of ``squared_distances`` for one segment or line."""
+    rel = [x - o for x, o in zip(coords, origin.tolist())]
+    scaled = (v / np.dot(v, v)).tolist()
+    t = rel[0] * scaled[0]
+    for r, s in zip(rel[1:], scaled[1:]):
+        t = t + r * s
+    if clip:
+        np.clip(t, 0.0, 1.0, out=t)
+    d2 = None
+    for k, (r, s) in enumerate(zip(rel, v.tolist())):
+        # the last residual overwrites t, which nothing reads after it
+        res = np.multiply(t, s, out=t if k == len(rel) - 1 else None)
+        np.subtract(r, res, out=res)
+        np.square(res, out=res)
+        if d2 is None:
+            d2 = res
+        else:
+            d2 += res
+    return d2
 
 
 def _segment_box_distance_sq(anchor, direction, lo, hi, t_lo, t_hi):
@@ -345,27 +361,50 @@ def polyline_box_distance(curve: LipschitzCurve, lo, hi) -> np.ndarray:
 # reach: where a member can be within a radius
 
 
-def _squared_rounding(origins, dirs, cube: Cube) -> float:
-    """Bound on the error of a computed squared point distance from a point of ``cube``.
+def _squared_rounding(origins, cube: Cube) -> float:
+    """Bound (n + 14) eps R^2 on the error of ``squared_distances`` at a point of ``cube``.
 
-    ``origins`` stacks the members' anchors and vertices and ``dirs`` the
-    lines' directions.  The square (``point_line_distance``,
-    ``point_polyline_distance``) is off by at most (|1 - |dir|^2| + 32 eps) R^2
-    (for a line it is a difference of squares, the worse case), where R is
-    the largest distance from the cube to an origin.
+    ``origins`` stacks the members' anchors and vertices, and R is the
+    largest distance from a point x of the cube to an origin o.  Every
+    member passes through its origins, so the true distance D is at most R.
+    With u = eps/2, and v a line's stored direction or a polyline's computed
+    segment vector, the first-order terms are:
+
+      * rel_k = x_k - o_k rounds by u |x - o| <= u R, which moves the point,
+        and so D, by at most u R; a polyline's computed segment vector
+        fl(v1 - v0) moves its far end by u |v1 - v0| <= 2u R (both vertices
+        lie within R of x).  Together |D'^2 - D^2| <= 2 D (3u R) <= 6u R^2,
+        D' the exact distance from o + rel to the computed segment;
+      * t is off from the exact minimiser t' for rel by (2n + 1) u R / |v|
+        ((n + 1) u in v' = v / fl(v.v), u in each product, n - 1 in the
+        sum).  The exact |rel - t v|^2 is D'^2 plus (t - t')^2 |v|^2, or at
+        most three times that for a clipped segment parameter (clipping is
+        1-Lipschitz and the two clip to the same end unless t' lies within
+        |t - t'| of it): a second-order term only;
+      * each residual rel_k - fl(t v_k) rounds by u (|q_k| + |t v_k|), where
+        q = rel - t v has |q| <= R and |t v| <= |rel| + |q| <= 2R, so the
+        residual moves by at most 3u R and its square by 6u R^2;
+      * the n squares and their sum round by n u |res|^2 <= n u R^2;
+      * a caller that compares the rounded square root with r, as the
+        evaluator does, moves the decision by 2u d2 <= 2u R^2.
+
+    The sum is (n + 14) u R^2.  The second-order terms are about
+    12 n^2 u^2 R^2 (the clipped t term) plus smaller ones, so the first-order
+    sum bounds them for any n far below 1/u, and the bound returned is twice
+    it, (n + 14) eps R^2.  A line's |direction| need not be 1, since t divides
+    by v.v, so no term depends on it.
     """
     # the farthest corner from an origin takes the farther face on every axis
     faces = np.maximum((cube.min_corner - origins) ** 2, (cube.max_corner - origins) ** 2)
     far2 = faces.sum(axis=1).max(initial=0.0)
-    skew = np.abs(1.0 - np.vecdot(dirs, dirs)).max(initial=0.0)
-    return float((skew + 32.0 * _EPS) * far2)
+    return float((cube.n + 14) * _EPS * far2)
 
 
 def distance_rounding(members, cube: Cube, r: float) -> tuple[float, float]:
     """Rounding bounds ``(err2, e)`` of the computed distances from ``members`` to ``cube``.
 
-    ``members`` are lines and polylines.  ``err2`` bounds the error of a
-    computed squared point distance from a point of the cube, by the rule
+    ``members`` are lines and polylines.  ``err2`` bounds the error of
+    ``squared_distances`` at a point of the cube, by the rule
     ``member_reach`` pads its boxes with (``_squared_rounding``).
 
     ``e`` bounds the rounding of a box test against ``r``, for a box of the
@@ -399,13 +438,11 @@ def distance_rounding(members, cube: Cube, r: float) -> tuple[float, float]:
     the second-order terms.
     """
     n = cube.n
-    lines = [g for g in members if isinstance(g, Line)]
-    anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
-    dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
+    anchors = np.array([g.anchor for g in members if isinstance(g, Line)]).reshape(-1, n)
     origins = np.concatenate([anchors, *(g.vertices() for g in members if not isinstance(g, Line))])
     coords = np.abs(np.concatenate([origins.ravel(), cube.min_corner, cube.max_corner]))
     e = 4.0 * (n + 5) * _EPS * (math.sqrt(n) * float(coords.max()) + r)
-    return _squared_rounding(origins, dirs, cube), e
+    return _squared_rounding(origins, cube), e
 
 
 def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> np.ndarray:
@@ -419,8 +456,7 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     two ends of the range, or on its whole length when it has no x_axis
     motion and lies in the range; a polyline at the ends, clamped to its
     span, and at its vertices inside).  ``r`` is first widened by the bound
-    ``_squared_rounding`` puts on the rounding of a computed squared point
-    distance.
+    ``_squared_rounding`` puts on the rounding of ``squared_distances``.
     """
     n = cube.n
     is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
@@ -428,7 +464,7 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     curves = [g.vertices() for g in members if not isinstance(g, Line)]
     anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
     dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
-    err2 = _squared_rounding(np.concatenate([anchors, *curves]), dirs, cube)
+    err2 = _squared_rounding(np.concatenate([anchors, *curves]), cube)
     rr = r + err2 / (math.sqrt(r * r + err2) + r)
     # slab i runs from edge i to edge i + 1; widened by rr on both sides
     edges = np.arange(layers)[:, None] + [0.0, 1.0]

@@ -14,7 +14,11 @@ plain way, with the exact distance test on every (member, subcube) pair.
 copies of each member (``expand_integer_weights``) on one grid.
 
 ``family_values`` and ``overlap_integrand`` are the overlap integrand one
-point at a time, every member tested at every point; ``lookup`` is a
+point at a time, every member tested at every point by the package's one
+point-distance kernel, ``geometry.squared_distances``, on the points'
+columns; ``point_distances`` is that kernel's distance, and
+``exact_squared_distance`` is the squared distance it rounds, in exact
+rational arithmetic.  ``lookup`` is a
 projection function's nearest-cell value at given points, the pointwise
 reference of its lattice lookup (``lookup_grid``); ``step_bound`` is one
 certificate rung on a given cube; ``ball_sum_l1`` is the exact L1 norm of a
@@ -34,6 +38,7 @@ inverse and singular-value call per frame, and every member mapped into new
 
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,7 +48,6 @@ from kakeya.errors import PropertyViolation, ValidationError
 from kakeya.evaluator import (
     FamilyMember,
     TubeFamily,
-    _member_distance,
     check_families,
     midpoint_rule,
 )
@@ -57,8 +61,8 @@ from kakeya.geometry import (
     angle_from_axis,
     lattice,
     line_box_distance,
-    point_line_distance,
     polyline_box_distance,
+    squared_distances,
     subcube_grid,
     subdivision_counts,
     tangent_basis,
@@ -68,9 +72,41 @@ from kakeya.reduction import split_by_caps
 from kakeya.serialization import SCHEMA_VERSION, cube_to_json
 
 
+def point_distances(points, member) -> np.ndarray:
+    """Distance from each point (N, n) to a line or polyline: the kernel on the points' columns."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.sqrt(squared_distances(pts.T, member))
+
+
+def exact_squared_distance(point, member) -> Fraction:
+    """The exact squared distance from a float point to a line or polyline, as a ``Fraction``.
+
+    Each segment o + t v (t in R for a line, in [0, 1] for a polyline
+    segment, whose v is the exact difference of its float vertices) is met at
+    t = rel.v / v.v, clipped for a segment, with rel = x - o.
+    """
+    x = [Fraction(c) for c in np.asarray(point, dtype=float).tolist()]
+    if isinstance(member, Line):
+        segments = [(member.anchor.tolist(), member.direction.components.tolist(), False)]
+    else:
+        verts = member.vertices().tolist()
+        segments = [(p0, [b - a for a, b in zip(map(Fraction, p0), map(Fraction, p1))], True)
+                    for p0, p1 in zip(verts, verts[1:])]
+    best = None
+    for origin, v, clip in segments:
+        rel = [xk - Fraction(ok) for xk, ok in zip(x, origin)]
+        v = [Fraction(vk) for vk in v]
+        t = sum(r * vk for r, vk in zip(rel, v)) / sum(vk * vk for vk in v)
+        if clip:
+            t = min(max(t, Fraction(0)), Fraction(1))
+        d2 = sum((r - t * vk) ** 2 for r, vk in zip(rel, v))
+        best = d2 if best is None else min(best, d2)
+    return best
+
+
 def cube_line_max_distance(cube: Cube, line: Line) -> float:
     """Max distance from the cube to a line (attained at a vertex)."""
-    return float(np.max(point_line_distance(cube.corners(), line)))
+    return float(np.max(point_distances(cube.corners(), line)))
 
 
 def identically_one_check(line: Line, radius: float, cube: Cube, delta: float) -> bool:
@@ -145,7 +181,7 @@ def family_values(family: TubeFamily, points, radius: float | None = None) -> np
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     for m in family.members:
-        out += m.weight * (_member_distance(m.geometry, pts) <= r)
+        out += m.weight * (point_distances(pts, m.geometry) <= r)
     return out
 
 

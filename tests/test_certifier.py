@@ -38,6 +38,7 @@ from lemmas import (
     expand_integer_weights,
     identically_one_check,
     member_box_distances,
+    point_distances,
     step_bound,
 )
 
@@ -141,10 +142,10 @@ FAR_DIRECTIONS = (
 )
 
 
-def far_anchor_case(direction):
-    """A line through the cube anchored 1.4e6 back along ``direction``, beside an axis line."""
+def far_anchor_case(direction, far=1.4e6):
+    """A line through the cube anchored ``far`` back along ``direction``, beside an axis line."""
     d = np.array(direction)
-    line = Line(np.array([0.1, 0.2]) - 1.4e6 * d, Direction(d))
+    line = Line(np.array([0.1, 0.2]) - far * d, Direction(d))
     fams = [family(0, 2, [line], 0.5), axis_tube_family(1, 2, [np.zeros(2)], 0.5)]
     return fams, Cube(np.full(2, -2.0), 4.0), 0.5, 0.5
 
@@ -254,9 +255,7 @@ class TestCountIntersections:
             k = 41
             axes = [np.linspace(cube.min_corner[j], cube.max_corner[j], k) for j in range(n)]
             pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-            from kakeya.geometry import point_line_distance
-
-            oracle = sum(1 for line in lines if point_line_distance(pts, line).min() <= 1.0)
+            oracle = sum(1 for line in lines if point_distances(pts, line).min() <= 1.0)
             assert count_intersections(f, cube, 1.0) == oracle
         assert checked >= 25
 
@@ -376,6 +375,9 @@ class TestStepBound:
     @given(margin_cases())
     @example(far_anchor_case(FAR_DIRECTIONS[0]))
     @example(far_anchor_case(FAR_DIRECTIONS[1]))
+    # anchored 2e15 back, where the center distances are off by up to 0.26,
+    # more than half a subcube's diagonal (0.035)
+    @example(far_anchor_case(Direction.normalized([1.0, 0.25]).components, 2e15))
     def test_sparse_counts_match_dense_on_the_class_margins(self, case):
         assert_counts_match_dense(*case)
 

@@ -2,17 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya.errors import CellBudgetExceeded, ValidationError
 from kakeya.evaluator import (
     CELL_BUDGET,
+    CountFields,
     GridSpec,
+    cell_centers,
     evaluate_overlap,
     evaluate_refined,
     exact_overlap_2d,
     midpoint_rule,
 )
-from kakeya.geometry import Cube, Direction, Line, LipschitzCurve
+from kakeya.geometry import (
+    Cube,
+    Direction,
+    Line,
+    LipschitzCurve,
+    distance_rounding,
+    lattice,
+    line_box_distance,
+)
 
 from conftest import axis_tube_family, count_midpoint_sums, family, line_through
 from lemmas import overlap_integrand
@@ -287,6 +299,57 @@ class TestCurveEvaluation:
         ]
         with pytest.raises(ValidationError):
             evaluate_overlap(fams, Cube.centered([0.0, 0.0], 10.0), GridSpec(16))
+
+
+def inside_counts(line, r, cube, m):
+    """(the evaluator's count of ``line`` at each cell center, the centers), in C order."""
+    fams = [family(0, cube.n, [line], r)] + [family(j, cube.n, [], r) for j in range(1, cube.n)]
+    field = CountFields.build(fams, cube, m).fields[0]
+    return field.ravel(), lattice(cell_centers(cube.min_corner, (cube.side / m,) * cube.n, m))
+
+
+@st.composite
+def far_lines(draw):
+    """(line, r, cube, m): a line through the cube anchored up to 3e6 back along a near-unit direction."""
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    cube = Cube(rng.uniform(-10.0, 10.0, n), draw(st.floats(4.0, 16.0)))
+    d = rng.normal(size=n)
+    d[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.0, 20.0]))
+    d *= (1.0 + draw(st.floats(-5e-13, 5e-13))) / np.linalg.norm(d)
+    through = cube.min_corner + cube.side * rng.uniform(0.0, 1.0, n)
+    far = 10.0 ** draw(st.floats(2.0, 6.5))
+    return Line(through - far * d, Direction(d)), draw(st.floats(0.5, 2.0)), cube, 64 if n == 2 else 24
+
+
+class TestFarAnchors:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(far_lines())
+    def test_cell_centers_are_inside_as_the_box_distance_says(self, case):
+        # away from r by more than the rounding of both distances (err2 / r
+        # for the squared point distance near r, e for the box distance),
+        # the evaluator's test agrees with line_box_distance on zero-size boxes
+        line, r, cube, m = case
+        err2, e = distance_rounding([line], cube, r)
+        assert err2 <= r * r
+        counts, centers = inside_counts(line, r, cube, m)
+        box = line_box_distance(line, centers, centers)
+        clear = np.abs(box - r) > err2 / r + e
+        assert np.array_equal(counts[clear] == 1.0, box[clear] <= r)
+
+    def test_a_line_anchored_far_back_counts_the_cells_of_its_tube(self):
+        # |d|^2 - 1 = 5.3e-13 with the anchor 1.4e6 back along the line: a
+        # difference of squares |rel|^2 - t^2 puts 2,955 cell centers within 1
+        line = Line(
+            np.array([-1424543.5073765921, 33522.283530345856]),
+            Direction(np.array([0.9997232574854863, -0.023524634814161727])),
+        )
+        cube = Cube(np.array([-8.0, -8.0]), 16.0)
+        counts, centers = inside_counts(line, 1.0, cube, 128)
+        box = line_box_distance(line, centers, centers)
+        assert counts.sum() == 2048
+        assert np.array_equal(counts == 1.0, box <= 1.0)
+        assert distance_rounding([line], cube, 1.0)[0] < 1e-2
 
 
 class TestAverageIntegral:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ from kakeya.geometry import (
     LipschitzCurve,
     angle_from_axis,
     cap_cover,
+    distance_rounding,
     frame_inverses,
     grid_ranges,
     lattice,
     line_box_distance,
     member_reach,
-    point_line_distance,
-    point_polyline_distance,
     polyline_box_distance,
+    squared_distances,
     subcube_grid,
     subdivision_counts,
     tangent_basis,
@@ -32,10 +33,12 @@ from kakeya.geometry import (
 from conftest import cap_nets, family, line_through
 from lemmas import (
     cube_line_max_distance,
+    exact_squared_distance,
     family_values,
     fatten_axis_parallel,
     frame_map,
     line_angle,
+    point_distances,
     scalar_cap_net,
     wedge_volume,
 )
@@ -109,7 +112,7 @@ class TestCurveIndicator:
         line = Line(np.zeros(2), direction)
         for _ in range(300):
             p = rng.uniform(-10, 10, 2)
-            line_dist = point_line_distance(p[None, :], line)[0]
+            line_dist = point_distances(p[None, :], line)[0]
             if abs(line_dist - 1.0) < 1e-6:
                 continue
             assert curve_indicator(curve, 1.0, p) == tube_indicator(line, 1.0, p)
@@ -121,7 +124,7 @@ class TestCurveIndicator:
         vals = np.vstack([np.zeros(2), np.cumsum(slopes * np.diff(bps)[:, None], axis=0)])
         curve = LipschitzCurve(0, bps, vals, delta)
         pts = rng.uniform(-6, 6, (200, 3))
-        dists = point_polyline_distance(pts, curve)
+        dists = point_distances(pts, curve)
         # oracle: dense sampling along each segment
         verts = curve.vertices()
         best = np.full(len(pts), np.inf)
@@ -196,11 +199,10 @@ class TestMemberReach:
         sub_lo = subcube_grid(cube, k)
         sub_index = lattice([np.arange(k)] * n)
         for member, boxes in zip(members, reach):
+            d_points = point_distances(points, member)
             if isinstance(member, Line):
-                d_points = point_line_distance(points, member)
                 d_subs = line_box_distance(member, sub_lo, sub_lo + s)
             else:
-                d_points = point_polyline_distance(points, member)
                 d_subs = polyline_box_distance(member, sub_lo, sub_lo + s)
             for i, box in enumerate(boxes):
                 band = grid_ranges(box, lo, h, m)
@@ -221,22 +223,20 @@ class TestMemberReach:
         assert np.any(band[:, 0] >= band[:, 1])
 
     def test_the_rounding_bound_covers_a_far_anchor(self):
-        # |d|^2 - 1 = 5.3e-13 (a valid Direction) with the anchor 1.4e6 back
-        # along the line: the computed squared distance is off by about 1, so
-        # boxes widened by r alone miss 178 cells that the distance kernel
-        # puts within r
-        line = Line(
-            np.array([-1424543.5073765921, 33522.283530345856]),
-            Direction(np.array([0.9997232574854863, -0.023524634814161727])),
-        )
-        cube = Cube(np.array([-8.0, -8.0]), 16.0)
-        m, r = 128, 1.0
+        # the anchor 4e15 back along the line, where a coordinate's ulp is
+        # 0.5: the computed squared distances are off by about 0.1, so boxes
+        # widened by r alone miss 32 cells that the distance kernel puts
+        # within r
+        direction = Direction.normalized([1.0, 0.1])
+        line = Line(-4e15 * direction.components, direction)
+        cube = Cube(np.array([-1.0, -1.0]), 2.0)
+        m, r = 128, 0.125
         h = cube.side / m
         points = lattice([cube.min_corner[k] + (np.arange(m) + 0.5) * h for k in range(2)])
         index = lattice([np.arange(m)] * 2)
         band = grid_ranges(member_reach([line], 0, r, cube)[0, 0], cube.min_corner, h, m)
         in_band = np.all((index >= band[:, 0]) & (index < band[:, 1]), axis=1)
-        near = point_line_distance(points, line) <= r
+        near = point_distances(points, line) <= r
         assert near.sum() > 0 and not np.any(near & ~in_band)
 
     def test_a_line_on_a_widened_face_spans_its_whole_length(self):
@@ -252,6 +252,62 @@ class TestMemberReach:
         assert reach[1, 0, 0, 0] < face < reach[1, 0, 1, 0]
         band = grid_ranges(reach[1, 0], cube.min_corner, 0.5, 8)
         assert band[1].tolist() == [0, 8]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(member, cube, points): a line or polyline near a cube or far from it, and cube points.
+
+    A line has a unit direction scaled by up to 5e-13, near an axis or
+    anywhere, and is anchored up to 1e12 back along it; a polyline over an
+    axis has breakpoints and values spread by up to 1e12.  The points are
+    random points of the cube and its corners.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    cube = Cube(rng.uniform(-10.0, 10.0, n), draw(st.floats(0.5, 20.0)))
+    far = 10.0 ** draw(st.sampled_from([0, 3, 6, 9, 12]))
+    axis = draw(st.integers(0, n - 1))
+    through = cube.min_corner + cube.side * rng.uniform(-0.5, 1.5, n)
+    if draw(st.booleans()):
+        d = rng.normal(size=n)
+        d[axis] += draw(st.sampled_from([0.0, 20.0]))
+        d *= (1.0 + draw(st.floats(-5e-13, 5e-13))) / np.linalg.norm(d)
+        member = Line(through - far * d, Direction(d))
+    else:
+        k = int(rng.integers(2, 7))
+        bps = through[axis] + far * np.sort(rng.uniform(-1.0, 1.0, k)) + np.arange(k)
+        values = np.delete(through, axis) + far * rng.normal(0.0, 0.1, (k, n - 1))
+        slopes = np.linalg.norm(np.diff(values, axis=0), axis=1) / np.diff(bps)
+        member = LipschitzCurve(axis, bps, values, 1.01 * float(slopes.max()))
+    points = np.concatenate([cube.min_corner + cube.side * rng.uniform(0.0, 1.0, (20, n)),
+                             cube.corners()])
+    return member, cube, points
+
+
+class TestSquaredDistances:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kernel_cases())
+    def test_within_the_rounding_bound_of_the_exact_square(self, case):
+        member, cube, points = case
+        err2 = distance_rounding([member], cube, 1.0)[0]
+        got = squared_distances(points.T, member)
+        for point, value in zip(points, got.tolist()):
+            assert abs(Fraction(value) - exact_squared_distance(point, member)) <= Fraction(err2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_open_mesh_gives_the_bits_of_its_lattice(self, n, rng):
+        axes = [rng.uniform(-5.0, 5.0, size) for size in (7, 5, 3)[:n]]
+        mesh = [x.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k, x in enumerate(axes)]
+        members = [
+            Line(rng.uniform(-9.0, 9.0, n), Direction.normalized(rng.normal(size=n))),
+            LipschitzCurve(0, [-9.0, 0.5, 9.0], rng.uniform(-2.0, 2.0, (3, n - 1)), 1.0),
+        ]
+        for member in members:
+            on_mesh = squared_distances(mesh, member)
+            assert on_mesh.shape == tuple(x.size for x in axes)
+            on_lattice = squared_distances(lattice(axes).T, member)
+            assert on_mesh.ravel().tobytes() == on_lattice.tobytes()
 
 
 class TestAngleFromAxis:
@@ -295,7 +351,7 @@ class TestTubeCubeIntersection:
             axes = [np.linspace(cube.min_corner[j], cube.max_corner[j], k) for j in range(n)]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([g.ravel() for g in mesh], axis=1)
-            sampled = point_line_distance(pts, line).min()
+            sampled = point_distances(pts, line).min()
             assert (sampled <= radius) == tube_intersects_cube(line, radius, cube)
         assert hits >= 60
 
@@ -378,8 +434,8 @@ class TestFattenAxisParallel:
             cube = Cube(rng.uniform(-1, 1, n), side)
             fat, fat_radius = fatten_axis_parallel(t, 1.0, 0, cube, delta)
             pts = cube.min_corner + cube.side * rng.uniform(0, 1, (10**4, n))
-            inside_orig = point_line_distance(pts, t) <= 1.0
-            inside_fat = point_line_distance(pts, fat) <= fat_radius
+            inside_orig = point_distances(pts, t) <= 1.0
+            inside_fat = point_distances(pts, fat) <= fat_radius
             assert not np.any(inside_orig & ~inside_fat)
 
     def test_rejects_violated_preconditions(self):
@@ -542,4 +598,4 @@ class TestMaxDistance:
             cube = Cube(rng.uniform(-2, 2, n), float(rng.uniform(0.5, 2)))
             exact = cube_line_max_distance(cube, line)
             pts = cube.min_corner + cube.side * rng.uniform(0, 1, (2000, n))
-            assert point_line_distance(pts, line).max() <= exact + 1e-12
+            assert point_distances(pts, line).max() <= exact + 1e-12
