@@ -59,6 +59,8 @@ from .loomis_whitney import unit_ball_volume
 MAX_STEP_DELTA = 0.9
 #: subcube-enumeration ceiling for optional per-step certificate detail
 DETAIL_BUDGET = 200_000
+#: most band cells of a batch of lines in ``_subcube_counts``
+_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,17 +172,54 @@ def _band_cells(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """Grid indices, shape (cells, n), of the cells in the index boxes [first, stop).
 
     ``first`` and ``stop`` hold one box per row; the cells come box by box,
-    each box in C order.
+    each box in C order.  The array is column-major, so each axis's indices
+    are contiguous.
     """
     width = np.maximum(stop - first, 0)
     size = np.prod(width, axis=1)
-    box = np.repeat(np.arange(size.size), size)
-    rest = np.arange(box.size) - np.repeat(np.cumsum(size) - size, size)
-    idx = np.empty((box.size, first.shape[1]), dtype=np.int64)
-    for c in reversed(range(first.shape[1])):
-        rest, digit = np.divmod(rest, width[box, c])
-        idx[:, c] = first[box, c] + digit
-    return idx
+    rest = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    idx = np.empty((first.shape[1], rest.size), dtype=np.int64)
+    for c in range(first.shape[1] - 1, 0, -1):
+        rest, digit = np.divmod(rest, np.repeat(width[:, c], size))
+        idx[c] = np.repeat(first[:, c], size) + digit
+    # what is left of the offset in the box is below the box's width on axis 0
+    idx[0] = np.repeat(first[:, 0], size) + rest
+    return idx.T
+
+
+def _member_batches(sizes: np.ndarray, is_line: np.ndarray):
+    """Member ranges [start, stop) that ``_subcube_counts`` takes in one pass each.
+
+    ``sizes`` holds each member's band cells.  A batch is one polyline, or a
+    run of lines whose cells fit in ``_ROWS`` (a line with more gets a batch
+    of its own).
+    """
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < sizes.size:
+        stop = start + 1
+        if is_line[start]:
+            fit = int(np.searchsorted(ends, ends[start] - sizes[start] + _ROWS, side="right"))
+            curves = np.flatnonzero(~is_line[start:fit])
+            stop = max(stop, start + int(curves[0]) if curves.size else fit)
+        yield start, stop
+        start = stop
+
+
+def _line_box_distances(anchors, dirs, lo, hi) -> np.ndarray:
+    """``line_box_distance`` from each row's line to its box, one call per zero pattern.
+
+    ``anchors``, ``dirs``, ``lo`` and ``hi`` are (rows, n) arrays.
+    """
+    key = (dirs != 0.0) @ (1 << np.arange(dirs.shape[1]))
+    if (key == key[0]).all():
+        return line_box_distance((anchors, dirs), lo, hi)
+    out = np.empty(key.size)
+    # not np.unique, whose first call imports numpy.ma (1-2 MB of resident memory)
+    for p in sorted(set(key.tolist())):
+        rows = key == p
+        out[rows] = line_box_distance((anchors[rows], dirs[rows]), lo[rows], hi[rows])
+    return out
 
 
 def _subcube_counts(families, cube: Cube, delta: float, w: float):
@@ -211,8 +250,16 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
 
     A computed box distance is within ``e`` of D when either is at most w,
     so the first two classes are the exact test's answers, and the counts
-    and the member-order weight sums equal a test of every pair, bit for
-    bit.
+    equal a test of every pair.
+
+    A family's candidates are stacked as rows, member by member
+    (``_member_batches``): a run of lines is one pass of the center kernel
+    with each row's own line, and one exact test per zero pattern of the
+    directions; a polyline is a pass of its own.  The rows are scattered in
+    row order with ``np.add.at``, which adds one at a time, so each
+    subcube's weight is the sum over its members in member order, starting
+    from 0, across batches too: the bits of a test of every pair.  A
+    per-batch ``np.bincount`` added to the total would reassociate that sum.
     """
     k, sub_side = subdivision_counts(cube, delta, w)
     n = cube.n
@@ -228,24 +275,43 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
         reach = member_reach(members, j, w, cube, k)
         bands = grid_ranges(reach + half, cube.min_corner, sub_side, k)
         bands[:, :, j] = np.stack([layers, layers + 1], axis=-1)
+        first, stop = bands[..., 0], bands[..., 1]
+        sizes = np.prod(np.maximum(stop - first, 0), axis=-1).sum(axis=1)
         err2, e = distance_rounding(members, cube, w)
         inside = (w - e) ** 2 - err2 if w > e else -math.inf
         outside = (w + half_diagonal + e) ** 2 + err2
-        for m, band in zip(f.members, bands):
-            g = m.geometry
-            idx = _band_cells(band[..., 0], band[..., 1])
+        is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
+        anchors = np.array([g.anchor if isinstance(g, Line) else np.zeros(n)
+                            for g in members]).reshape(-1, n)
+        dirs = np.array([g.direction.components if isinstance(g, Line) else np.ones(n)
+                         for g in members]).reshape(-1, n)
+        member_weights = np.array([m.weight for m in f.members])
+        for a, b in _member_batches(sizes, is_line):
+            idx = _band_cells(first[a:b].reshape(-1, n), stop[a:b].reshape(-1, n)).T
             if idx.size == 0:
                 continue
-            c2 = squared_distances([grid[c][idx[:, c]] + 0.5 * sub_side for c in range(n)], g)
+            cells = sizes[a:b]
+            if is_line[a]:
+                g = np.repeat(anchors[a:b], cells, axis=0), np.repeat(dirs[a:b], cells, axis=0)
+            else:
+                g = members[a]
+            c2 = squared_distances([grid[c][idx[c]] + 0.5 * sub_side for c in range(n)], g)
             near = c2 <= inside
             test = np.flatnonzero(~near & (c2 <= outside))
             if test.size:
-                lo = np.stack([grid[c][idx[test, c]] for c in range(n)], axis=1)
-                box_distance = line_box_distance if isinstance(g, Line) else polyline_box_distance
-                near[test] = box_distance(g, lo, lo + sub_side) <= w
-            flat = np.ravel_multi_index(tuple(idx[near].T), (k,) * n)
-            counts[j, flat] += 1
-            weights[j, flat] += m.weight
+                lo = np.stack([grid[c][idx[c, test]] for c in range(n)], axis=1)
+                if is_line[a]:
+                    dist = _line_box_distances(g[0][test], g[1][test], lo, lo + sub_side)
+                else:
+                    dist = polyline_box_distance(g, lo, lo + sub_side)
+                near[test] = dist <= w
+            # each cell's index in the C order of the k^n subcubes
+            flat = idx[0]
+            for c in range(1, n):
+                flat = flat * k + idx[c]
+            flat = flat[near]
+            np.add.at(counts[j], flat, 1)
+            np.add.at(weights[j], flat, np.repeat(member_weights[a:b], cells)[near])
     return sub_side, counts, weights
 
 
@@ -332,14 +398,24 @@ def certify_multiscale(families, cube: Cube, delta: float) -> Certificate:
     _validate_small_angle(families, delta)
     _check_curve_spans(families, cube)
     consts = Constants.for_dimension(n)
-    m_steps = scale_count(cube.side, delta)
-    cover_los, _ = cover_for_arbitrary_s(cube, delta, m_steps)
-    multiplicity = cover_los.shape[0]
     counts = tuple(f.total_weight for f in fams)
     p = 1.0 / (n - 1.0)
-    count_product = float(np.prod([c**p for c in counts]))
-    final_bound = multiplicity * consts.c_step**m_steps * count_product
-    ladder = tuple(delta ** (-k) for k in range(m_steps + 1))
+    try:
+        # a float power raises OverflowError; a product of finite ones becomes inf
+        m_steps = scale_count(cube.side, delta)
+        cover_los, _ = cover_for_arbitrary_s(cube, delta, m_steps)
+        multiplicity = cover_los.shape[0]
+        with np.errstate(over="ignore"):
+            count_product = float(np.prod([c**p for c in counts]))
+        final_bound = multiplicity * consts.c_step**m_steps * count_product
+        ladder = tuple(delta ** (-k) for k in range(m_steps + 1))
+    except OverflowError:
+        final_bound = math.inf
+    if not math.isfinite(final_bound):
+        raise ValidationError(
+            f"the certified bound overflows a float at cube side {cube.side!r} and "
+            f"family weights {counts!r}"
+        )
     chain_cube = Cube(cube.min_corner, ladder[-1])
     details = []
     for k in range(m_steps):

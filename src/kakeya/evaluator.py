@@ -153,10 +153,14 @@ def cell_centers(lo, h, m: int) -> list:
 
 
 def power_product(factors, p: float, shape) -> np.ndarray:
-    """prod_j f_j^p on an array of ``shape``; each factor broadcasts to it."""
+    """prod_j f_j^p on an array of ``shape``; each factor broadcasts to it.
+
+    ``f ** p`` is ``np.power`` except at p = 0.5, where numpy takes its
+    faster square root, which gives the same bits on count fields.
+    """
     out = np.ones(shape)
     for f in factors:
-        out *= f if p == 1.0 else np.power(f, p)
+        out *= f if p == 1.0 else f ** p
     return out
 
 

@@ -241,19 +241,24 @@ def angle_from_axis(direction: Direction, axis: int) -> float:
 # distances
 
 
-def squared_distances(coords, member: Line | LipschitzCurve) -> np.ndarray:
+def squared_distances(coords, member: Line | LipschitzCurve | tuple) -> np.ndarray:
     """Squared distance from points to a line or polyline, in the residual form.
 
     ``coords`` holds the points' n coordinate arrays, which broadcast
     together: a grid's open mesh (axis k's values shaped to run along axis
     k), or n columns of equal length.  The result has their broadcast shape.
-    A segment o + t v (t in R for a line, in [0, 1] for a polyline segment)
-    gives rel = x - o, t = sum_k rel_k v'_k with v' = v / (v.v), and the
-    squared residual sum_k (rel_k - t v_k)^2; a polyline takes the minimum
-    over its segments.  ``distance_rounding`` bounds the rounding.
+    ``member`` is a ``Line``, a ``LipschitzCurve``, or stacked lines: a pair
+    ``(anchors, directions)`` of (rows, n) arrays that give each of ``rows``
+    points in n columns its own line.  A segment o + t v (t in R for a
+    line, in [0, 1] for a polyline segment) gives rel = x - o,
+    t = sum_k rel_k v'_k with v' = v / (v.v), and the squared residual
+    sum_k (rel_k - t v_k)^2; a polyline takes the minimum over its segments.
+    ``distance_rounding`` bounds the rounding.
     """
     if isinstance(member, Line):
         return _residual_squares(coords, member.anchor, member.direction.components, False)
+    if not isinstance(member, LipschitzCurve):
+        return _residual_squares(coords, *member, False)
     verts = member.vertices()
     best = _residual_squares(coords, verts[0], verts[1] - verts[0], True)
     for p0, p1 in zip(verts[1:-1], verts[2:]):
@@ -262,16 +267,25 @@ def squared_distances(coords, member: Line | LipschitzCurve) -> np.ndarray:
 
 
 def _residual_squares(coords, origin, v, clip: bool) -> np.ndarray:
-    """sum_k (rel_k - t v_k)^2 of ``squared_distances`` for one segment or line."""
-    rel = [x - o for x, o in zip(coords, origin.tolist())]
-    scaled = (v / np.dot(v, v)).tolist()
+    """sum_k (rel_k - t v_k)^2 of ``squared_distances`` for one segment or line.
+
+    ``origin`` and ``v`` are one segment's (n,) vectors, or per-point
+    (rows, n) stacks.  Both forms take v.v from the same BLAS dot product
+    over n contiguous values, so a stacked row has the bits of its one-line
+    call.
+    """
+    if v.ndim == 1:
+        origin, scaled, v = origin.tolist(), (v / np.dot(v, v)).tolist(), v.tolist()
+    else:
+        origin, scaled, v = origin.T, (v / np.vecdot(v, v)[:, None]).T, v.T
+    rel = [x - o for x, o in zip(coords, origin)]
     t = rel[0] * scaled[0]
     for r, s in zip(rel[1:], scaled[1:]):
         t = t + r * s
     if clip:
         np.clip(t, 0.0, 1.0, out=t)
     d2 = None
-    for k, (r, s) in enumerate(zip(rel, v.tolist())):
+    for k, (r, s) in enumerate(zip(rel, v)):
         # the last residual overwrites t, which nothing reads after it
         res = np.multiply(t, s, out=t if k == len(rel) - 1 else None)
         np.subtract(r, res, out=res)
@@ -287,6 +301,8 @@ def _segment_box_distance_sq(anchor, direction, lo, hi, t_lo, t_hi):
     """Exact min of dist(anchor + t*direction, box)^2 over t in [t_lo, t_hi].
 
     ``lo``/``hi`` stack B boxes along axis 0; the result has shape (B,).
+    ``anchor`` and ``direction`` are one segment's (n,) vectors, or (B, n)
+    stacks, one per box, whose directions share one zero pattern.
     The squared distance is convex piecewise quadratic in t, so its minimum is
     attained either at a slab-crossing breakpoint, at an interval's
     unconstrained quadratic minimizer, or at a clamped range endpoint; the
@@ -294,13 +310,11 @@ def _segment_box_distance_sq(anchor, direction, lo, hi, t_lo, t_hi):
     """
     lo = np.atleast_2d(np.asarray(lo, dtype=float))
     hi = np.atleast_2d(np.asarray(hi, dtype=float))
-    a = np.asarray(anchor, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    moving = d != 0.0
-    dm = d[moving]
-    breaks = np.concatenate(
-        [(lo[:, moving] - a[moving]) / dm, (hi[:, moving] - a[moving]) / dm], axis=1
-    )
+    a = np.atleast_2d(np.asarray(anchor, dtype=float))
+    d = np.atleast_2d(np.asarray(direction, dtype=float))
+    moving = d[0] != 0.0
+    am, dm = a[:, moving], d[:, moving]
+    breaks = np.concatenate([(lo[:, moving] - am) / dm, (hi[:, moving] - am) / dm], axis=1)
     breaks.sort(axis=1)
     # probe each interval between consecutive breakpoints (plus both tails)
     probes = np.concatenate(
@@ -312,6 +326,7 @@ def _segment_box_distance_sq(anchor, direction, lo, hi, t_lo, t_hi):
         axis=1,
     )
     # unconstrained minimizer of the quadratic piece active at each probe
+    a, d = a[:, None, :], d[:, None, :]
     pos = a + probes[..., None] * d  # (B, P, n)
     below = pos < lo[:, None, :]
     above = pos > hi[:, None, :]
@@ -330,17 +345,26 @@ def _segment_box_distance_sq(anchor, direction, lo, hi, t_lo, t_hi):
             ends.append(np.full((lo.shape[0], 1), t_hi))
         cands.extend(ends)
     t_cand = np.clip(np.concatenate(cands, axis=1), t_lo, t_hi)
-    pos = a + t_cand[..., None] * d
-    excess = np.maximum(np.maximum(lo[:, None, :] - pos, pos - hi[:, None, :]), 0.0)
+    # in place, so that a stack of boxes holds two (B, candidates, n) arrays
+    pos = t_cand[..., None] * d
+    pos += a
+    excess = lo[:, None, :] - pos
+    np.maximum(excess, np.subtract(pos, hi[:, None, :], out=pos), out=excess)
+    np.maximum(excess, 0.0, out=excess)
     dist_sq = np.einsum("ijk,ijk->ij", excess, excess)
     return dist_sq.min(axis=1)
 
 
-def line_box_distance(line: Line, lo, hi) -> np.ndarray:
-    """Exact distance from an infinite line to axis-aligned boxes (B, n)."""
-    d2 = _segment_box_distance_sq(
-        line.anchor, line.direction.components, lo, hi, -math.inf, math.inf
-    )
+def line_box_distance(lines: Line | tuple, lo, hi) -> np.ndarray:
+    """Exact distance from infinite lines to axis-aligned boxes (B, n).
+
+    ``lines`` is one ``Line`` for every box, or stacked lines
+    ``(anchors, directions)`` as in ``squared_distances``: (B, n) arrays,
+    one line per box, whose directions share one zero pattern.
+    """
+    if isinstance(lines, Line):
+        lines = lines.anchor, lines.direction.components
+    d2 = _segment_box_distance_sq(*lines, lo, hi, -math.inf, math.inf)
     return np.sqrt(np.maximum(d2, 0.0))
 
 

@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ def subcube_cases(draw):
         f = family(s.axis, n, geometries, w, weights)
         families.append(shifted(f, spread * side * rng.uniform(-1.0, 1.0, (f.size, n))))
     return families, cube, delta, w
+
+
+@st.composite
+def batched_cases(draw):
+    """``subcube_cases`` with a batch row budget and, in each family, one more
+    line with zero direction components, the members in a drawn order."""
+    families, cube, delta, w = draw(subcube_cases())
+    n = cube.n
+    mixed = []
+    for f in families:
+        direction = np.eye(n)[f.axis]
+        # along the axis, or tilted towards one other axis only
+        direction[(f.axis + 1) % n] = draw(st.sampled_from([0.0, 0.5])) * delta
+        anchor = cube.min_corner + cube.side * np.array([draw(st.floats(0.0, 1.0))
+                                                         for _ in range(n)])
+        geometries = [m.geometry for m in f.members] + [line_through(anchor, direction)]
+        weights = [m.weight for m in f.members] + [draw(st.floats(0.1, 4.0))]
+        order = draw(st.permutations(range(len(geometries))))
+        mixed.append(family(f.axis, n, [geometries[i] for i in order], w,
+                            [weights[i] for i in order]))
+    return (mixed, cube, delta, w), draw(st.sampled_from([1, 40, 300, 2000, certifier._ROWS]))
 
 
 def ulps(x: float, steps: int) -> float:
@@ -395,6 +417,41 @@ class TestStepBound:
         fams = [axis_tube_family(j, n, [np.full(n, 0.1)]) for j in range(n)]
         detail = assert_counts_match_dense(fams, cube, 0.9, 1.0)
         assert detail.count_histograms == ({1: detail.subcube_count},) * n
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batched_cases())
+    def test_batched_counts_match_dense(self, batched):
+        # small row budgets cut each family into several batches, which must
+        # keep the member-order weight sums across them
+        case, rows = batched
+        with mock.patch.object(certifier, "_ROWS", rows):
+            assert_counts_match_dense(*case)
+
+    def test_member_batches(self):
+        # runs of lines within the row budget; a polyline, or a line over
+        # the budget, alone
+        sizes = np.array([30, 30, 30, 100, 10, 10])
+        is_line = np.array([True, True, False, True, True, True])
+        with mock.patch.object(certifier, "_ROWS", 64):
+            batches = list(certifier._member_batches(sizes, is_line))
+        assert batches == [(0, 2), (2, 3), (3, 4), (4, 6)]
+
+    def test_one_box_test_per_family_and_rung(self, monkeypatch):
+        # small_angle_n2 at delta 0.2: each family's directions share one zero
+        # pattern, so each of its two rungs makes one exact test of the same
+        # 1,902 band cells that a test per member gets
+        golden = Path(__file__).resolve().parent / "golden" / "small_angle_n2.config.json"
+        config = config_from_json(load_json(golden))
+        rows = count_box_distance_rows(monkeypatch)
+        certify_multiscale(config.families, config.cube, 0.2)
+        assert len(rows) <= 4
+        assert sum(rows) == 1902
 
     def test_sparse_counts_test_few_pairs(self, monkeypatch):
         # n=3, S=16, delta 0.1, 8 tubes per axis: 110,592 subcubes and 24

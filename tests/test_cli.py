@@ -377,6 +377,15 @@ def _set_cube_past_the_float_range(data):
     data["cube"] = {"min_corner": [-1.79e308, -1.79e308, -1.79e308], "side": 1e308}
 
 
+def _set_cube_side_1e300(data):
+    # M = 430 steps at delta 0.2: c_step^M is past the float range
+    data["cube"]["side"] = 1e300
+
+
+def _set_weight_1e308(data):
+    data["families"][0]["members"][0]["weight"] = 1e308
+
+
 def small_angle_check(command, *flags):
     """``command`` on ``tests/golden/small_angle_n2.config.json`` at delta 0.2 on a 32-cell grid."""
     config = GOLDEN / "small_angle_n2.config.json"
@@ -560,6 +569,15 @@ BAD_INPUTS = {
         "reduce", "--config",
         edited_golden(p, "general_n3.config.json", _set_radius_product_overflows),
         "--epsilon", 3.75,
+    ],
+    "certify_step_power_overflows": lambda p: [
+        "certify", "--config",
+        edited_golden(p, "small_angle_n2.config.json", _set_cube_side_1e300), "--delta", 0.2,
+    ],
+    "certify_weight_product_overflows": lambda p: [
+        "certify", "--config",
+        edited_golden(p, "small_angle_n2.config.json", _set_weight_1e308), "--delta", 0.2,
+        "--check", "--grid", 32,
     ],
 }
 

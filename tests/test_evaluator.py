@@ -15,6 +15,7 @@ from kakeya.evaluator import (
     evaluate_refined,
     exact_overlap_2d,
     midpoint_rule,
+    power_product,
 )
 from kakeya.geometry import (
     Cube,
@@ -58,6 +59,14 @@ class TestIntegrand:
         f1 = family(0, 2, [line_through([0.0, 0.0], [1.0, 0.0])])
         with pytest.raises(ValidationError):
             overlap_integrand([f1, f1], [[0.0, 0.0]])
+
+    def test_power_product_matches_np_power_on_count_fields(self):
+        # at n = 3, p = 1/2 takes numpy's square root path; count fields hold
+        # the integers, and each power keeps the bits of np.power (the bytes
+        # of every float, as float.hex would show them)
+        counts = np.arange(2**20 + 1, dtype=float)
+        got = power_product([counts], 0.5, counts.shape)
+        assert got.tobytes() == np.power(counts, 0.5).tobytes()
 
 
 class TestEvaluateOverlap:

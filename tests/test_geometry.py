@@ -309,6 +309,27 @@ class TestSquaredDistances:
             on_lattice = squared_distances(lattice(axes).T, member)
             assert on_mesh.ravel().tobytes() == on_lattice.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_lines_give_the_bits_of_one_line_each(self, n, rng):
+        # each point's own line, in the point and the box kernel; the last two
+        # lines run along axis 0, and go to the box kernel together with
+        # their shared zero pattern
+        dirs = rng.normal(size=(6, n))
+        dirs[4:, 1:] = 0.0
+        lines = [Line(rng.uniform(-9.0, 9.0, n), Direction.normalized(d)) for d in dirs]
+        owner = np.repeat(np.arange(6), 50)
+        anchors = np.array([line.anchor for line in lines])[owner]
+        directions = np.array([line.direction.components for line in lines])[owner]
+        points = rng.uniform(-5.0, 5.0, (owner.size, n))
+        hi = points + rng.uniform(0.0, 2.0, points.shape)
+        stacked = squared_distances(points.T, (anchors, directions))
+        for rows in (slice(0, 200), slice(200, 300)):
+            boxes = line_box_distance((anchors[rows], directions[rows]), points[rows], hi[rows])
+            for i, box in zip(range(owner.size)[rows], boxes.tolist()):
+                line = lines[owner[i]]
+                assert stacked[i].hex() == squared_distances(points[i:i + 1].T, line)[0].hex()
+                assert box.hex() == line_box_distance(line, points[i], hi[i])[0].hex()
+
 
 class TestAngleFromAxis:
     def test_axis_itself(self):
