@@ -37,6 +37,7 @@ from .evaluator import (
     GridSpec,
     OverlapValue,
     _check_curve_spans,
+    _finite,
     check_families,
     midpoint_rule,
 )
@@ -238,19 +239,28 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
 
     A candidate is decided by its center's computed squared distance c2~
     to the member first (``squared_distances``), with ``err2`` and ``e`` the
-    rounding bounds of ``distance_rounding`` and hd half the subcube's
-    diagonal.  The true center distance c has |c^2 - c2~| <= err2, and the
-    true box distance D lies in [c - hd, c]: the box holds its center and
-    lies within hd of it.  So
+    rounding bounds of ``distance_rounding``, s the subcube side and hd half
+    its diagonal.  The true distance c from the computed center to the
+    member has |c^2 - c2~| <= err2.  The box lies within hd of its center,
+    and it holds the ball of radius s/2 around it (the inscribed ball), so
+    its true distance D to the member, a line or a polyline alike, lies in
+    [c - hd, max(0, c - s/2)].  So
 
-      * c2~ + err2 <= (w - e)^2 gives D <= c <= w - e: it touches;
+      * c2~ + err2 <= (w + s/2 - 2e)^2 gives D <= w - e: it touches;
       * c2~ - err2 > (w + hd + e)^2 gives D >= c - hd > w + e: it does not;
       * any other subcube gets the exact ``line_box_distance`` /
         ``polyline_box_distance`` test against w.
 
-    A computed box distance is within ``e`` of D when either is at most w,
-    so the first two classes are the exact test's answers, and the counts
-    equal a test of every pair.
+    The first class's second e covers the computed corners and center.
+    With u = eps/2 and L as in ``distance_rounding``, the corners lo~ and
+    fl(lo~ + s) of the box that the exact test takes lie s - u L apart or
+    more on each axis, and the center fl(lo~ + s/2) lies within 1.5 u L of
+    their midpoint, so that box holds the ball of radius s/2 - 2u L around
+    the computed center; the class's square and sum round by 4u (w + s + L)
+    more.  Both are far below e >= 28 eps (L + w), as s <= 2L.  A computed
+    box distance is within ``e`` of D when either is at most w, so the
+    first two classes are the exact test's answers, and the counts equal a
+    test of every pair.
 
     A family's candidates are stacked as rows, member by member
     (``_member_batches``): a run of lines is one pass of the center kernel
@@ -278,7 +288,8 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
         first, stop = bands[..., 0], bands[..., 1]
         sizes = np.prod(np.maximum(stop - first, 0), axis=-1).sum(axis=1)
         err2, e = distance_rounding(members, cube, w)
-        inside = (w - e) ** 2 - err2 if w > e else -math.inf
+        reach_in = w + 0.5 * sub_side - 2.0 * e
+        inside = reach_in**2 - err2 if reach_in > 0.0 else -math.inf
         outside = (w + half_diagonal + e) ** 2 + err2
         is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
         anchors = np.array([g.anchor if isinstance(g, Line) else np.zeros(n)
@@ -346,7 +357,7 @@ def verify_step_inequality(
     m = grid.cells_per_side
     lhs = midpoint_rule(families, cube)(m, threads)
     rhs = midpoint_rule(families, cube, [w / delta] * n)(m, threads)
-    bound = Constants.for_dimension(n).c_step * delta**n * rhs
+    bound = _finite(Constants.for_dimension(n).c_step * delta**n * rhs, "the step bound")
     if bound == 0.0:
         return StepVerification(lhs, rhs, bound, 0.0, degenerate=True)
     return StepVerification(lhs, rhs, bound, lhs / bound, degenerate=False)

@@ -12,11 +12,16 @@ folded in index order, so the result is bit-identical for any worker count.
 slab, or the whole grid of ``CountFields``), only on the member's band, the
 cells it can reach (``geometry.member_reach`` and ``geometry.grid_ranges``);
 the cells outside add exactly zero, so the bits match a dense sum.
+
+``midpoint_rule`` builds every block in its thread's work buffers
+(``_work_buffers``), flat arrays of one slab each that outlive the block and
+the call, so no block after a thread's first touches a fresh page.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +33,24 @@ from .geometry import Cube, Line, LipschitzCurve, grid_ranges, member_reach, squ
 CELL_BUDGET = 10**8
 _BLOCK = 1 << 16
 _ROW = _BLOCK // 4
+#: cells in the boxes of one block at most: the block and two rows (``_slabs``)
+_SLAB = _BLOCK + 2 * _ROW
+
+_work = threading.local()
+
+
+def _work_buffers(name: str, count: int) -> list:
+    """This thread's work buffers under ``name``: at least ``count`` flat float64 arrays.
+
+    Each holds ``_SLAB`` cells, one slab, whatever the grid size.  They live
+    as long as the thread: a pool worker's go with its pool, and the main
+    thread keeps its own.  Allocated once and reused, their pages are
+    faulted in once, where per-block arrays of this size are given back to
+    the OS at the end of each block and faulted in again by the next.
+    """
+    buffers = _work.__dict__.setdefault(name, [])
+    buffers.extend(np.empty(_SLAB) for _ in range(count - len(buffers)))
+    return buffers
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +175,26 @@ def cell_centers(lo, h, m: int) -> list:
     return [lo[k] + (np.arange(m) + 0.5) * h[k] for k in range(len(lo))]
 
 
-def power_product(factors, p: float, shape) -> np.ndarray:
-    """prod_j f_j^p on an array of ``shape``; each factor broadcasts to it.
+def power_product(factors, p: float, out: np.ndarray) -> np.ndarray:
+    """``out`` set to prod_j f_j^p and returned; the two or more factors broadcast to it.
 
-    ``f ** p`` is ``np.power`` except at p = 0.5, where numpy takes its
-    faster square root, which gives the same bits on count fields.
+    A writable factor is the caller's scratch: its power is taken in place,
+    ``f **= p``, and ``out`` may be the first factor.  A read-only one (a
+    stored count field) is raised into a new array, ``f ** p``.  Both are
+    ``np.power`` except at p = 0.5, where numpy takes its faster square
+    root, which gives the same bits on count fields.  The product
+    ``(f_0^p f_1^p) f_2^p ...`` has the bits of ``((1 f_0^p) f_1^p) ...``.
     """
-    out = np.ones(shape)
+    powers = []
     for f in factors:
-        out *= f if p == 1.0 else f ** p
+        if p != 1.0 and f.flags.writeable:
+            f **= p
+        elif p != 1.0:
+            f = f ** p
+        powers.append(f)
+    np.multiply(powers[0], powers[1], out=out)
+    for f in powers[2:]:
+        out *= f
     return out
 
 
@@ -172,40 +206,70 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     ``integrand(axes, starts)`` is called on the boxes of ``_slabs`` that
     cover it: ``axes[k]`` holds the box's cell centers along axis k and
     ``starts[k]`` the grid index of the first of them, and the call returns
-    the values on the box's lattice.  The block's cells are sliced out of
-    those values and their ``np.sum`` is taken; the block sums are folded
-    with ``math.fsum`` in block order, so the result is the same for any
-    ``threads``.  The caller multiplies by the cell volume.
+    the values on the box's lattice as a C-contiguous array.  That array may
+    be a view of the calling thread's work buffers: it need only hold its
+    values until the thread's next ``integrand`` call, as a block of several
+    boxes copies each box into its thread's block buffer before the next.
+    The block's cells are sliced out of those values and their ``np.sum``
+    is taken; the block sums are folded with ``math.fsum`` in block order,
+    so the result is the same for any ``threads``.  The caller multiplies by
+    the cell volume.
     """
     n = len(lo)
     total = m**n
     centers = cell_centers(lo, h, m)
 
+    def box_values(box) -> np.ndarray:
+        return integrand([c[a:b] for c, (a, b) in zip(centers, box)], [a for a, _ in box]).ravel()
+
     def block_sum(start: int) -> float:
         stop = min(start + _BLOCK, total)
         boxes, first = _slabs(start, stop, m, n)
-        vals = [
-            integrand([c[a:b] for c, (a, b) in zip(centers, box)], [a for a, _ in box]).ravel()
-            for box in boxes
-        ]
-        flat = vals[0] if len(vals) == 1 else np.concatenate(vals)
+        if len(boxes) == 1:
+            flat = box_values(boxes[0])
+        else:
+            flat, end = _work_buffers("block", 1)[0], 0
+            for box in boxes:
+                vals = box_values(box)
+                flat[end : end + vals.size] = vals
+                end += vals.size
         return float(np.sum(flat[start - first : stop - first]))
 
     starts = range(0, total, _BLOCK)
     if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # the workers take the caller's handling of floating-point errors
+        errors = np.geterr()
+        with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
             partials = list(pool.map(block_sum, starts))
     else:
         partials = [block_sum(start) for start in starts]
-    return math.fsum(partials)
+    return _fsum(partials)
 
 
-def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: float) -> None:
+def _fsum(values) -> float:
+    """``math.fsum``, but inf where finite values sum past the float range, where it raises."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` if it is finite; an inf or NaN comes of weights or a cube past the float range."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} is past the float range ({value!r})")
+    return value
+
+
+def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: float,
+                work=None) -> None:
     """Add ``sign * w * (d <= r)`` of the member to ``field`` on the index box [first, stop).
 
     ``axes[k]`` holds the cell centers of ``field`` along axis k.  The
     distances are computed on the box's open mesh, and the indicator is
-    written over them as 1.0 or 0.0.
+    written over them as 1.0 or 0.0.  ``work``, four flat buffers of at
+    least the box's cell count, holds the distance kernel's arrays; without
+    it they are allocated.
     """
     if any(a >= b for a, b in zip(first, stop)):
         return
@@ -213,7 +277,11 @@ def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: 
     box = tuple(map(slice, first, stop))
     mesh = [x[s].reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
             for k, (x, s) in enumerate(zip(axes, box))]
-    d = squared_distances(mesh, member.geometry)
+    if work is not None:
+        shape = tuple(b - a for a, b in zip(first, stop))
+        size = math.prod(shape)
+        work = [w[:size].reshape(shape) for w in work]
+    d = squared_distances(mesh, member.geometry, work)
     inside = np.less_equal(np.sqrt(d, out=d), r, out=d)
     inside *= sign * member.weight
     field[box] += inside
@@ -232,7 +300,10 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     ``CELL_BUDGET`` cells, before any cell is evaluated.  The members'
     reaches over the cube's slab do not depend on the grid, so every level
     shares them.  ``radii``, one per family in axis order, replaces the
-    families' base radii.
+    families' base radii.  Each box is built in its thread's work buffers:
+    the n count fields are zero-filled views of the first n, the distance
+    kernel runs in the next four, the powers are taken in place and the
+    product is formed in the first field, which the box returns.
     """
     fams = check_families(families)
     n = len(fams)
@@ -251,17 +322,24 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
 
         def integrand(axes, starts):
             shape = tuple(x.size for x in axes)
-            lo, size = np.array(starts)[:, None], np.array(shape)[:, None]
-            fields = []
-            for f, r, band in zip(fams, rs, bands):
-                fields.append(np.zeros(shape))
+            lo, span = np.array(starts)[:, None], np.array(shape)[:, None]
+            buffers = _work_buffers("grid", n + 4)
+            size = math.prod(shape)
+            fields = [b[:size].reshape(shape) for b in buffers[:n]]
+            kernel = buffers[n : n + 4]
+            for field, f, r, band in zip(fields, fams, rs, bands):
+                field.fill(0.0)
                 # the bands clipped to the slab, in its own indices
-                ranges = np.clip(band - lo, 0, size).transpose(0, 2, 1)
+                ranges = np.clip(band - lo, 0, span).transpose(0, 2, 1)
                 for member, (first, stop) in zip(f.members, ranges.tolist()):
-                    _add_member(fields[-1], axes, member, r, first, stop, 1.0)
-            return power_product(fields, p, shape)
+                    _add_member(field, axes, member, r, first, stop, 1.0, kernel)
+            return power_product(fields, p, fields[0])
 
-        return h**n * midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
+        # a count or product past the float range is inf, or NaN times 0: the
+        # value is checked once, and numpy's warnings on the way are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
+        return _finite(h**n * total, f"the overlap value at {m} cells per side")
 
     return value
 
@@ -338,7 +416,8 @@ class CountFields:
 
         def integrand(axes, starts):
             box = tuple(slice(a, a + x.size) for a, x in zip(starts, axes))
-            return power_product((f[box] for f in self.fields), p, tuple(x.size for x in axes))
+            out = np.empty(tuple(x.size for x in axes))
+            return power_product([f[box] for f in self.fields], p, out)
 
         return h**n * midpoint_sum(integrand, self.cube.min_corner, (h,) * n, self.m, threads)
 
@@ -524,4 +603,4 @@ def exact_overlap_2d(families, cube: Cube) -> float:
             if wa == 0.0 or wb == 0.0:
                 continue
             terms.append(wa * wb * _convex_intersection_area(pa, pb))
-    return math.fsum(terms)
+    return _finite(_fsum(terms), "the exact overlap value")

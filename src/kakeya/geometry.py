@@ -241,7 +241,7 @@ def angle_from_axis(direction: Direction, axis: int) -> float:
 # distances
 
 
-def squared_distances(coords, member: Line | LipschitzCurve | tuple) -> np.ndarray:
+def squared_distances(coords, member: Line | LipschitzCurve | tuple, work=None) -> np.ndarray:
     """Squared distance from points to a line or polyline, in the residual form.
 
     ``coords`` holds the points' n coordinate arrays, which broadcast
@@ -254,40 +254,53 @@ def squared_distances(coords, member: Line | LipschitzCurve | tuple) -> np.ndarr
     t = sum_k rel_k v'_k with v' = v / (v.v), and the squared residual
     sum_k (rel_k - t v_k)^2; a polyline takes the minimum over its segments.
     ``distance_rounding`` bounds the rounding.
+
+    ``work``, if given, is four arrays of the broadcast shape: the result is
+    built in the first, and the full-size temporaries (t and the residuals,
+    and a polyline's later segments) in the others, so the call allocates
+    no array of that shape.
     """
+    out, t, res, segment = (None,) * 4 if work is None else work
     if isinstance(member, Line):
-        return _residual_squares(coords, member.anchor, member.direction.components, False)
+        return _residual_squares(coords, member.anchor, member.direction.components, False,
+                                 out, t, res)
     if not isinstance(member, LipschitzCurve):
-        return _residual_squares(coords, *member, False)
+        return _residual_squares(coords, *member, False, out, t, res)
     verts = member.vertices()
-    best = _residual_squares(coords, verts[0], verts[1] - verts[0], True)
+    best = _residual_squares(coords, verts[0], verts[1] - verts[0], True, out, t, res)
     for p0, p1 in zip(verts[1:-1], verts[2:]):
-        np.minimum(best, _residual_squares(coords, p0, p1 - p0, True), out=best)
+        d2 = _residual_squares(coords, p0, p1 - p0, True, segment, t, res)
+        np.minimum(best, d2, out=best)
     return best
 
 
-def _residual_squares(coords, origin, v, clip: bool) -> np.ndarray:
+def _residual_squares(coords, origin, v, clip: bool, out=None, t_out=None,
+                      res_out=None) -> np.ndarray:
     """sum_k (rel_k - t v_k)^2 of ``squared_distances`` for one segment or line.
 
     ``origin`` and ``v`` are one segment's (n,) vectors, or per-point
     (rows, n) stacks.  Both forms take v.v from the same BLAS dot product
     over n contiguous values, so a stacked row has the bits of its one-line
-    call.
+    call.  The sum is built in ``out``, t in ``t_out`` and the middle
+    residuals in ``res_out``: arrays of the broadcast shape, or None for new
+    ones; either way each value is the same float.
     """
     if v.ndim == 1:
         origin, scaled, v = origin.tolist(), (v / np.dot(v, v)).tolist(), v.tolist()
     else:
         origin, scaled, v = origin.T, (v / np.vecdot(v, v)[:, None]).T, v.T
+    n = len(coords)
     rel = [x - o for x, o in zip(coords, origin)]
     t = rel[0] * scaled[0]
-    for r, s in zip(rel[1:], scaled[1:]):
-        t = t + r * s
+    for k in range(1, n):
+        # on an open mesh only the last partial sum has the full shape
+        t = np.add(t, rel[k] * scaled[k], out=t_out if k == n - 1 else None)
     if clip:
         np.clip(t, 0.0, 1.0, out=t)
     d2 = None
     for k, (r, s) in enumerate(zip(rel, v)):
         # the last residual overwrites t, which nothing reads after it
-        res = np.multiply(t, s, out=t if k == len(rel) - 1 else None)
+        res = np.multiply(t, s, out=t if k == n - 1 else out if k == 0 else res_out)
         np.subtract(r, res, out=res)
         np.square(res, out=res)
         if d2 is None:

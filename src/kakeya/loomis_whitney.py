@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluator import GridSpec, cell_centers, midpoint_sum, power_product
+from .evaluator import GridSpec, _finite, cell_centers, midpoint_sum, power_product
 from .geometry import _frozen, lattice
 
 #: relative roundoff floor folded into quadrature error estimates
@@ -158,11 +158,12 @@ def _left_midpoint(fs, box: Box, m: int) -> float:
 
     def integrand(axes, starts):
         # f_j(pi_j x) is constant along axis j: look it up on the other axes
-        # and broadcast it along axis j
-        factors = (
+        # and broadcast it along axis j; the lookups are new arrays, which
+        # power_product raises in place
+        factors = [
             np.expand_dims(f.lookup_grid(axes[:j] + axes[j + 1 :]), j) for j, f in enumerate(fs)
-        )
-        return power_product(factors, p, tuple(a.size for a in axes))
+        ]
+        return power_product(factors, p, np.empty(tuple(a.size for a in axes)))
 
     return float(np.prod(h)) * midpoint_sum(integrand, box.min_corner, h, m)
 
@@ -184,11 +185,14 @@ def verify_lw(fs, box: Box, grid: GridSpec) -> LwVerification:
     """
     n = _check_setup(fs, box)
     m = grid.cells_per_side
-    left = _left_midpoint(fs, box, m)
-    right = lw_right(fs)
-    if right == 0.0:
-        return LwVerification(left, right, 0.0, 0.0, degenerate=True)
-    coarse = _left_midpoint(fs, box, max(1, m // 2))
+    # values past the float range make a side inf, or the ratio NaN: each
+    # side is checked once, and numpy's warnings on the way are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = _finite(_left_midpoint(fs, box, m), "the Loomis-Whitney left side")
+        right = _finite(lw_right(fs), "the Loomis-Whitney right side")
+        if right == 0.0:
+            return LwVerification(left, right, 0.0, 0.0, degenerate=True)
+        coarse = _finite(_left_midpoint(fs, box, max(1, m // 2)), "the Loomis-Whitney left side")
     err = (abs(left - coarse) + ROUNDOFF_FLOOR * abs(left)) / right
     return LwVerification(left, right, left / right, err, degenerate=False)
 

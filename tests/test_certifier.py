@@ -179,8 +179,11 @@ def margin_cases(draw):
     Axis-parallel lines and constant polylines put a row of subcube centers,
     or a row of subcube faces, at distance w across one axis, then move by
     -1, 0 or 1 ulp; the subcube corners and centers are computed as
-    ``_subcube_counts`` computes them.  Family 0 can also hold a line
-    through the cube anchored 1.4e6 back along one of ``FAR_DIRECTIONS``.
+    ``_subcube_counts`` computes them.  A face at w puts the centers at
+    w + s/2, s the subcube side, the margin of the inscribed-ball class; at
+    n = 3 the member can instead put them there across the two axes off
+    its own, on the diagonal.  Family 0 can also hold a line through the
+    cube anchored 1.4e6 back along one of ``FAR_DIRECTIONS``.
     """
     n = draw(st.sampled_from([2, 3]))
     delta = draw(st.floats(0.05, 0.9))
@@ -209,6 +212,14 @@ def margin_cases(draw):
                 lo(c, i) + sub_side + w,
             ]))
             point[c] = ulps(point[c], draw(st.sampled_from([-1, 0, 1])))
+            if n == 3 and draw(st.booleans()):
+                # centers at w + s/2 on the diagonal across both other axes
+                reach = (w + 0.5 * sub_side) / math.sqrt(2.0)
+                for a in range(n):
+                    if a != j:
+                        center = lo(a, draw(st.integers(0, k - 1))) + 0.5 * sub_side
+                        shift = reach if draw(st.booleans()) else -reach
+                        point[a] = ulps(center + shift, draw(st.sampled_from([-1, 0, 1])))
             if draw(st.booleans()):
                 geometries.append(Line(point, Direction.axis(n, j)))
             else:
@@ -445,13 +456,14 @@ class TestStepBound:
     def test_one_box_test_per_family_and_rung(self, monkeypatch):
         # small_angle_n2 at delta 0.2: each family's directions share one zero
         # pattern, so each of its two rungs makes one exact test of the same
-        # 1,902 band cells that a test per member gets
+        # 543 band cells that a test per member gets (1,902 before the
+        # inscribed-ball class)
         golden = Path(__file__).resolve().parent / "golden" / "small_angle_n2.config.json"
         config = config_from_json(load_json(golden))
         rows = count_box_distance_rows(monkeypatch)
         certify_multiscale(config.families, config.cube, 0.2)
         assert len(rows) <= 4
-        assert sum(rows) == 1902
+        assert sum(rows) == 543
 
     def test_sparse_counts_test_few_pairs(self, monkeypatch):
         # n=3, S=16, delta 0.1, 8 tubes per axis: 110,592 subcubes and 24
@@ -465,7 +477,7 @@ class TestStepBound:
 
     def test_center_distances_decide_most_band_cells(self, monkeypatch):
         # small_angle_n2 at delta 0.2: of the 16,277 band cells of both rungs,
-        # 1,902 (11.7%) are on neither side of the tube's margins
+        # 543 (3.3%) are on neither side of the tube's margins
         golden = Path(__file__).resolve().parent / "golden" / "small_angle_n2.config.json"
         config = config_from_json(load_json(golden))
         rows = count_box_distance_rows(monkeypatch)

@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kakeya import cli
@@ -386,6 +387,23 @@ def _set_weight_1e308(data):
     data["families"][0]["members"][0]["weight"] = 1e308
 
 
+def _set_every_weight_1e308(data):
+    # each family's counts reach inf, and inf times an empty cell's 0 is NaN
+    for f in data["families"]:
+        for member in f["members"]:
+            member["weight"] = 1e308
+
+
+def small_angle_weights_1e308(tmp_path):
+    return edited_golden(tmp_path, "small_angle_n2.config.json", _set_every_weight_1e308)
+
+
+def _set_every_lw_value_1e300(data):
+    # each factor's square root is 1e150: the product of three is past the float range
+    for f in data["functions"]:
+        f["values"] = np.full(np.shape(f["values"]), 1e300).tolist()
+
+
 def small_angle_check(command, *flags):
     """``command`` on ``tests/golden/small_angle_n2.config.json`` at delta 0.2 on a 32-cell grid."""
     config = GOLDEN / "small_angle_n2.config.json"
@@ -579,9 +597,29 @@ BAD_INPUTS = {
         edited_golden(p, "small_angle_n2.config.json", _set_weight_1e308), "--delta", 0.2,
         "--check", "--grid", 32,
     ],
+    "eval_counts_overflow": lambda p: [
+        "eval", "--config", small_angle_weights_1e308(p), "--grid", 8
+    ],
+    # four blocks over two workers, which must not warn either
+    "eval_counts_overflow_on_two_threads": lambda p: [
+        "eval", "--config", small_angle_weights_1e308(p), "--grid", 512, "--threads", 2
+    ],
+    "eval_product_overflows": lambda p: [
+        "eval", "--config", edited_golden(p, "small_angle_n2.config.json", _set_weight_1e308),
+        "--grid", 8,
+    ],
+    "verify_step_counts_overflow": lambda p: [
+        "verify-step", "--config", small_angle_weights_1e308(p), "--delta", 0.2, "--grid", 16
+    ],
+    "exact2d_terms_overflow": lambda p: ["exact2d", "--config", small_angle_weights_1e308(p)],
+    "verify_lw_left_side_overflows": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_every_lw_value_1e300)
+    ],
 }
 
 
+# a numpy warning, in the caller or a pool worker, fails the case
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
     argv = BAD_INPUTS[case](tmp_path)
@@ -659,6 +697,17 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("certify_check_grid_zero", "cells_per_side must be >= 1"),
         ("reduce_distortion_product_overflows",
          "distortion factor (sigma_max W)^3 overflows at W = 5.6e+102"),
+        ("eval_counts_overflow",
+         "the overlap value at 8 cells per side is past the float range (nan)"),
+        ("eval_counts_overflow_on_two_threads",
+         "the overlap value at 512 cells per side is past the float range (nan)"),
+        ("eval_product_overflows",
+         "the overlap value at 8 cells per side is past the float range (inf)"),
+        ("verify_step_counts_overflow",
+         "the overlap value at 16 cells per side is past the float range (nan)"),
+        ("exact2d_terms_overflow", "the exact overlap value is past the float range (inf)"),
+        ("verify_lw_left_side_overflows",
+         "the Loomis-Whitney left side is past the float range (inf)"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):

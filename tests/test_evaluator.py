@@ -61,12 +61,22 @@ class TestIntegrand:
             overlap_integrand([f1, f1], [[0.0, 0.0]])
 
     def test_power_product_matches_np_power_on_count_fields(self):
-        # at n = 3, p = 1/2 takes numpy's square root path; count fields hold
-        # the integers, and each power keeps the bits of np.power (the bytes
-        # of every float, as float.hex would show them)
+        # at n = 3, p = 1/2 takes numpy's square root path, and at n = 4,
+        # p = 1/3, np.power; count fields hold the integers, and each power,
+        # in place on scratch or new from a read-only field, keeps the bits
+        # of np.power (the bytes of every float, as float.hex would show
+        # them); a factor of ones leaves the power alone (1 x = x)
         counts = np.arange(2**20 + 1, dtype=float)
-        got = power_product([counts], 0.5, counts.shape)
-        assert got.tobytes() == np.power(counts, 0.5).tobytes()
+        stored = counts.copy()
+        stored.flags.writeable = False
+        for p in (0.5, 1.0 / 3.0):
+            want = np.power(counts, p).tobytes()
+            scratch = counts.copy()
+            in_place = power_product([scratch, np.ones(counts.size)], p, scratch)
+            assert in_place is scratch and in_place.tobytes() == want
+            new = power_product([stored, np.ones(counts.size)], p, np.empty(counts.size))
+            assert new.tobytes() == want
+            assert stored.tobytes() == counts.tobytes()
 
 
 class TestEvaluateOverlap:

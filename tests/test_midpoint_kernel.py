@@ -7,6 +7,8 @@ sums with ``math.fsum``; the kernel must give the same float, compared by
 """
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,11 +329,19 @@ def test_midpoint_sum_matches_dense_blocks(m, n):
     def values(pts):
         return np.sin(pts @ np.arange(1.0, n + 1.0)) + pts[:, 0] ** 2
 
+    scratch = threading.local()
+
     def integrand(axes, starts):
         for a, s, f in zip(axes, starts, full):
             assert np.array_equal(a, f[s : s + a.size])
         shape = tuple(a.size for a in axes)
-        return values(lattice(axes)).reshape(shape)
+        # a view of this thread's one scratch array, which its next call
+        # overwrites, as the work buffers of midpoint_rule are
+        if not hasattr(scratch, "values"):
+            scratch.values = np.empty(BLOCK + BLOCK // 2)
+        out = scratch.values[: math.prod(shape)].reshape(shape)
+        out[...] = values(lattice(axes)).reshape(shape)
+        return out
 
     want = dense_sum(values, centers(lo, h, m))
     assert midpoint_sum(integrand, lo, h, m).hex() == want.hex()
@@ -360,3 +370,43 @@ def test_slabs_cover_each_block_with_whole_rows(shape, pick):
     assert np.array_equal(flat, np.arange(first, first + flat.size))
     assert first <= start and stop <= first + flat.size
     assert flat.size - (stop - start) < 2 * (BLOCK // 4)
+
+
+def test_work_buffers_keep_every_value_across_interleaved_calls():
+    # one process, so one set of work buffers per thread, shared in turn by
+    # grids of one box per block (m = 44) and of several (m = 131, rows along
+    # axis 1), on one thread and on a pool's, between count-field values and
+    # Loomis-Whitney left sides of several boxes per block (n = 4, m = 26)
+    cube = Cube(np.array([-4.0, -3.0, -5.0]), 4.0)
+    families = generate(GenSpec(3, (3, 3, 3), SmallAngle(0.2), cube, seed=7, radius=1.5))
+    midpoint = midpoint_rule(families, cube)
+    fields = CountFields.build(families, cube, 44)
+    box = Box(np.zeros(4), np.array([1.0, 2.0, 1.5, 0.5]))
+    rng = np.random.default_rng(5)
+    fs = [ProjectionFunction(Box(project(box.min_corner, j), project(box.sides, j)),
+                             rng.uniform(0.0, 2.0, (3, 4, 2)))
+          for j in range(4)]
+    want = {m: dense_overlap(families, cube, m).hex() for m in (44, 131)}
+    lw_want = dense_lw_left(fs, box, 26).hex()
+    for threads in (1, 2, 1):
+        for m in (131, 44):
+            assert midpoint(m, threads).hex() == want[m]
+            assert fields.value(threads).hex() == want[44]
+            assert verify_lw(fs, box, GridSpec(26)).left.hex() == lw_want
+
+
+def test_blocks_reuse_the_work_buffers():
+    # n = 3, grid 56: three blocks of 65,536 cells, each a 512 KiB array per
+    # field; once this thread's buffers exist, a value allocates no block
+    cube = Cube(np.full(3, -8.0), 16.0)
+    families = generate(GenSpec(3, (12, 12, 12), SmallAngle(0.1), cube, seed=3))
+    midpoint = midpoint_rule(families, cube)
+    warm = midpoint(56, 1)
+    tracemalloc.start()
+    try:
+        again = midpoint(56, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.hex() == warm.hex()
+    assert peak < BLOCK * 8 // 2
