@@ -45,6 +45,7 @@ from .loomis_whitney import (
 )
 from .reduction import (
     ReducedProblem,
+    ReducedProblems,
     reduce_general_to_small_angle,
     split_by_caps,
     transversal_reduce,

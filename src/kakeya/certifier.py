@@ -452,9 +452,12 @@ def certify_multiscale(families, cube: Cube, delta: float) -> Certificate:
 
 
 def delta_for_epsilon(eps: float, consts: Constants) -> float:
-    """delta with log(c_step)/log(delta^-1) = eps, i.e. exp(-log(c_step)/eps)."""
-    if not (eps > 0.0):
-        raise ValidationError("epsilon must be positive")
+    """delta with log(c_step)/log(delta^-1) = eps, i.e. exp(-log(c_step)/eps).
+
+    An infinite epsilon would give delta 1, which no scale step takes.
+    """
+    if not (0.0 < eps < math.inf):
+        raise ValidationError(f"epsilon must be a finite positive number, got {eps!r}")
     delta = math.exp(-math.log(consts.c_step) / eps)
     if delta < 1e-300:
         raise ValidationError(

@@ -188,7 +188,7 @@ def _cmd_reduce(args) -> int:
         problems = reduction.reduce_general_to_small_angle(
             config.families, config.cube, args.epsilon
         )
-    _write_output({"problems": [p.to_json() for p in problems]}, args.out)
+    _write_output({"problems": serialization.Records.from_columns(problems.columns())}, args.out)
     return EXIT_OK
 
 

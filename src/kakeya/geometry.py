@@ -52,7 +52,8 @@ class Direction:
 
     def __post_init__(self):
         arr = _frozen(self.components, lambda s: len(s) == 1 and s[0] >= 2)
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, and fails
+            norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"direction is not unit length: |v|-1 = {norm - 1.0:.3e}")
         object.__setattr__(self, "components", arr)

@@ -153,17 +153,31 @@ def _check_setup(fs, box: Box) -> int:
 
 
 def _left_midpoint(fs, box: Box, m: int) -> float:
+    """The midpoint rule for the left side, on m cells per side of ``box``.
+
+    f_j(pi_j x)^p, p = 1/(n-1), is constant along axis j, so each factor is
+    looked up (its box check included) and raised to p once per grid, on
+    the lattice of the m cell centers of the other n-1 axes.  A box of cells
+    takes views of these powers, broadcast along their own axes, and
+    multiplies them as ``power_product`` does, (f_0^p f_1^p) f_2^p ..., into
+    a new array.
+    """
     p = 1.0 / (box.n - 1)
     h = box.sides / m
+    centers = cell_centers(box.min_corner, h, m)
+    powers = []
+    for j, f in enumerate(fs):
+        power = f.lookup_grid(centers[:j] + centers[j + 1 :])
+        power **= p  # the lookup is a new array
+        powers.append(np.expand_dims(power, j))
 
     def integrand(axes, starts):
-        # f_j(pi_j x) is constant along axis j: look it up on the other axes
-        # and broadcast it along axis j; the lookups are new arrays, which
-        # power_product raises in place
-        factors = [
-            np.expand_dims(f.lookup_grid(axes[:j] + axes[j + 1 :]), j) for j, f in enumerate(fs)
+        box_slices = [slice(s, s + a.size) for a, s in zip(axes, starts)]
+        views = [
+            g[(*box_slices[:j], slice(None), *box_slices[j + 1 :])] for j, g in enumerate(powers)
         ]
-        return power_product(factors, p, np.empty(tuple(a.size for a in axes)))
+        # the powers are taken: at p = 1, power_product only multiplies
+        return power_product(views, 1.0, np.empty(tuple(a.size for a in axes)))
 
     return float(np.prod(h)) * midpoint_sum(integrand, box.min_corner, h, m)
 

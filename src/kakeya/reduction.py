@@ -19,12 +19,13 @@ with Q'' an axis-aligned cube containing the mapped, rescaled cube.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .certifier import Constants, delta_for_epsilon
+from .certifier import Constants, _check_step_delta, delta_for_epsilon
 from .errors import PropertyViolation, ValidationError
 from .evaluator import FamilyMember, TubeFamily, check_families
 from .geometry import (
@@ -46,7 +47,7 @@ SINGULAR_DET = 1e-12  # a frame with |det| below this is singular
 class ReducedProblem:
     """One small-angle subproblem with its bound bookkeeping multiplier.
 
-    A problem is one row of the stacked reduction, held as Python floats:
+    A problem is one row of a ``ReducedProblems``, held as Python floats:
     the map's ``matrix`` rows, ``length_distortion`` (min, max singular
     value) and ``volume_distortion`` (|det|), and the cube's ``min_corner``
     and ``side``, all checked once for the whole stack.  ``map`` and ``cube``
@@ -91,16 +92,85 @@ class ReducedProblem:
             out.append(TubeFamily(f.axis, f.dim, tuple(members), 1.0))
         return tuple(out)
 
-    def to_json(self) -> dict:
+
+@dataclass(frozen=True, eq=False)
+class ReducedProblems(Sequence):
+    """The problems of one reduction, stacked: row p of each column is problem p.
+
+    Problem p has the cap tuple ``cap_indices[p]`` (one cap index per axis),
+    whose sub-families hold ``member_counts[p]`` members; the map
+    ``matrices[p]`` with (min, max) singular values ``length_distortions[p]``
+    and |det| ``volume_distortions[p]``; the cube ``min_corners[p]``,
+    ``sides[p]``; the bound multiplier ``distortion_factors[p]``; and
+    ``scales[p]`` = 1 / (sigma_max * base radius).  ``delta`` is shared, and
+    ``split[j]`` maps each nonempty cap of axis j to its sub-family.  The
+    columns are read-only.  ``len``, indexing and iteration give one
+    ``ReducedProblem`` per row, all built on the first read.
+    """
+
+    delta: float
+    split: tuple
+    cap_indices: np.ndarray
+    member_counts: np.ndarray
+    matrices: np.ndarray
+    length_distortions: np.ndarray
+    volume_distortions: np.ndarray
+    min_corners: np.ndarray
+    sides: np.ndarray
+    distortion_factors: np.ndarray
+    scales: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.cap_indices, self.member_counts, self.matrices,
+                       self.length_distortions, self.volume_distortions, self.min_corners,
+                       self.sides, self.distortion_factors, self.scales):
+            column.flags.writeable = False
+
+    @cached_property
+    def _problems(self) -> tuple:
+        return tuple(
+            ReducedProblem(
+                matrix=matrix,
+                length_distortion=tuple(length),
+                volume_distortion=det,
+                min_corner=min_corner,
+                side=side,
+                distortion_factor=factor,
+                delta=self.delta,
+                cap_indices=combo,
+                sources=tuple(caps[i] for caps, i in zip(self.split, combo)),
+                scale=scale,
+            )
+            for matrix, length, det, min_corner, side, factor, combo, scale in zip(
+                self.matrices.tolist(), self.length_distortions.tolist(),
+                self.volume_distortions.tolist(), self.min_corners.tolist(),
+                self.sides.tolist(), self.distortion_factors.tolist(),
+                map(tuple, self.cap_indices.tolist()), self.scales.tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    def __getitem__(self, index):
+        return self._problems[index]
+
+    def columns(self) -> dict:
+        """A problem's JSON fields, in order, each as the stacked column of its values.
+
+        This is the one place that names the fields of a problem's JSON
+        record; ``serialization.Records.from_columns`` makes the layout and
+        the rows from it.
+        """
         return {
-            "cap_indices": list(self.cap_indices),
-            "delta": self.delta,
-            "distortion_factor": self.distortion_factor,
-            "matrix": [list(row) for row in self.matrix],
-            "length_distortion": list(self.length_distortion),
-            "volume_distortion": self.volume_distortion,
-            "cube": {"min_corner": list(self.min_corner), "side": self.side},
-            "member_counts": [f.size for f in self.sources],
+            "cap_indices": self.cap_indices,
+            "delta": np.full(len(self), self.delta),
+            "distortion_factor": self.distortion_factors,
+            "matrix": self.matrices,
+            "length_distortion": self.length_distortions,
+            "volume_distortion": self.volume_distortions,
+            "cube": {"min_corner": self.min_corners, "side": self.sides},
+            "member_counts": self.member_counts,
         }
 
 
@@ -142,6 +212,8 @@ def _first_wide_angle(split, pos, mats, delta):
     1e-9) on the normalized image u of each direction (the sign of a line
     direction does not change |u_j|).
     """
+    if not len(mats):
+        return None  # no tuple, so no mapped member
     first = None
     for j, caps in enumerate(split):
         subs = list(caps.values())
@@ -162,8 +234,8 @@ def _first_wide_angle(split, pos, mats, delta):
     return first
 
 
-def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProblem]:
-    """One ReducedProblem per tuple of nonempty caps, one cap per axis.
+def _reduce_with_caps(families, cube, nets, delta, nu=None) -> ReducedProblems:
+    """The problems of each tuple of nonempty caps, one cap per axis, stacked.
 
     ``families`` come in axis order, and ``nets[j]`` is axis j's (centers,
     radius).  The P tuples run in ``itertools.product`` order over each
@@ -176,15 +248,16 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     singular, then every mapped member angle <= delta.  The maps, the cubes
     (each centered on its mapped cube's bounding box) and the distortion
     factors are checked for the whole stack as ``LinearMap`` and ``Cube``
-    check one, with the same first failure, and each problem is one row of
-    the stacked results, listed once per array.
+    check one, with the same first failure.  The arrays are the columns of
+    the result, one row per problem; a family with no members leaves no
+    tuple, and the result is empty.
     """
     split = [split_by_caps(f, *nets[f.axis]) for f in families]
-    if not all(split):
-        return []
     shape = tuple(len(caps) for caps in split)
     pos = np.unravel_index(np.arange(math.prod(shape)), shape)
-    combos = np.stack([np.array(list(caps))[k] for caps, k in zip(split, pos)], axis=1)
+    combos = np.stack([np.array(list(caps), dtype=int)[k] for caps, k in zip(split, pos)], axis=1)
+    counts = np.stack([np.array([f.size for f in caps.values()], dtype=int)[k]
+                       for caps, k in zip(split, pos)], axis=1)
     frames = np.stack([nets[j][0][combos[:, j]] for j in range(len(split))], axis=2)
     wedges = np.abs(np.linalg.det(frames))
     bad = wedges < SINGULAR_DET
@@ -231,27 +304,11 @@ def _reduce_with_caps(families, cube, nets, delta, nu=None) -> list[ReducedProbl
     if first_bad < len(combos):
         raise ValueError("non-finite coordinates" if not finite[first_bad]
                          else "cube side must be positive")
-    return [
-        ReducedProblem(
-            matrix=matrix,
-            length_distortion=tuple(length),
-            volume_distortion=det,
-            min_corner=min_corner,
-            side=side,
-            distortion_factor=factor,
-            delta=delta,
-            cap_indices=combo,
-            sources=tuple(caps[i] for caps, i in zip(split, combo)),
-            scale=scale,
-        )
-        for matrix, length, det, min_corner, side, factor, combo, scale in zip(
-            mats.tolist(), length_rows, det_list, min_corners.tolist(), sides.tolist(),
-            factors, map(tuple, combos.tolist()), scales.tolist(),
-        )
-    ]
+    return ReducedProblems(delta, tuple(split), combos, counts, mats, lengths, dets,
+                           min_corners, sides, np.array(factors, dtype=float), scales)
 
 
-def _reduce(families, cube, nets, delta, nu=None) -> list[ReducedProblem]:
+def _reduce(families, cube, nets, delta, nu=None) -> ReducedProblems:
     """``_reduce_with_caps``, with a cube mapped past the float range reported as bad input."""
     try:
         return _reduce_with_caps(families, cube, nets, delta, nu)
@@ -259,11 +316,12 @@ def _reduce(families, cube, nets, delta, nu=None) -> list[ReducedProblem]:
         raise ValidationError(f"the cube maps past the float range: {exc}")
 
 
-def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[ReducedProblem]:
+def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> ReducedProblems:
     """Split a general-angle problem (angles <= (10n)^-1) into cap tuples.
 
-    Uses caps of radius delta/10 with delta = delta_for_epsilon(eps).  Each
-    nonempty cap tuple yields one ReducedProblem whose transformed angles are
+    Uses caps of radius delta/10 with delta = delta_for_epsilon(eps), which
+    must be a delta that a scale step takes (``_check_step_delta``).  Each
+    nonempty cap tuple yields one problem whose transformed angles are
     re-validated against delta (never assumed).
     """
     fams = check_families(families)
@@ -279,6 +337,7 @@ def reduce_general_to_small_angle(families, cube: Cube, eps: float) -> list[Redu
                     f"member angle {ang:.3e} exceeds the (10n)^-1 limit {limit:.3e}"
                 )
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
+    _check_step_delta(delta)  # a problem no step can certify is bad input
     rho = delta / 10.0
     nets = [_net(Cap(Direction.axis(n, j), limit), min(rho, limit)) for j in range(n)]
     return _reduce(fams, cube, nets, delta)
@@ -295,7 +354,7 @@ def transversal_reduce(
     direction_sets: list[Cap],
     nu: float,
     eps: float,
-) -> list[ReducedProblem]:
+) -> ReducedProblems:
     """Reduction under the wedge (transversality) hypothesis.
 
     ``direction_sets`` are caps containing each family's directions; any
@@ -304,7 +363,8 @@ def transversal_reduce(
     keeps every cap tuple's wedge >= nu/2 and every transformed angle <= delta;
     a cap tuple whose center wedge drops below nu/2 is rejected as a
     precondition violation.  Distortion factors are computed from the actual
-    frame maps (the a priori Poly(nu^-1) bound L^n is only a ceiling).
+    frame maps (the a priori Poly(nu^-1) bound L^n is only a ceiling).  As in
+    ``reduce_general_to_small_angle``, delta must be a step's delta.
     """
     fams = check_families(families)
     n = len(fams)
@@ -323,6 +383,7 @@ def transversal_reduce(
                     f"axis-{f.axis} member direction escapes its direction set"
                 )
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
+    _check_step_delta(delta)
     sigma = transversal_sigma_bound(n, nu)
     rho = min(nu / (100.0 * n), delta / (2.0 * sigma))
     if not rho > 0.0:

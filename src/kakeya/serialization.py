@@ -359,6 +359,94 @@ def lw_inputs_from_json(data) -> tuple[list[ProjectionFunction], Box]:
     return fns, _box_from_json(data["box"], "box")
 
 
+class _Slot:
+    """The type of ``SLOT``."""
+
+    __slots__ = ()
+
+
+#: a leaf of a ``Records`` layout that each record fills
+SLOT = _Slot()
+# The text of a slot in a rendered layout.  JSON text never holds a raw NUL
+# (a string's control characters are escaped), so it marks slots alone.
+_SLOT_TEXT = "\x00"
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A list of records that share one layout, written as the JSON list of them.
+
+    ``layout`` is a JSON value, dicts and lists of leaves, in which each
+    ``SLOT`` is a leaf that every record fills.  ``rows`` holds one tuple per
+    record: its leaves in the order in which the layout's slots are written
+    (dict order, list order).  A leaf must be an exact ``int`` or a finite
+    exact ``float``; the writer rejects any other (a bool, a numpy scalar, an
+    int subclass, NaN, an infinity) with a TypeError or ValueError, and a
+    row whose length is not the layout's slot count with a ValueError.
+    Each is written as its repr, which is its ``json`` text.
+    """
+
+    layout: object
+    rows: list
+
+    @classmethod
+    def from_columns(cls, columns: dict) -> Records:
+        """Records whose layout is ``columns``, a dict of dicts and stacked columns.
+
+        Record p's value at each column, an array of shape (P, *s), is row p:
+        an s-shaped nested list of slots in the layout, and of leaves
+        (``tolist``, so Python ints and floats) in the row.  One walk builds
+        both, so the slots and the leaves come in the same order.
+        """
+        flat = []
+
+        def slots(value):
+            if isinstance(value, dict):
+                return {k: slots(v) for k, v in value.items()}
+            flat.extend(value.reshape(len(value), math.prod(value.shape[1:])).T.tolist())
+            return np.full(value.shape[1:], SLOT, dtype=object).tolist()
+
+        layout = slots(columns)
+        return cls(layout, list(zip(*flat)))
+
+
+def _append_records(records: Records, out: list, newline: str) -> None:
+    """Append the JSON text of ``records``; ``newline`` breaks a line at its depth.
+
+    ``_append`` renders the layout once, one level deeper, with a marker per
+    slot; with every literal ``%`` escaped and each marker made ``%r``, it is
+    the template that each row fills.  The rows are checked once, by C-level
+    passes, for the leaves that ``%r`` writes as ``json`` does.
+    """
+    rows = records.rows
+    if not rows:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    parts = []
+    _append(records.layout, parts, inner)
+    template = "".join(parts)
+    count = template.count(_SLOT_TEXT)
+    if set(map(type, rows)) != {tuple}:
+        raise TypeError("each record row must be a tuple")
+    if set(map(len, rows)) != {count}:
+        raise ValueError(f"each record row must hold the layout's {count} leaves")
+    leaves = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, leaves))
+    if not kinds <= {int, float}:
+        name = min(k.__name__ for k in kinds - {int, float})
+        raise TypeError(f"a record leaf must be an int or a float, not {name}")
+    try:
+        finite = all(map(math.isfinite, leaves))
+    except OverflowError:  # an int past the float range: test the floats alone
+        finite = all(map(math.isfinite, itertools.compress(
+            leaves, map(isinstance, leaves, itertools.repeat(float)))))
+    if not finite:
+        raise ValueError("a record leaf must be finite")
+    template = template.replace("%", "%%").replace(_SLOT_TEXT, "%r")
+    out.append("[" + inner + ("," + inner).join(map(template.__mod__, rows)) + newline + "]")
+
+
 _string_text = json.encoder.encode_basestring_ascii
 
 # The text of a leaf by its exact type, each a C function.  A float's text is
@@ -371,6 +459,7 @@ _LEAF_TEXT = {
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
+    _Slot: {SLOT: _SLOT_TEXT}.__getitem__,
 }
 _FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -451,6 +540,8 @@ def _append(value, out: list, newline: str) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append(_float_text(value))
+    elif isinstance(value, Records):
+        _append_records(value, out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -462,12 +553,18 @@ def write_json(obj: dict, fh) -> None:
     one pass and written at once.  Types are tested as ``json`` tests them
     (str, int, float, list or tuple, dict; subclasses included), so an
     ``np.float64`` is a float and an ``np.int64`` a ``TypeError``; NaN and
-    infinities are written as ``NaN`` and ``Infinity``.
+    infinities are written as ``NaN`` and ``Infinity``.  ``Records`` are
+    written as the list of their records, each filling one template that
+    ``_append`` renders once per list; a ``SLOT`` outside a layout is a
+    ``TypeError``.  Nothing is written if a value is rejected.
     """
     out = []
     _append(obj, out, "\n")
     out.append("\n")
-    fh.write("".join(out))
+    text = "".join(out)
+    if _SLOT_TEXT in text:
+        raise TypeError("a record SLOT is only a leaf of a Records layout")
+    fh.write(text)
 
 
 def dump_json(obj: dict, path) -> None:

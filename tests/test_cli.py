@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kakeya import cli
 from kakeya.cli import main
@@ -16,8 +22,10 @@ from kakeya.serialization import (
     dump_json,
     load_json,
     search_from_json,
+    write_json,
 )
-from kakeya.generators import GenSpec, SmallAngle
+from kakeya.generators import GeneralAngle, GenSpec, SmallAngle
+from kakeya.reduction import reduce_general_to_small_angle, transversal_reduce
 from kakeya.geometry import Cube
 
 from lemmas import genspec_to_json
@@ -305,6 +313,11 @@ def _set_dir_nan(data):
     data["families"][1]["members"][0]["dir"] = [float("nan"), 1.0]
 
 
+def _set_dir_1e200(data):
+    # |dir|^2 is past the float range
+    data["families"][1]["members"][0]["dir"] = [1e200, 1.0]
+
+
 def _set_breakpoints_string(data):
     polyline = {"breakpoints": ["-5", 5.0], "values": [[0.0], [0.0]], "lip": 0.5}
     data["families"][0]["members"][0] = {"polyline": polyline, "weight": 1.0}
@@ -528,6 +541,7 @@ BAD_INPUTS = {
     ],
     "member_anchor_bool": lambda p: ["eval", "--config", edited_config(p, _set_anchor_bool)],
     "member_dir_nan": lambda p: ["eval", "--config", edited_config(p, _set_dir_nan)],
+    "member_dir_norm_overflows": lambda p: ["eval", "--config", edited_config(p, _set_dir_1e200)],
     "polyline_breakpoints_string": lambda p: [
         "eval", "--config", edited_config(p, _set_breakpoints_string)
     ],
@@ -614,6 +628,19 @@ BAD_INPUTS = {
     "exact2d_terms_overflow": lambda p: ["exact2d", "--config", small_angle_weights_1e308(p)],
     "verify_lw_left_side_overflows": lambda p: [
         "verify-lw", "--config", edited_lw_golden(p, _set_every_lw_value_1e300)
+    ],
+    # a delta that no scale step takes: 1.0, or one past the step range
+    "reduce_epsilon_infinite": lambda p: [
+        "reduce", "--config", GOLDEN / "general_n3.config.json", "--epsilon", "inf"
+    ],
+    "reduce_epsilon_1e300": lambda p: [
+        "reduce", "--config", GOLDEN / "general_n3.config.json", "--epsilon", 1e300
+    ],
+    "reduce_epsilon_past_the_step_range": lambda p: [
+        "reduce", "--config", GOLDEN / "general_n3.config.json", "--epsilon", 200
+    ],
+    "reduce_nu_epsilon_infinite": lambda p: [
+        "reduce", "--config", GOLDEN / "wedge_n2.config.json", "--nu", 1.0, "--epsilon", "inf"
     ],
 }
 
@@ -708,6 +735,12 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("exact2d_terms_overflow", "the exact overlap value is past the float range (inf)"),
         ("verify_lw_left_side_overflows",
          "the Loomis-Whitney left side is past the float range (inf)"),
+        ("member_dir_norm_overflows", "direction is not unit length: |v|-1 = inf"),
+        ("reduce_epsilon_infinite", "epsilon must be a finite positive number, got inf"),
+        ("reduce_epsilon_1e300", "step arguments require delta in (0, 0.9]; got 1.0"),
+        ("reduce_epsilon_past_the_step_range",
+         "step arguments require delta in (0, 0.9]; got 0.9227491573325611"),
+        ("reduce_nu_epsilon_infinite", "epsilon must be a finite positive number, got inf"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
@@ -789,3 +822,127 @@ def test_parser_built_once_and_calls_share_no_state(tmp_path, capsys, monkeypatc
     result = extremal_search(**search_from_json(load_json(search)), grid=GridSpec(16))
     assert load_json(unseeded) == json.loads(json.dumps({"schema_version": 1, **asdict(result)}))
     assert load_json(seeded) != load_json(unseeded)
+
+
+def problem_dict(p) -> dict:
+    """The JSON fields of one problem, read from its row: what ``reduce`` writes for it."""
+    return {
+        "cap_indices": list(p.cap_indices),
+        "delta": p.delta,
+        "distortion_factor": p.distortion_factor,
+        "matrix": [list(row) for row in p.matrix],
+        "length_distortion": list(p.length_distortion),
+        "volume_distortion": p.volume_distortion,
+        "cube": {"min_corner": list(p.min_corner), "side": p.side},
+        "member_counts": [f.size for f in p.sources],
+    }
+
+
+@pytest.mark.parametrize("case", ["general2", "general3", "general4", "wedge2"])
+def test_reduce_writes_its_problems_as_the_generic_writer_writes_their_dicts(case, tmp_path):
+    n, eps = {"general2": (2, 3.0), "general3": (3, 3.75), "general4": (4, 5.0),
+              "wedge2": (2, 3.0)}[case]
+    nu = ["--nu", 1.0] if case == "wedge2" else []
+    if case in ("general3", "wedge2"):
+        config = GOLDEN / ("general_n3.config.json" if n == 3 else "wedge_n2.config.json")
+    else:
+        spec = GenSpec(n, (3,) * n, GeneralAngle(), Cube.centered(np.zeros(n), 8.0), seed=11)
+        gen, config = tmp_path / "gen.json", tmp_path / "cfg.json"
+        dump_json({"schema_version": 1, "gen": genspec_to_json(spec)}, gen)
+        assert run(["gen", "--config", gen, "--out", config]) == 0
+    out = tmp_path / "out.json"
+    assert run(["reduce", "--config", config, *nu, "--epsilon", eps, "--out", out]) == 0
+    cfg = config_from_json(load_json(config))
+    if nu:
+        problems = transversal_reduce(cfg.families, cfg.cube, list(cfg.direction_sets), 1.0, eps)
+    else:
+        problems = reduce_general_to_small_angle(cfg.families, cfg.cube, eps)
+    assert len(problems) > 1
+    fh = io.StringIO()
+    write_json({"schema_version": 1, "problems": [problem_dict(p) for p in problems]}, fh)
+    assert out.read_text(encoding="utf-8") == fh.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# reduce on mutated golden inputs: no traceback, one message line
+
+
+def json_paths(node, path=()):
+    """Every path into ``node``: the keys and indices down to each value."""
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from json_paths(v, (*path, k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from json_paths(v, (*path, i))
+
+
+@st.composite
+def mutated_json(draw, data):
+    """``data`` after one or two mutations at drawn paths."""
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(json_paths(data))
+        path = draw(st.sampled_from(paths[1:]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        kind = draw(st.sampled_from(["scale", "retype", "drop", "empty", "ragged"]))
+        if kind == "scale" and type(value) in (int, float):
+            parent[key] = value * 10.0 ** draw(st.integers(-300, 300))
+        elif kind == "retype" or (kind == "scale" and isinstance(value, str)):
+            choices = [str(value), True, False, None, 0, -1, 2**70, 0.5]
+            if type(value) is float and math.isfinite(value):
+                choices.append(int(value))
+            if type(value) is int:
+                choices.append(float(value))
+            parent[key] = draw(st.sampled_from(choices))
+        elif kind == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif kind == "empty" and isinstance(value, (list, dict)):
+            value.clear()
+        elif kind == "ragged" and isinstance(value, list) and value:
+            value.pop()
+        else:
+            parent[key] = []
+    return data
+
+
+FUZZ_NUMBERS = st.sampled_from(
+    [0.0, -1.0, -1e300, math.nan, math.inf, -math.inf, 1e300, 1e-300, 0.5, 1.0, 3.0, 3.75]
+)
+
+
+@st.composite
+def reduce_fuzz_cases(draw):
+    name = draw(st.sampled_from(["general_n3.config.json", "wedge_n2.config.json"]))
+    data = load_json(GOLDEN / name)
+    if draw(st.booleans()):
+        data = draw(mutated_json(data))
+    # the golden flags, a drawn value or none
+    nu = draw(st.just(1.0) | FUZZ_NUMBERS | st.none()) if name.startswith("wedge") else None
+    flags = [] if nu is None else [f"--nu={nu!r}"]
+    epsilon = draw(st.just(3.0) | FUZZ_NUMBERS | st.none())
+    flags += [] if epsilon is None else [f"--epsilon={epsilon!r}"]
+    return data, flags
+
+
+# a numpy warning is a second line on stderr, and fails the case
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(reduce_fuzz_cases())
+def test_reduce_on_mutated_inputs_exits_with_one_message(case):
+    data, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "cfg.json", Path(tmp) / "out.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["reduce", "--config", str(config), *flags, "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1
+        assert lines[0].startswith(("error: ", "violation: ", "non-convergence: "))

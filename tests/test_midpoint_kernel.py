@@ -28,7 +28,7 @@ from kakeya.evaluator import (
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Direction, Line, grid_ranges, lattice, member_reach
-from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
+from kakeya.loomis_whitney import Box, ProjectionFunction, _left_midpoint, project, verify_lw
 
 from conftest import family, line_through, shifted
 from lemmas import lookup, overlap_integrand
@@ -318,6 +318,26 @@ def lw_cases(draw):
 def test_lw_left_matches_pointwise_lookup_bit_for_bit(case):
     fs, box, m = case
     assert verify_lw(fs, box, GridSpec(m)).left.hex() == dense_lw_left(fs, box, m).hex()
+
+
+# grids of one box per block and of several (n = 4, m >= 26; n = 3, m = 131),
+# with function cell counts other than m
+@pytest.mark.parametrize(
+    "n, m, cells",
+    [(2, 1, (3,)), (2, 300, (7,)), (3, 41, (5, 9)), (3, 80, (64, 64)), (3, 131, (4, 6)),
+     (4, 5, (2, 3, 1)), (4, 26, (3, 4, 2)), (4, 27, (5, 1, 6))],
+)
+def test_left_midpoint_matches_dense_lookups_bit_for_bit(n, m, cells):
+    rng = np.random.default_rng(n * 1000 + m)
+    box = Box(rng.uniform(-3.0, 3.0, n), rng.uniform(0.5, 4.0, n))
+    fs = []
+    for j in range(n):
+        # f_j's box covers the projected integration box with margins below and above
+        below, above = rng.uniform(0.0, 0.5, (2, n - 1))
+        fbox = Box(project(box.min_corner, j) - below, project(box.sides, j) + below + above)
+        values = rng.uniform(0.0, 2.0, cells) * (rng.uniform(size=cells) < 0.8)
+        fs.append(ProjectionFunction(fbox, values))
+    assert _left_midpoint(fs, box, m).hex() == dense_lw_left(fs, box, m).hex()
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (7, 2), (300, 2), (41, 3), (131, 3), (5, 4), (26, 4)])

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -23,6 +25,7 @@ from kakeya.geometry import (
     tangent_basis,
 )
 from kakeya.reduction import (
+    ReducedProblems,
     _net,
     _reduce_with_caps,
     reduce_general_to_small_angle,
@@ -30,7 +33,7 @@ from kakeya.reduction import (
     transversal_reduce,
     transversal_sigma_bound,
 )
-from kakeya.serialization import config_from_json, load_json
+from kakeya.serialization import Records, config_from_json, load_json, write_json
 
 from conftest import axis_tube_family, cap_nets, family, line_through
 from lemmas import (
@@ -275,6 +278,13 @@ def assert_same_problems(problems, oracle):
                 assert a.weight == b.weight
 
 
+def problem_records(problems) -> list:
+    """The JSON records that ``reduce`` writes for ``problems``, read back."""
+    fh = io.StringIO()
+    write_json(Records.from_columns(problems.columns()), fh)
+    return json.loads(fh.getvalue())
+
+
 def general_nets(n: int, eps: float):
     """(nets, delta) of ``reduce_general_to_small_angle``."""
     delta = delta_for_epsilon(eps, Constants.for_dimension(n))
@@ -355,10 +365,21 @@ class TestBatchedReduction:
     def test_families_are_built_on_first_read_only(self):
         cube = Cube.centered([0.0, 0.0], 8.0)
         fams = generate(GenSpec(2, (3, 3), GeneralAngle(), cube, seed=3))
-        p = reduce_general_to_small_angle(fams, cube, 3.0)[0]
+        problems = reduce_general_to_small_angle(fams, cube, 3.0)
+        p = problems[0]
         assert "families" not in vars(p)
         assert p.families is p.families
-        assert p.to_json()["member_counts"] == [f.size for f in p.families]
+        assert problem_records(problems)[0]["member_counts"] == [f.size for f in p.families]
+
+    def test_a_family_without_members_gives_an_empty_stack(self):
+        cube = Cube.centered([0.0, 0.0, 0.0], 8.0)
+        fams = generate(GenSpec(3, (2, 2, 2), GeneralAngle(), cube, seed=4))
+        fams[1] = family(1, 3, [])
+        nets, delta = general_nets(3, 3.75)
+        problems = _reduce_with_caps(fams, cube, nets, delta)
+        assert isinstance(problems, ReducedProblems) and len(problems) == 0
+        assert list(problems) == reduce_per_tuple(fams, cube, nets, delta) == []
+        assert problems.matrices.shape == (0, 3, 3) and problem_records(problems) == []
 
     def test_reduce_builds_no_map_cube_or_mapped_member(self, monkeypatch):
         golden = Path(__file__).resolve().parent / "golden"
@@ -371,7 +392,7 @@ class TestBatchedReduction:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         problems = reduce_general_to_small_angle(config.families, config.cube, 3.75)
-        rows = [p.to_json() for p in problems]
+        rows = problem_records(problems)
         # the one Direction per axis is the center of that axis's whole cap
         assert len(problems) > 1 and built == Counter(Direction=config.n)
         for p, row in zip(problems, rows):
@@ -443,7 +464,7 @@ class TestBatchedReduction:
         nets = [(np.eye(2)[j : j + 1], 0.5) for j in range(2)]
         args = (fams, Cube.centered([0.0, 0.0], 4.0), nets, delta)
         result = outcome(_reduce_with_caps, *args)
-        assert isinstance(result, list) == passes
+        assert isinstance(result, ReducedProblems) == passes
         assert_same_problems(result, outcome(reduce_per_tuple, *args))
 
     def test_wedge_is_tested_before_a_singular_frame(self):
