@@ -189,13 +189,9 @@ def generate(spec: GenSpec) -> list[TubeFamily]:
 def random_lw_instance(n: int, seed: int):
     """Random nonnegative grid functions + integration box for LW checks.
 
-    Returns (functions, box, grid).  When the instance is nested, the
-    integration grid refines every function grid, so the midpoint quadrature
-    of the piecewise-constant integrand is exact; otherwise grids are
-    unrelated and genuine quadrature error appears.  n = 2 is always nested:
-    there the inequality is an exact equality (ratio 1), so only an exact
-    quadrature keeps the check well-posed.  Higher n alternates by seed
-    parity (even seeds are nested).
+    Returns (functions, box, grid): n functions of 2 to 4 cells per side,
+    about a quarter of their cells zero, on the unit cube's faces; the unit
+    cube; and the coarsest uniform grid that refines every function's grid.
     """
     if n < 2:
         raise ValidationError("dimension must be >= 2")
@@ -204,16 +200,9 @@ def random_lw_instance(n: int, seed: int):
     rng = np.random.default_rng(seed)
     unit = Box(np.zeros(n - 1), np.ones(n - 1))
     sizes = [int(rng.integers(2, 5)) for _ in range(n)]
-    if n == 2 or seed % 2 == 0:
-        lcm = math.lcm(*sizes)
-        target = {2: 48, 3: 24, 4: 12}[n]
-        cells = lcm * max(1, round(target / lcm))
-    else:
-        cells = {3: 32, 4: 16}[n]
     functions = []
     for j in range(n):
         shape = (sizes[j],) * (n - 1)
         vals = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.75)
         functions.append(ProjectionFunction(unit, vals))
-    box = Box(np.zeros(n), np.ones(n))
-    return functions, box, GridSpec(cells)
+    return functions, Box(np.zeros(n), np.ones(n)), GridSpec(math.lcm(*sizes))

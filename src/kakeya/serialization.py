@@ -202,9 +202,11 @@ def member_from_json(data, axis: int, name: str) -> FamilyMember:
         return FamilyMember(curve, weight)
     _require("anchor" in data and "dir" in data,
              "member needs anchor+dir or polyline")
-    line = Line(_numbers(data["anchor"], f"{name}.anchor"),
-                Direction(_numbers(data["dir"], f"{name}.dir")))
-    return FamilyMember(line, weight)
+    anchor = _numbers(data["anchor"], f"{name}.anchor")
+    direction = _numbers(data["dir"], f"{name}.dir")
+    _require(direction.ndim == 1 and direction.size >= 2,
+             f"{name}.dir must be an array of at least 2 numbers")
+    return FamilyMember(Line(anchor, Direction(direction)), weight)
 
 
 def family_to_json(family: TubeFamily) -> dict:

@@ -313,6 +313,10 @@ def _set_dir_nan(data):
     data["families"][1]["members"][0]["dir"] = [float("nan"), 1.0]
 
 
+def _set_dir_empty(data):
+    data["families"][0]["members"][1]["dir"] = []
+
+
 def _set_dir_1e200(data):
     # |dir|^2 is past the float range
     data["families"][1]["members"][0]["dir"] = [1e200, 1.0]
@@ -441,6 +445,10 @@ def _set_lw_values_string_and_bool(data):
 
 def _set_lw_value_huge(data):
     data["functions"][2]["values"][1][0] = 10**400
+
+
+def _set_lw_values_empty(data):
+    data["functions"][1]["values"] = [[]]
 
 
 def _add_direction_sets(data):
@@ -642,6 +650,29 @@ BAD_INPUTS = {
     "reduce_nu_epsilon_infinite": lambda p: [
         "reduce", "--config", GOLDEN / "wedge_n2.config.json", "--nu", 1.0, "--epsilon", "inf"
     ],
+    # negative numbers that argparse would take for flags
+    "reduce_nu_negative_exponent": lambda p: [
+        "reduce", "--config", GOLDEN / "wedge_n2.config.json", "--nu", "-1e300", "--epsilon", 3
+    ],
+    "certify_delta_negative_exponent": lambda p: [
+        "certify", "--config", GOLDEN / "small_angle_n2.config.json", "--delta", "-1e-5"
+    ],
+    "reduce_epsilon_negative_infinity": lambda p: [
+        "reduce", "--config", GOLDEN / "general_n3.config.json", "--epsilon", "-inf"
+    ],
+    "certify_tol_negative_exponent": lambda p: [
+        "certify", "--config", GOLDEN / "small_angle_n2.config.json", "--delta", 0.2,
+        "--tol", "-1e3",
+    ],
+    "member_dir_empty": lambda p: ["eval", "--config", edited_config(p, _set_dir_empty)],
+    "reduce_member_dir_empty": lambda p: [
+        "reduce", "--config", edited_golden(p, "general_n3.config.json", _set_dir_empty),
+        "--epsilon", 3.75,
+    ],
+    "verify_lw_values_empty": lambda p: [
+        "verify-lw", "--config", edited_lw_golden(p, _set_lw_values_empty)
+    ],
+    "verify_lw_dimension_53": lambda p: ["verify-lw", "--config", lw_file_of_dimension_53(p)],
 }
 
 
@@ -741,6 +772,16 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("reduce_epsilon_past_the_step_range",
          "step arguments require delta in (0, 0.9]; got 0.9227491573325611"),
         ("reduce_nu_epsilon_infinite", "epsilon must be a finite positive number, got inf"),
+        ("reduce_nu_negative_exponent", "nu must lie in (0, 1]"),
+        ("certify_delta_negative_exponent", "delta must lie in (0, 1)"),
+        ("reduce_epsilon_negative_infinity",
+         "epsilon must be a finite positive number, got -inf"),
+        ("certify_tol_negative_exponent", "--tol must be a finite number >= 0, got -1000.0"),
+        ("member_dir_empty", "families[0].members[1].dir must be an array of at least 2 numbers"),
+        ("reduce_member_dir_empty",
+         "families[0].members[1].dir must be an array of at least 2 numbers"),
+        ("verify_lw_values_empty", "a value grid needs at least one cell"),
+        ("verify_lw_dimension_53", "Loomis-Whitney checks take dimension <= 52"),
     ],
 )
 def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
@@ -789,6 +830,45 @@ def test_reduce_over_the_cap_net_budget_exits_3_before_allocating(tmp_path, caps
     assert not out.exists()
     # the net would have about 2.1e13 tangent cells
     assert peak < 16 << 20
+
+
+def lw_file_past_the_cell_budget(tmp_path):
+    """n = 3: each axis takes 500 cells from one function, 1.25e8 cells in all."""
+    unit = {"min_corner": [0.0, 0.0], "sides": [1.0, 1.0]}
+    shapes = [(1, 500), (500, 1), (1, 500)]
+    path = tmp_path / "lw.json"
+    dump_json({"functions": [{"box": unit, "values": np.ones(s).tolist()} for s in shapes],
+               "box": {"min_corner": [0.0] * 3, "sides": [1.0] * 3}}, path)
+    return path
+
+
+def lw_file_of_dimension_53(tmp_path):
+    """53 one-cell functions on the unit cube's faces: one axis more than einsum labels."""
+    values = [1.0]
+    for _ in range(51):
+        values = [values]
+    face = {"box": {"min_corner": [0.0] * 52, "sides": [1.0] * 52}, "values": values}
+    path = tmp_path / "lw.json"
+    dump_json({"functions": [face] * 53, "box": {"min_corner": [0.0] * 53, "sides": [1.0] * 53}},
+              path)
+    return path
+
+
+def test_verify_lw_over_the_cell_budget_exits_3_before_allocating(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert run(["verify-lw", "--config", lw_file_past_the_cell_budget(tmp_path),
+                    "--out", out]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == ("non-convergence: the Loomis-Whitney refinement has 125000000 cells, "
+                   "exceeding the budget of 100000000\n")
+    assert not out.exists()
+    # one factor of 500^2 cells would take 2 MB
+    assert peak < 1 << 20
 
 
 def test_parser_built_once_and_calls_share_no_state(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,9 @@ that alters any of these bytes must say why in CHANGES.md;
 code, in the order below (``gen`` outputs first, since later cases read them).
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from kakeya.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 #: output file name -> CLI arguments; ``*.json`` arguments name files in GOLDEN
 CASES = {
@@ -85,6 +89,19 @@ def test_golden_stdout(name, capsys):
     capsys.readouterr()
     assert main(_argv(name)) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["lw_n3.random.json", "lw_n3.verify.json"])
+def test_verify_lw_bytes_do_not_depend_on_blas_threads(name):
+    # a BLAS contraction may add in another order on another thread count
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-m", "kakeya.cli", *_argv(name)],
+                             env=env, capture_output=True, check=True)
+        outputs.add(run.stdout)
+    assert outputs == {(GOLDEN / name).read_bytes()}
 
 
 @pytest.mark.parametrize("name", list(CSV_CASES))

@@ -128,13 +128,15 @@ class TestVerifyLw:
             assert not check.degenerate
 
     def test_random_suite(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             for seed in range(40):
                 fs, box, grid = random_lw_instance(n, 1000 * n + seed)
                 check = verify_lw(fs, box, grid)
                 if check.degenerate:
                     continue
-                assert check.ratio <= 1.0 + 3.0 * check.error_estimate
+                assert check.ratio <= 1.0 + check.error_estimate
+                # on the unit cube's faces, n = 2 is the equality case
+                assert n > 2 or abs(check.ratio - 1.0) <= check.error_estimate
 
     def test_fields_are_python_floats(self):
         check = verify_lw(*random_lw_instance(3, 7))

@@ -3,12 +3,14 @@
 The dense reference walks the flat C-order cells in blocks of 65,536, sums
 the pointwise integrand of each block with ``np.sum`` and folds the block
 sums with ``math.fsum``; the kernel must give the same float, compared by
-``float.hex``.
+``float.hex``.  The Loomis-Whitney left side, an exact sum over the cells of
+its inputs, is held to its rounding bound against a ``Fraction`` sum.
 """
 
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,10 +30,10 @@ from kakeya.evaluator import (
 )
 from kakeya.generators import GeneralAngle, GenSpec, Lipschitz, SmallAngle, Weighted, generate
 from kakeya.geometry import Cube, Direction, Line, grid_ranges, lattice, member_reach
-from kakeya.loomis_whitney import Box, ProjectionFunction, _left_midpoint, project, verify_lw
+from kakeya.loomis_whitney import Box, ProjectionFunction, project, verify_lw
 
 from conftest import family, line_through, shifted
-from lemmas import lookup, overlap_integrand
+from lemmas import overlap_integrand
 
 BLOCK = 1 << 16
 
@@ -59,21 +61,6 @@ def dense_overlap(families, cube, m, radii=None) -> float:
     h = cube.side / m
     pts = centers(cube.min_corner, (h,) * cube.n, m)
     return h**cube.n * dense_sum(lambda p: overlap_integrand(families, p, radii=radii), pts)
-
-
-def dense_lw_left(fs, box, m) -> float:
-    n = box.n
-    p = 1.0 / (n - 1)
-    h = box.sides / m
-
-    def values(pts):
-        vals = np.ones(pts.shape[0])
-        for j in range(n):
-            fj = lookup(fs[j], project(pts, j))
-            vals *= fj if p == 1.0 else np.power(fj, p)
-        return vals
-
-    return float(np.prod(h)) * dense_sum(values, centers(box.min_corner, h, m))
 
 
 deltas = st.floats(0.01, 0.3)
@@ -288,56 +275,111 @@ def test_count_fields_refuse_the_cell_budget_before_allocating():
 
 
 @st.composite
-def lw_cases(draw):
-    n = draw(st.sampled_from([2, 3, 4]))
+def lw_cases(draw, dims=(2, 3, 4), margins=True):
+    n = draw(st.sampled_from(dims))
     lo = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(n)])
     sides = np.array([draw(st.floats(0.5, 4.0)) for _ in range(n)])
     box = Box(lo, sides)
+    # one shared cell count per axis, or each function's own
+    shared = draw(st.booleans())
+    cells = {2: 40, 3: 6, 4: 4}[n]
+    common = [draw(st.integers(1, cells)) for _ in range(n)]
+    # f_j's box covers the projected integration box, flush or with margins
+    pad = [0.0, 0.3, 0.7] if margins else [0.0]
     fs = []
     for j in range(n):
-        # f_j's box covers the projected integration box, flush or with margins
-        below = np.array([draw(st.sampled_from([0.0, 0.3])) for _ in range(n - 1)])
-        above = np.array([draw(st.sampled_from([0.0, 0.7])) for _ in range(n - 1)])
-        shape = tuple(draw(st.integers(1, 5)) for _ in range(n - 1))
+        below = np.array([draw(st.sampled_from(pad)) for _ in range(n - 1)])
+        above = np.array([draw(st.sampled_from(pad)) for _ in range(n - 1)])
+        shape = tuple(
+            project(np.array(common), j).astype(int) if shared
+            else [draw(st.integers(1, cells)) for _ in range(n - 1)]
+        )
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
         values = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) < 0.8)
         fbox = Box(project(lo, j) - below, project(sides, j) + below + above)
         fs.append(ProjectionFunction(fbox, values))
-    # small grids, and grids of two or three blocks
-    m = draw(
-        st.one_of(
-            {2: st.integers(1, 64), 3: st.integers(1, 20), 4: st.integers(1, 8)}[n],
-            {2: st.integers(257, 400), 3: st.integers(41, 56), 4: st.integers(17, 20)}[n],
-        )
-    )
-    return fs, box, m
+    return fs, box
+
+
+def _scaled(fractions) -> tuple:
+    """(integers, d): ``fractions`` times d, their least common denominator."""
+    d = math.lcm(*(f.denominator for f in fractions))
+    return np.array([f.numerator * (d // f.denominator) for f in fractions], dtype=object), d
+
+
+def _cells(f, a) -> tuple:
+    """(cells, lo, side) of ``f`` along its axis a, the last two as Fractions."""
+    return f.values.shape[a], Fraction(f.box.min_corner[a]), Fraction(f.box.sides[a])
+
+
+def fraction_left(fs, box) -> Fraction:
+    """The left side with exact cell edges and arithmetic, and the factors' float powers.
+
+    Along each axis the cells lie between the box's ends and the exact inner
+    edges lo + i side/s of the functions that vary along it; each factor is
+    looked up at a cell's exact midpoint, by the exact lookup rule.  The sum
+    runs over integers scaled by the least common denominators.
+    """
+    n = box.n
+    lo = [Fraction(x) for x in box.min_corner]
+    hi = [a + Fraction(s) for a, s in zip(lo, box.sides)]
+    mids, widths = [], []
+    for k in range(n):
+        inner = set()
+        for j, f in enumerate(fs):
+            if j != k:
+                s, flo, fside = _cells(f, k - (j < k))
+                inner.update(flo + i * fside / s for i in range(1, s))
+        b = [lo[k], *sorted(e for e in inner if lo[k] < e < hi[k]), hi[k]]
+        mids.append([(x + y) / 2 for x, y in zip(b, b[1:])])
+        widths.append([y - x for x, y in zip(b, b[1:])])
+    total, denominator = 1, 1
+    for k, w in enumerate(widths):
+        scaled, d = _scaled(w)
+        total = total * scaled.reshape([-1 if i == k else 1 for i in range(n)])
+        denominator *= d
+    for j, f in enumerate(fs):
+        index = []
+        for a, x in enumerate(mids[:j] + mids[j + 1 :]):
+            s, flo, fside = _cells(f, a)
+            index.append([min(max(math.floor((m - flo) * s / fside), 0), s - 1) for m in x])
+        powers = f.values[np.ix_(*index)] ** (1.0 / (n - 1))
+        scaled, d = _scaled([Fraction(v) for v in powers.ravel()])
+        total = total * np.expand_dims(scaled.reshape(powers.shape), j)
+        denominator *= d
+    return Fraction(int(np.sum(total)), denominator)
+
+
+def assert_within_the_rounding_bound(check, exact: Fraction):
+    bound = Fraction(check.error_estimate) * Fraction(check.right)
+    assert abs(Fraction(check.left) - exact) <= bound
 
 
 @PROPERTY
 @given(lw_cases())
-def test_lw_left_matches_pointwise_lookup_bit_for_bit(case):
-    fs, box, m = case
-    assert verify_lw(fs, box, GridSpec(m)).left.hex() == dense_lw_left(fs, box, m).hex()
+def test_lw_left_is_a_fraction_sum_within_the_rounding_bound(case):
+    fs, box = case
+    check = verify_lw(fs, box, GridSpec(1))
+    assert_within_the_rounding_bound(check, fraction_left(fs, box))
+    assert check.degenerate or check.error_estimate < 1e-10
 
 
-# grids of one box per block and of several (n = 4, m >= 26; n = 3, m = 131),
-# with function cell counts other than m
-@pytest.mark.parametrize(
-    "n, m, cells",
-    [(2, 1, (3,)), (2, 300, (7,)), (3, 41, (5, 9)), (3, 80, (64, 64)), (3, 131, (4, 6)),
-     (4, 5, (2, 3, 1)), (4, 26, (3, 4, 2)), (4, 27, (5, 1, 6))],
-)
-def test_left_midpoint_matches_dense_lookups_bit_for_bit(n, m, cells):
-    rng = np.random.default_rng(n * 1000 + m)
-    box = Box(rng.uniform(-3.0, 3.0, n), rng.uniform(0.5, 4.0, n))
-    fs = []
-    for j in range(n):
-        # f_j's box covers the projected integration box with margins below and above
-        below, above = rng.uniform(0.0, 0.5, (2, n - 1))
-        fbox = Box(project(box.min_corner, j) - below, project(box.sides, j) + below + above)
-        values = rng.uniform(0.0, 2.0, cells) * (rng.uniform(size=cells) < 0.8)
-        fs.append(ProjectionFunction(fbox, values))
-    assert _left_midpoint(fs, box, m).hex() == dense_lw_left(fs, box, m).hex()
+def test_lw_left_of_ball_counts_on_64_cells_is_a_fraction_sum_within_the_rounding_bound():
+    # as the bench's inputs: integer counts on 64 x 64 cells of one box
+    box = Box(np.array([-8.0, -7.5, -8.25]), np.full(3, 16.0))
+    rng = np.random.default_rng(3)
+    fs = [ProjectionFunction(Box(project(box.min_corner, j), project(box.sides, j)),
+                             rng.integers(0, 5, (64, 64)).astype(float))
+          for j in range(3)]
+    assert_within_the_rounding_bound(verify_lw(fs, box, GridSpec(80)), fraction_left(fs, box))
+
+
+@PROPERTY
+@given(lw_cases(dims=(2,), margins=False))
+def test_lw_ratio_at_n2_is_1_within_the_rounding_bound(case):
+    # on flush boxes both sides are ||f_0||_1 ||f_1||_1
+    check = verify_lw(*case, GridSpec(1))
+    assert check.degenerate or abs(check.ratio - 1.0) <= check.error_estimate
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (7, 2), (300, 2), (41, 3), (131, 3), (5, 4), (26, 4)])
@@ -395,24 +437,16 @@ def test_slabs_cover_each_block_with_whole_rows(shape, pick):
 def test_work_buffers_keep_every_value_across_interleaved_calls():
     # one process, so one set of work buffers per thread, shared in turn by
     # grids of one box per block (m = 44) and of several (m = 131, rows along
-    # axis 1), on one thread and on a pool's, between count-field values and
-    # Loomis-Whitney left sides of several boxes per block (n = 4, m = 26)
+    # axis 1), on one thread and on a pool's, between count-field values
     cube = Cube(np.array([-4.0, -3.0, -5.0]), 4.0)
     families = generate(GenSpec(3, (3, 3, 3), SmallAngle(0.2), cube, seed=7, radius=1.5))
     midpoint = midpoint_rule(families, cube)
     fields = CountFields.build(families, cube, 44)
-    box = Box(np.zeros(4), np.array([1.0, 2.0, 1.5, 0.5]))
-    rng = np.random.default_rng(5)
-    fs = [ProjectionFunction(Box(project(box.min_corner, j), project(box.sides, j)),
-                             rng.uniform(0.0, 2.0, (3, 4, 2)))
-          for j in range(4)]
     want = {m: dense_overlap(families, cube, m).hex() for m in (44, 131)}
-    lw_want = dense_lw_left(fs, box, 26).hex()
     for threads in (1, 2, 1):
         for m in (131, 44):
             assert midpoint(m, threads).hex() == want[m]
             assert fields.value(threads).hex() == want[44]
-            assert verify_lw(fs, box, GridSpec(26)).left.hex() == lw_want
 
 
 def test_blocks_reuse_the_work_buffers():
