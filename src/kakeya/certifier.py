@@ -343,9 +343,7 @@ def _step_detail(families, cube: Cube, delta: float, w: float, c_lw: float) -> S
     )
 
 
-def verify_step_inequality(
-    families, cube: Cube, delta: float, grid: GridSpec, *, threads: int = 1
-) -> StepVerification:
+def verify_step_inequality(families, cube: Cube, delta: float, grid: GridSpec) -> StepVerification:
     """Quadrature check of the one-step inequality.
 
     Evaluates both scales on the same grid and returns
@@ -355,8 +353,8 @@ def verify_step_inequality(
     """
     n, w = _check_step(families, cube, delta)
     m = grid.cells_per_side
-    lhs = midpoint_rule(families, cube)(m, threads)
-    rhs = midpoint_rule(families, cube, [w / delta] * n)(m, threads)
+    lhs = midpoint_rule(families, cube)(m)
+    rhs = midpoint_rule(families, cube, [w / delta] * n)(m)
     bound = _finite(Constants.for_dimension(n).c_step * delta**n * rhs, "the step bound")
     if bound == 0.0:
         return StepVerification(lhs, rhs, bound, 0.0, degenerate=True)

@@ -2,9 +2,9 @@
 
 Commands: gen, eval, exact2d, certify, verify-lw, verify-step, reduce, sweep,
 search.  Exit codes: 0 success, 1 validation or usage error, 2 property
-violation, 3 non-convergence / cell budget.  ``--threads`` must be >= 1; its
-default comes from the KAKEYA_THREADS environment variable (1 if unset, at
-least 1); outputs are deterministic regardless of worker count.
+violation, 3 non-convergence / cell budget.  Every command runs on the
+calling thread; ``--threads`` is accepted for compatibility, must be >= 1,
+and changes nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from dataclasses import asdict, is_dataclass, replace
@@ -29,16 +28,7 @@ EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
 EXIT_NONCONVERGENCE = 3
 
-THREADS_ENV = "KAKEYA_THREADS"
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.I)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_config_file(path: str) -> dict:
@@ -90,17 +80,10 @@ def _cmd_eval(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
     if args.refine:
         value = evaluate_refined(
-            config.families,
-            config.cube,
-            args.tol,
-            args.max_doublings,
-            start_cells=args.grid,
-            threads=args.threads,
+            config.families, config.cube, args.tol, args.max_doublings, start_cells=args.grid
         )
     else:
-        value = evaluate_overlap(
-            config.families, config.cube, GridSpec(args.grid), threads=args.threads
-        )
+        value = evaluate_overlap(config.families, config.cube, GridSpec(args.grid))
     _write_output(value, args.out)
     if not value.converged:
         print("quadrature did not converge", file=sys.stderr)
@@ -134,7 +117,7 @@ def _cmd_certify(args) -> int:
     certificate = certifier.certify_multiscale(config.families, config.cube, delta)
     _write_output(certificate, args.out)
     if args.check:
-        value = evaluate_overlap(config.families, config.cube, grid, threads=args.threads)
+        value = evaluate_overlap(config.families, config.cube, grid)
         if not certifier.check_certificate_soundness(certificate, value, tol=args.tol):
             print(
                 f"violation: value {value.value!r} exceeds bound {certificate.final_bound!r}",
@@ -166,9 +149,8 @@ def _cmd_verify_lw(args) -> int:
 def _cmd_verify_step(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
     delta = _resolve_delta(args, config.n)
-    check = certifier.verify_step_inequality(
-        config.families, config.cube, delta, GridSpec(args.grid), threads=args.threads
-    )
+    grid = GridSpec(args.grid)
+    check = certifier.verify_step_inequality(config.families, config.cube, delta, grid)
     _write_output(check, args.out)
     if check.ratio > 1.0 + args.tol:
         print(f"violation: step ratio {check.ratio!r} > 1 + {args.tol!r}", file=sys.stderr)
@@ -201,12 +183,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         template = replace(template, seed=args.seed)
     result = experiments.sweep_scale(
-        template,
-        s_values,
-        delta,
-        tol=args.tol,
-        max_doublings=args.max_doublings,
-        threads=args.threads,
+        template, s_values, delta, tol=args.tol, max_doublings=args.max_doublings
     )
     _write_output(result, args.out)
     if args.csv:
@@ -232,7 +209,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_search(args) -> int:
     search = serialization.search_from_json(_load_config_file(args.config), args.seed)
-    result = experiments.extremal_search(**search, grid=GridSpec(args.grid), threads=args.threads)
+    result = experiments.extremal_search(**search, grid=GridSpec(args.grid))
     _write_output(result, args.out)
     if args.csv:
         _write_csv(
@@ -269,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="input JSON path")
     common.add_argument("--out", help="output JSON path (stdout if omitted)")
-    common.add_argument("--threads", type=int, help=f"workers (default ${THREADS_ENV}, else 1)")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; changes nothing (must be >= 1)")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=int, default=128, help="cells per side")
     tol = argparse.ArgumentParser(add_help=False)
@@ -348,11 +326,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if hasattr(args, "threads"):
-            if args.threads is None:
-                args.threads = _default_threads()
-            elif args.threads < 1:
-                raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+        if hasattr(args, "threads") and args.threads < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         if hasattr(args, "tol") and not 0.0 <= args.tol < float("inf"):
             raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         return args.func(args)

@@ -6,14 +6,15 @@ an exact polygon-clipping oracle.  A member is its core curve, a ``Line`` or
 a ``LipschitzCurve``, and its tube is the closed neighborhood of the family's
 one radius around it.
 
-Grid sums are computed in fixed-size blocks keyed by flattened cell index and
-folded in index order, so the result is bit-identical for any worker count.
+Grid sums are computed on the calling thread in fixed-size blocks keyed by
+flattened cell index and folded in index order; that partition fixes the bits
+of every value.
 ``_add_member`` alone adds a member's weighted indicator to a grid (a block's
 slab, or the whole grid of ``CountFields``), only on the member's band, the
 cells it can reach (``geometry.member_reach`` and ``geometry.grid_ranges``);
 the cells outside add exactly zero, so the bits match a dense sum.
 
-``midpoint_rule`` builds every block in its thread's work buffers
+``midpoint_rule`` builds every block in the calling thread's work buffers
 (``_work_buffers``), flat arrays of one slab each that outlive the block and
 the call, so no block after a thread's first touches a fresh page.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +43,10 @@ def _work_buffers(name: str, count: int) -> list:
     """This thread's work buffers under ``name``: at least ``count`` flat float64 arrays.
 
     Each holds ``_SLAB`` cells, one slab, whatever the grid size.  They live
-    as long as the thread: a pool worker's go with its pool, and the main
-    thread keeps its own.  Allocated once and reused, their pages are
-    faulted in once, where per-block arrays of this size are given back to
-    the OS at the end of each block and faulted in again by the next.
+    as long as the thread, and each thread that calls the evaluator keeps
+    its own.  Allocated once and reused, their pages are faulted in once,
+    where per-block arrays of this size are given back to the OS at the end
+    of each block and faulted in again by the next.
     """
     buffers = _work.__dict__.setdefault(name, [])
     buffers.extend(np.empty(_SLAB) for _ in range(count - len(buffers)))
@@ -198,7 +198,7 @@ def power_product(factors, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
+def midpoint_sum(integrand, lo, h, m: int) -> float:
     """Sum of ``integrand`` over the centers of the m^n cells of sides ``h``.
 
     The centers are ``cell_centers(lo, h, m)``.  The cells are walked in
@@ -209,11 +209,10 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
     the values on the box's lattice as a C-contiguous array.  That array may
     be a view of the calling thread's work buffers: it need only hold its
     values until the thread's next ``integrand`` call, as a block of several
-    boxes copies each box into its thread's block buffer before the next.
+    boxes copies each box into the thread's block buffer before the next.
     The block's cells are sliced out of those values and their ``np.sum``
-    is taken; the block sums are folded with ``math.fsum`` in block order,
-    so the result is the same for any ``threads``.  The caller multiplies by
-    the cell volume.
+    is taken; the block sums are folded with ``math.fsum`` in block order.
+    The caller multiplies by the cell volume.
     """
     n = len(lo)
     total = m**n
@@ -235,15 +234,7 @@ def midpoint_sum(integrand, lo, h, m: int, threads: int = 1) -> float:
                 end += vals.size
         return float(np.sum(flat[start - first : stop - first]))
 
-    starts = range(0, total, _BLOCK)
-    if threads > 1 and len(starts) > 1:
-        # the workers take the caller's handling of floating-point errors
-        errors = np.geterr()
-        with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**errors)) as pool:
-            partials = list(pool.map(block_sum, starts))
-    else:
-        partials = [block_sum(start) for start in starts]
-    return _fsum(partials)
+    return _fsum([block_sum(start) for start in range(0, total, _BLOCK)])
 
 
 def _fsum(values) -> float:
@@ -293,14 +284,14 @@ def _check_cell_budget(m: int, n: int) -> None:
 
 
 def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
-    """The overlap functional's midpoint-rule value as a function of (m, threads).
+    """The overlap functional's midpoint-rule value as a function of m.
 
-    Validates the families and the curve spans once.  ``value(m, threads)``
+    Validates the families and the curve spans once.  ``value(m)``
     sums the m^n cells of the cube and raises ``CellBudgetExceeded`` above
     ``CELL_BUDGET`` cells, before any cell is evaluated.  The members'
     reaches over the cube's slab do not depend on the grid, so every level
     shares them.  ``radii``, one per family in axis order, replaces the
-    families' base radii.  Each box is built in its thread's work buffers:
+    families' base radii.  Each box is built in the thread's work buffers:
     the n count fields are zero-filled views of the first n, the distance
     kernel runs in the next four, the powers are taken in place and the
     product is formed in the first field, which the box returns.
@@ -315,7 +306,7 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
     ]
     p = 1.0 / (n - 1)
 
-    def value(m: int, threads: int) -> float:
+    def value(m: int) -> float:
         _check_cell_budget(m, n)
         h = cube.side / m
         bands = [grid_ranges(x, cube.min_corner, h, m) for x in reaches]
@@ -338,7 +329,7 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
         # a count or product past the float range is inf, or NaN times 0: the
         # value is checked once, and numpy's warnings on the way are dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            total = midpoint_sum(integrand, cube.min_corner, (h,) * n, m, threads)
+            total = midpoint_sum(integrand, cube.min_corner, (h,) * n, m)
         return _finite(h**n * total, f"the overlap value at {m} cells per side")
 
     return value
@@ -366,7 +357,7 @@ class CountFields:
     member's reach gives the same bits, as a cell outside it adds exactly
     0.0.  The weights are integers whose family sums stay below 2**53, so
     every field holds exact integers in any order of adds and subtracts, and
-    ``value`` has the bits of ``midpoint_rule(families, cube)(m, threads)``.
+    ``value`` has the bits of ``midpoint_rule(families, cube)(m)``.
     """
 
     families: tuple
@@ -408,7 +399,7 @@ class CountFields:
         families[j], fields[j] = new, _read_only(field)
         return CountFields(tuple(families), self.cube, self.m, tuple(fields))
 
-    def value(self, threads: int = 1) -> float:
+    def value(self) -> float:
         """The midpoint-rule value, through ``midpoint_sum`` on slices of the fields."""
         n = self.cube.n
         p = 1.0 / (n - 1)
@@ -419,7 +410,7 @@ class CountFields:
             out = np.empty(tuple(x.size for x in axes))
             return power_product([f[box] for f in self.fields], p, out)
 
-        return h**n * midpoint_sum(integrand, self.cube.min_corner, (h,) * n, self.m, threads)
+        return h**n * midpoint_sum(integrand, self.cube.min_corner, (h,) * n, self.m)
 
 
 def _add_members(field, family: TubeFamily, members, signs, cube: Cube) -> np.ndarray:
@@ -439,13 +430,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def evaluate_overlap(
-    families,
-    cube: Cube,
-    grid: GridSpec,
-    *,
-    threads: int = 1,
-) -> OverlapValue:
+def evaluate_overlap(families, cube: Cube, grid: GridSpec) -> OverlapValue:
     """Midpoint-rule value of the overlap functional over the cube.
 
     The error estimate is the difference against the half-resolution grid
@@ -453,8 +438,8 @@ def evaluate_overlap(
     """
     midpoint = midpoint_rule(families, cube)
     m = grid.cells_per_side
-    value = midpoint(m, threads)
-    err = abs(value - midpoint(m // 2, threads)) if m % 2 == 0 else None
+    value = midpoint(m)
+    err = abs(value - midpoint(m // 2)) if m % 2 == 0 else None
     return OverlapValue(value, err, m)
 
 
@@ -465,7 +450,6 @@ def evaluate_refined(
     max_doublings: int,
     *,
     start_cells: int = 16,
-    threads: int = 1,
 ) -> OverlapValue:
     """Double the grid until successive values agree to relative ``tol``.
 
@@ -487,13 +471,13 @@ def evaluate_refined(
     midpoint = midpoint_rule(families, cube)
     n = len(families)
     m = start_cells
-    value = midpoint(m, threads)
+    value = midpoint(m)
     diff = None
     for _ in range(max_doublings):
         if (2 * m) ** n > CELL_BUDGET:
             return OverlapValue(value, diff, m, converged=False)
         m *= 2
-        new = midpoint(m, threads)
+        new = midpoint(m)
         diff = abs(new - value)
         value = new
         scale = max(abs(value), 1e-300)

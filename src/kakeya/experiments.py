@@ -83,7 +83,6 @@ def sweep_scale(
     *,
     tol: float = 1e-2,
     max_doublings: int = 5,
-    threads: int = 1,
 ) -> SweepResult:
     """Evaluate + certify the template configuration at each scale S.
 
@@ -102,7 +101,7 @@ def sweep_scale(
     for s in s_values:
         cube = Cube.centered(np.zeros(template.n), s)
         families = generate(template.with_cube(cube))
-        value = evaluate_refined(families, cube, tol, max_doublings, threads=threads)
+        value = evaluate_refined(families, cube, tol, max_doublings)
         certificate = certify_multiscale(families, cube, delta)
         norm = _count_normalizer(families)
         ratio = value.value / norm if norm > 0.0 else 0.0
@@ -153,7 +152,6 @@ def extremal_search(
     *,
     grid: GridSpec = GridSpec(128),
     annealing: bool = False,
-    threads: int = 1,
 ) -> SearchResult:
     """Maximize value / prod_j N_j^(1/(n-1)) by perturbation search.
 
@@ -163,6 +161,10 @@ def extremal_search(
     is split evenly across 4 restarts; the global best-so-far in the trace is
     non-decreasing.
     """
+    if n < 2:
+        raise ValidationError("dimension must be >= 2")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     if any(c < 1 for c in counts):
@@ -172,7 +174,7 @@ def extremal_search(
     norm = float(np.prod([c ** (1.0 / (n - 1.0)) for c in counts]))
 
     def objective(fields: CountFields) -> float:
-        return fields.value(threads) / norm
+        return fields.value() / norm
 
     per_restart = max(1, budget // _RESTARTS)
     best_ratio = -math.inf

@@ -197,6 +197,8 @@ def random_lw_instance(n: int, seed: int):
         raise ValidationError("dimension must be >= 2")
     if n > 4:
         raise ValidationError("random Loomis-Whitney instances have dimension <= 4")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     unit = Box(np.zeros(n - 1), np.ones(n - 1))
     sizes = [int(rng.integers(2, 5)) for _ in range(n)]

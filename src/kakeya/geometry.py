@@ -1,7 +1,7 @@
 """Geometric primitives: lines, polyline graphs, cubes, spherical caps.
 
 Everything here is immutable after construction (arrays are copied and marked
-read-only), so values can be shared freely between threads.  A tube is the
+read-only), so callers on any thread can share values freely.  A tube is the
 neighborhood of a core curve, a ``Line`` or a ``LipschitzCurve``; its radius
 belongs to the family, so the functions that need one take it as an argument.
 

@@ -44,9 +44,9 @@ def count_midpoint_sums(monkeypatch) -> list:
     calls = []
     kernel = evaluator.midpoint_sum
 
-    def counted(integrand, lo, h, m, threads=1):
+    def counted(integrand, lo, h, m):
         calls.append(m)
-        return kernel(integrand, lo, h, m, threads)
+        return kernel(integrand, lo, h, m)
 
     monkeypatch.setattr(evaluator, "midpoint_sum", counted)
     return calls

@@ -243,7 +243,7 @@ def weighted_multiplicity_check(families, cube: Cube, grid) -> bool:
     check_families(families)
     expanded = [expand_integer_weights(f) for f in families]
     m = grid.cells_per_side
-    return midpoint_rule(families, cube)(m, 1) == midpoint_rule(expanded, cube)(m, 1)
+    return midpoint_rule(families, cube)(m) == midpoint_rule(expanded, cube)(m)
 
 
 def line_angle(u: Direction, v: Direction) -> float:

@@ -197,6 +197,16 @@ class TestSweepSearch:
         assert run(["search", "--config", cfg, "--grid", 32, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seeds_past_64_bits_are_accepted(self, tmp_path):
+        # only a negative seed is bad input; numpy seeds from any size of integer
+        big = 2**64 + 5
+        out = tmp_path / "out.json"
+        assert run(["search", "--config", search_file(tmp_path, seed=big), "--grid", 16,
+                    "--out", out]) == 0
+        assert run(["search", "--config", search_file(tmp_path), "--seed", big, "--grid", 16,
+                    "--out", out]) == 0
+        assert run(["verify-lw", "--seed", big, "--trials", 1, "--out", out]) == 0
+
 
 class TestSerializationErrors:
     def test_unknown_schema_version(self, tmp_path):
@@ -493,6 +503,11 @@ BAD_INPUTS = {
     "search_annealing_string": lambda p: [
         "search", "--config", search_file(p, annealing="false")
     ],
+    "search_n_one": lambda p: ["search", "--config", search_file(p, n=1)],
+    "search_n_zero": lambda p: ["search", "--config", search_file(p, n=0)],
+    "search_seed_flag_negative": lambda p: ["search", "--config", search_file(p), "--seed", -1],
+    "search_seed_field_negative": lambda p: ["search", "--config", search_file(p, seed=-3)],
+    "verify_lw_seed_negative": lambda p: ["verify-lw", "--seed", -5, "--trials", 2],
     "gen_n_fractional": lambda p: ["gen", "--config", gen_file(p, n=2.9)],
     "config_axis_fractional": lambda p: [
         "eval", "--config", edited_config(p, _set_family_axis)
@@ -622,9 +637,9 @@ BAD_INPUTS = {
     "eval_counts_overflow": lambda p: [
         "eval", "--config", small_angle_weights_1e308(p), "--grid", 8
     ],
-    # four blocks over two workers, which must not warn either
-    "eval_counts_overflow_on_two_threads": lambda p: [
-        "eval", "--config", small_angle_weights_1e308(p), "--grid", 512, "--threads", 2
+    # four blocks, which must not warn either
+    "eval_counts_overflow_over_four_blocks": lambda p: [
+        "eval", "--config", small_angle_weights_1e308(p), "--grid", 512
     ],
     "eval_product_overflows": lambda p: [
         "eval", "--config", edited_golden(p, "small_angle_n2.config.json", _set_weight_1e308),
@@ -676,7 +691,7 @@ BAD_INPUTS = {
 }
 
 
-# a numpy warning, in the caller or a pool worker, fails the case
+# a numpy warning fails the case
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
@@ -697,6 +712,11 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("search_budget_bool", "search.budget must be an integer, got True"),
         ("search_count_fractional", "search.counts[1] must be an integer, got 1.5"),
         ("search_annealing_string", "search.annealing must be a boolean, got 'false'"),
+        ("search_n_one", "dimension must be >= 2"),
+        ("search_n_zero", "dimension must be >= 2"),
+        ("search_seed_flag_negative", "seed must be >= 0, got -1"),
+        ("search_seed_field_negative", "seed must be >= 0, got -3"),
+        ("verify_lw_seed_negative", "seed must be >= 0, got -5"),
         ("gen_n_fractional", "gen.n must be an integer, got 2.9"),
         ("config_axis_fractional", "families[1].axis must be an integer, got 1.5"),
         ("verify_lw_box_escapes_function", "projection of the integration box escapes f_1's box"),
@@ -757,7 +777,7 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
          "distortion factor (sigma_max W)^3 overflows at W = 5.6e+102"),
         ("eval_counts_overflow",
          "the overlap value at 8 cells per side is past the float range (nan)"),
-        ("eval_counts_overflow_on_two_threads",
+        ("eval_counts_overflow_over_four_blocks",
          "the overlap value at 512 cells per side is past the float range (nan)"),
         ("eval_product_overflows",
          "the overlap value at 8 cells per side is past the float range (inf)"),

@@ -123,29 +123,11 @@ class TestEvaluateOverlap:
         evaluate_overlap(perpendicular(), cube2, GridSpec(65))
         assert sums == [65]
 
-    def test_thread_count_invariance(self, cube2, rng):
-        fams = [
-            family(
-                j,
-                2,
-                [
-                    line_through(rng.uniform(-4, 4, 2), np.eye(2)[j] + 0.05 * rng.normal(size=2))
-                    for _ in range(4)
-                ],
-            )
-            for j in range(2)
-        ]
-        # 128^2 cells fit one block; 300^2 span two, the second one partial
-        for m in (128, 300):
-            v1 = evaluate_overlap(fams, cube2, GridSpec(m), threads=1)
-            v8 = evaluate_overlap(fams, cube2, GridSpec(m), threads=8)
-            assert v1.value == v8.value
-
     def test_monotone_in_radius(self, cube2, rng):
         anchors = rng.uniform(-4, 4, (3, 2))
         small = [axis_tube_family(j, 2, anchors, radius=0.8) for j in range(2)]
         g = GridSpec(100)
-        big = midpoint_rule(small, cube2, [1.1, 1.1])(g.cells_per_side, 1)
+        big = midpoint_rule(small, cube2, [1.1, 1.1])(g.cells_per_side)
         assert evaluate_overlap(small, cube2, g).value <= big
 
     def test_superadditive_in_members(self, cube2, rng):

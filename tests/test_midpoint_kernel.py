@@ -110,14 +110,10 @@ def test_overlap_matches_dense_blocks_bit_for_bit(case):
     value = dense_overlap(families, cube, m, radii)
     err = abs(value - dense_overlap(families, cube, m // 2, radii)) if m % 2 == 0 else None
     midpoint = midpoint_rule(families, cube, radii)
-    for threads in (1, 2):
-        got = midpoint(m, threads)
-        got_err = abs(got - midpoint(m // 2, threads)) if m % 2 == 0 else None
-        assert got.hex() == value.hex()
-        if err is None:
-            assert got_err is None
-        else:
-            assert got_err.hex() == err.hex()
+    got = midpoint(m)
+    assert got.hex() == value.hex()
+    if err is not None:
+        assert abs(got - midpoint(m // 2)).hex() == err.hex()
 
 
 def test_overlap_matches_dense_on_row_slabs():
@@ -125,7 +121,7 @@ def test_overlap_matches_dense_on_row_slabs():
     # are rows along axis 1 grouped by their axis-0 index
     cube = Cube(np.array([-4.0, -3.0, -5.0]), 4.0)
     families = generate(GenSpec(3, (3, 3, 3), SmallAngle(0.2), cube, seed=7, radius=1.5))
-    got = evaluate_overlap(families, cube, GridSpec(131), threads=2)
+    got = evaluate_overlap(families, cube, GridSpec(131))
     assert got.value > 0.0
     assert got.value.hex() == dense_overlap(families, cube, 131).hex()
 
@@ -202,12 +198,12 @@ def move_cases(draw):
         # small moves stay near the cube; the largest can leave it wholly
         offset = draw(st.sampled_from([0.05, 0.5, 1.5])) * cube.side * rng.uniform(-1.0, 1.0, n)
         moves.append((j, a, offset))
-    return families, cube, m, moves, draw(st.sampled_from([1, 2])), rng
+    return families, cube, m, moves, rng
 
 
-def assert_fields_match_full_kernel(fields: CountFields, threads: int) -> None:
-    full = midpoint_rule(fields.families, fields.cube)(fields.m, threads)
-    assert fields.value(threads).hex() == full.hex()
+def assert_fields_match_full_kernel(fields: CountFields) -> None:
+    full = midpoint_rule(fields.families, fields.cube)(fields.m)
+    assert fields.value().hex() == full.hex()
     rebuilt = CountFields.build(fields.families, fields.cube, fields.m)
     for got, want in zip(fields.fields, rebuilt.fields):
         assert np.array_equal(got, want)
@@ -216,13 +212,13 @@ def assert_fields_match_full_kernel(fields: CountFields, threads: int) -> None:
 @settings(PROPERTY, max_examples=40)
 @given(move_cases())
 def test_count_fields_match_full_kernel_after_each_move(case):
-    families, cube, m, moves, threads, rng = case
+    families, cube, m, moves, rng = case
     fields = CountFields.build(families, cube, m)
-    assert_fields_match_full_kernel(fields, threads)
+    assert_fields_match_full_kernel(fields)
     for j, a, offset in moves:
         member = moved_member(fields.families[j].members[a], j, offset, rng)
         fields = fields.moved(j, a, member)
-        assert_fields_match_full_kernel(fields, threads)
+        assert_fields_match_full_kernel(fields)
 
 
 def test_count_fields_member_moved_out_of_the_cube():
@@ -237,8 +233,7 @@ def test_count_fields_member_moved_out_of_the_cube():
     first, stop = grid_ranges(reach, cube.min_corner, cube.side / 44, 44).T
     assert np.any(first >= stop)  # an empty band: the member adds nothing
     assert moved.fields[1] is fields.fields[1] and moved.fields[2] is fields.fields[2]
-    for threads in (1, 2):
-        assert_fields_match_full_kernel(moved, threads)
+    assert_fields_match_full_kernel(moved)
     # the same member moved back restores every count
     back = moved.moved(0, 1, families[0].members[1])
     assert np.array_equal(back.fields[0], fields.fields[0])
@@ -407,7 +402,6 @@ def test_midpoint_sum_matches_dense_blocks(m, n):
 
     want = dense_sum(values, centers(lo, h, m))
     assert midpoint_sum(integrand, lo, h, m).hex() == want.hex()
-    assert midpoint_sum(integrand, lo, h, m, threads=2).hex() == want.hex()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -435,18 +429,37 @@ def test_slabs_cover_each_block_with_whole_rows(shape, pick):
 
 
 def test_work_buffers_keep_every_value_across_interleaved_calls():
-    # one process, so one set of work buffers per thread, shared in turn by
-    # grids of one box per block (m = 44) and of several (m = 131, rows along
-    # axis 1), on one thread and on a pool's, between count-field values
+    # each thread has one set of work buffers, shared in turn by grids of one
+    # box per block (m = 44, 56) and of several (m = 131, rows along axis 1)
+    # and by count-field values: first on this thread, then on two threads at
+    # once, which walk the grids in opposite orders
     cube = Cube(np.array([-4.0, -3.0, -5.0]), 4.0)
     families = generate(GenSpec(3, (3, 3, 3), SmallAngle(0.2), cube, seed=7, radius=1.5))
     midpoint = midpoint_rule(families, cube)
-    fields = CountFields.build(families, cube, 44)
-    want = {m: dense_overlap(families, cube, m).hex() for m in (44, 131)}
-    for threads in (1, 2, 1):
-        for m in (131, 44):
-            assert midpoint(m, threads).hex() == want[m]
-            assert fields.value(threads).hex() == want[44]
+    grids = (131, 44, 56)
+    fields = {m: CountFields.build(families, cube, m) for m in grids}
+    want = {m: dense_overlap(families, cube, m).hex() for m in grids}
+    start = threading.Barrier(2)
+    got = ([], [], [])
+
+    def call(k):
+        if k:
+            start.wait(timeout=60)
+        for _ in range(2):
+            for m in grids[:: (-1) ** k]:
+                got[k].append((m, midpoint(m).hex(), fields[m].value().hex()))
+
+    call(0)
+    workers = [threading.Thread(target=call, args=(k,)) for k in (1, 2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+        assert not w.is_alive()
+    for calls in got:
+        assert len(calls) == 2 * len(grids)
+        for m, value, field_value in calls:
+            assert value == want[m] and field_value == want[m]
 
 
 def test_blocks_reuse_the_work_buffers():
@@ -455,10 +468,10 @@ def test_blocks_reuse_the_work_buffers():
     cube = Cube(np.full(3, -8.0), 16.0)
     families = generate(GenSpec(3, (12, 12, 12), SmallAngle(0.1), cube, seed=3))
     midpoint = midpoint_rule(families, cube)
-    warm = midpoint(56, 1)
+    warm = midpoint(56)
     tracemalloc.start()
     try:
-        again = midpoint(56, 1)
+        again = midpoint(56)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
