@@ -495,21 +495,22 @@ def _clip_halfplane(poly, normal, offset):
     """Keep the part of a polygon with normal . x <= offset."""
     if len(poly) == 0:
         return []
+    nx, ny = normal
     out = []
-    prev = poly[-1]
-    prev_in = normal[0] * prev[0] + normal[1] * prev[1] <= offset
+    px, py = poly[-1]
+    prev_dot = nx * px + ny * py
+    prev_in = prev_dot <= offset
     for cur in poly:
-        cur_in = normal[0] * cur[0] + normal[1] * cur[1] <= offset
+        cx, cy = cur
+        cur_dot = nx * cx + ny * cy
+        cur_in = cur_dot <= offset
         if cur_in != prev_in:
-            dprev = normal[0] * prev[0] + normal[1] * prev[1] - offset
-            dcur = normal[0] * cur[0] + normal[1] * cur[1] - offset
-            t = dprev / (dprev - dcur)
-            out.append(
-                (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-            )
+            dprev = prev_dot - offset
+            t = dprev / (dprev - (cur_dot - offset))
+            out.append((px + t * (cx - px), py + t * (cy - py)))
         if cur_in:
             out.append(cur)
-        prev, prev_in = cur, cur_in
+        px, py, prev_dot, prev_in = cx, cy, cur_dot, cur_in
     return out
 
 
@@ -522,25 +523,28 @@ def _signed_area(poly) -> float:
     return 0.5 * s
 
 
-def _polygon_area(poly) -> float:
-    return abs(_signed_area(poly))
+def _half_planes(poly) -> list:
+    """The half-planes ``(normal, offset)`` whose intersection is the convex polygon ``poly``.
 
-
-def _convex_intersection_area(poly_a, poly_b) -> float:
-    """Area of the intersection of two convex polygons (clip A against B)."""
-    if len(poly_a) < 3 or len(poly_b) < 3:
-        return 0.0
-    if _signed_area(poly_b) < 0.0:
-        poly_b = poly_b[::-1]
-    out = poly_a
-    for (px, py), (qx, qy) in zip(poly_b, poly_b[1:] + [poly_b[0]]):
-        # interior of a CCW polygon is left of each edge
+    The interior of a counter-clockwise polygon lies left of each edge, so a
+    clockwise one is reversed first.
+    """
+    if _signed_area(poly) < 0.0:
+        poly = poly[::-1]
+    planes = []
+    for (px, py), (qx, qy) in zip(poly, poly[1:] + [poly[0]]):
         normal = (qy - py, px - qx)
-        offset = normal[0] * px + normal[1] * py
-        out = _clip_halfplane(out, normal, offset)
-        if not out:
+        planes.append((normal, normal[0] * px + normal[1] * py))
+    return planes
+
+
+def _cut_area(poly, planes) -> float:
+    """Area of the part of the convex polygon ``poly`` inside every half-plane of ``planes``."""
+    for normal, offset in planes:
+        poly = _clip_halfplane(poly, normal, offset)
+        if not poly:
             return 0.0
-    return _polygon_area(out)
+    return abs(_signed_area(poly))
 
 
 def tube_cube_polygon_2d(line: Line, r: float, cube: Cube) -> list[tuple[float, float]]:
@@ -569,7 +573,10 @@ def exact_overlap_2d(families, cube: Cube) -> float:
 
     With exponent 1/(n-1) = 1 the integral expands bilinearly into
     sum_{a,b} w_a w_b area(T_a ∩ T_b ∩ Q); each term is the area of an
-    intersection of convex polygons (shoelace formula).
+    intersection of convex polygons (shoelace formula), summed by ``fsum``.
+    Members of weight 0 are skipped, and each axis-1 polygon's half-planes
+    are built once for all its pairs.  Every step rounds to nearest, not
+    outward, so the value carries no derived rounding bound.
     """
     fams = check_families(families)
     if len(fams) != 2:
@@ -578,13 +585,15 @@ def exact_overlap_2d(families, cube: Cube) -> float:
         if f.has_curves():
             raise ValidationError("exact oracle supports straight tubes only")
     polys = [
-        [(m.weight, tube_cube_polygon_2d(m.geometry, f.base_radius, cube)) for m in f.members]
+        [(m.weight, tube_cube_polygon_2d(m.geometry, f.base_radius, cube))
+         for m in f.members if m.weight != 0.0]
         for f in fams
     ]
+    # each axis-1 polygon's half-planes, built once for all its pairs
+    cutters = [(wb, _half_planes(pb) if len(pb) >= 3 else None) for wb, pb in polys[1]]
     terms = []
     for wa, pa in polys[0]:
-        for wb, pb in polys[1]:
-            if wa == 0.0 or wb == 0.0:
-                continue
-            terms.append(wa * wb * _convex_intersection_area(pa, pb))
+        for wb, planes in cutters:
+            area = _cut_area(pa, planes) if planes and len(pa) >= 3 else 0.0
+            terms.append(wa * wb * area)
     return _finite(_fsum(terms), "the exact overlap value")

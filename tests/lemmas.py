@@ -10,6 +10,11 @@ instances; the certifier only uses the constants they justify.
 ``dense_subcube_counts`` is the certifier's member-per-subcube count done the
 plain way, with the exact distance test on every (member, subcube) pair.
 
+``pairwise_exact_overlap_2d`` is the exact n=2 overlap one pair of members
+at a time: each pair's tube polygons are clipped against each other from
+scratch (``convex_intersection_area``), with the clipping and orientation
+test of every pair recomputed.
+
 ``weighted_multiplicity_check`` compares integer weights against unit-weight
 copies of each member (``expand_integer_weights``) on one grid.
 
@@ -222,6 +227,87 @@ def ball_sum_l1(b: BallSum, ambient_dim: int) -> float:
     if ambient_dim != b.centers.shape[1]:
         raise ValidationError("ambient dimension mismatch")
     return unit_ball_volume(ambient_dim) * b.radius**ambient_dim * float(np.sum(b.weights))
+
+
+def _clip_halfplane(poly, normal, offset):
+    """Keep the part of a polygon with normal . x <= offset."""
+    if len(poly) == 0:
+        return []
+    out = []
+    prev = poly[-1]
+    prev_in = normal[0] * prev[0] + normal[1] * prev[1] <= offset
+    for cur in poly:
+        cur_in = normal[0] * cur[0] + normal[1] * cur[1] <= offset
+        if cur_in != prev_in:
+            dprev = normal[0] * prev[0] + normal[1] * prev[1] - offset
+            dcur = normal[0] * cur[0] + normal[1] * cur[1] - offset
+            t = dprev / (dprev - dcur)
+            out.append(
+                (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
+            )
+        if cur_in:
+            out.append(cur)
+        prev, prev_in = cur, cur_in
+    return out
+
+
+def _signed_area(poly) -> float:
+    if len(poly) < 3:
+        return 0.0
+    s = 0.0
+    for (x0, y0), (x1, y1) in zip(poly, poly[1:] + [poly[0]]):
+        s += x0 * y1 - x1 * y0
+    return 0.5 * s
+
+
+def convex_intersection_area(poly_a, poly_b) -> float:
+    """Area of the intersection of two convex polygons (clip A against B)."""
+    if len(poly_a) < 3 or len(poly_b) < 3:
+        return 0.0
+    if _signed_area(poly_b) < 0.0:
+        poly_b = poly_b[::-1]
+    out = poly_a
+    for (px, py), (qx, qy) in zip(poly_b, poly_b[1:] + [poly_b[0]]):
+        # interior of a CCW polygon is left of each edge
+        normal = (qy - py, px - qx)
+        offset = normal[0] * px + normal[1] * py
+        out = _clip_halfplane(out, normal, offset)
+        if not out:
+            return 0.0
+    return abs(_signed_area(out))
+
+
+def _tube_cube_polygon(line: Line, r: float, cube: Cube) -> list:
+    lo = cube.min_corner
+    hi = cube.max_corner
+    square = [
+        (float(lo[0]), float(lo[1])),
+        (float(hi[0]), float(lo[1])),
+        (float(hi[0]), float(hi[1])),
+        (float(lo[0]), float(hi[1])),
+    ]
+    d = line.direction.components
+    a = line.anchor
+    normal = (-float(d[1]), float(d[0]))
+    base = normal[0] * float(a[0]) + normal[1] * float(a[1])
+    poly = _clip_halfplane(square, normal, base + r)
+    return _clip_halfplane(poly, (-normal[0], -normal[1]), -(base - r))
+
+
+def pairwise_exact_overlap_2d(families, cube: Cube) -> float:
+    """sum_{a,b} w_a w_b area(T_a ∩ T_b ∩ Q), every pair clipped on its own, summed by fsum."""
+    fams = check_families(families)
+    polys = [
+        [(m.weight, _tube_cube_polygon(m.geometry, f.base_radius, cube)) for m in f.members]
+        for f in fams
+    ]
+    terms = []
+    for wa, pa in polys[0]:
+        for wb, pb in polys[1]:
+            if wa == 0.0 or wb == 0.0:
+                continue
+            terms.append(wa * wb * convex_intersection_area(pa, pb))
+    return math.fsum(terms)
 
 
 def expand_integer_weights(family: TubeFamily) -> TubeFamily:

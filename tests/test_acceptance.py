@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import kakeya
+from kakeya.cli import main as cli_main
 from kakeya.certifier import (
     Constants,
     certify_multiscale,
@@ -335,8 +336,10 @@ def _cli_failure(label, proc):
     return f"{label}: exit {proc.returncode}\n{stderr}"
 
 
-def test_criterion_10_determinism(tmp_path):
-    # every command byte-identical across runs; --threads 8 is accepted and changes no byte
+def test_criterion_10_determinism(tmp_path, capsys):
+    # every command byte-identical across two runs in one process, and eval's
+    # bytes the same from the ``python -m kakeya.cli`` entry point in a fresh
+    # interpreter; --threads 8 is accepted and changes no byte
     from kakeya.serialization import dump_json
 
     gen_stanza = {
@@ -375,13 +378,16 @@ def test_criterion_10_determinism(tmp_path):
     dump_json(gen_general, tmp_path / "gen_general.json")
     dump_json(sweep_stanza, tmp_path / "sweep.json")
     dump_json(search_stanza, tmp_path / "search.json")
-    proc = _run_cli(["gen", "--config", tmp_path / "gen.json", "--out", tmp_path / "cfg.json"], tmp_path)
-    assert proc.returncode == 0, _cli_failure("gen", proc)
-    proc = _run_cli(
+
+    def run_main(label, args):
+        code = cli_main([str(a) for a in args])
+        assert code == 0, f"{label}: exit {code}\n{capsys.readouterr().err}"
+
+    run_main("gen", ["gen", "--config", tmp_path / "gen.json", "--out", tmp_path / "cfg.json"])
+    run_main(
+        "gen",
         ["gen", "--config", tmp_path / "gen_general.json", "--out", tmp_path / "cfg_gen.json"],
-        tmp_path,
     )
-    assert proc.returncode == 0, _cli_failure("gen", proc)
 
     commands = {
         "gen": ["gen", "--config", tmp_path / "gen.json", "--seed", 77],
@@ -397,17 +403,21 @@ def test_criterion_10_determinism(tmp_path):
     for name, args in commands.items():
         a = tmp_path / f"{name}_a.json"
         b = tmp_path / f"{name}_b.json"
-        proc = _run_cli([*args, "--out", a], tmp_path)
-        assert proc.returncode == 0, _cli_failure(name, proc)
-        proc = _run_cli([*args, "--out", b], tmp_path)
-        assert proc.returncode == 0, _cli_failure(name, proc)
+        run_main(name, [*args, "--out", a])
+        run_main(name, [*args, "--out", b])
         assert a.read_bytes() == b.read_bytes(), name
+    fresh = tmp_path / "eval_fresh.json"
+    proc = _run_cli([*commands["eval"], "--out", fresh], tmp_path)
+    assert proc.returncode == 0, _cli_failure("python -m kakeya.cli eval", proc)
+    assert fresh.read_bytes() == (tmp_path / "eval_a.json").read_bytes()
     t1 = tmp_path / "threads1.json"
     t8 = tmp_path / "threads8.json"
     base = ["eval", "--config", tmp_path / "cfg.json", "--grid", 32]
-    proc = _run_cli([*base, "--threads", 1, "--out", t1], tmp_path)
-    assert proc.returncode == 0, _cli_failure("eval --threads 1", proc)
-    proc = _run_cli([*base, "--threads", 8, "--out", t8], tmp_path)
-    assert proc.returncode == 0, _cli_failure("eval --threads 8", proc)
+    run_main("eval --threads 1", [*base, "--threads", 1, "--out", t1])
+    run_main("eval --threads 8", [*base, "--threads", 8, "--out", t8])
     assert t1.read_bytes() == t8.read_bytes()
-    report(10, f"{len(commands)} commands byte-identical; eval equal for --threads 1 and 8")
+    report(
+        10,
+        f"{len(commands)} commands byte-identical; eval the same from a fresh interpreter "
+        "and for --threads 1 and 8",
+    )

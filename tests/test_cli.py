@@ -4,7 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kakeya import cli
+from kakeya import certifier, cli, evaluator
 from kakeya.cli import main
-from kakeya.evaluator import GridSpec, evaluate_overlap
+from kakeya.evaluator import GridSpec, evaluate_overlap, exact_overlap_2d
 from kakeya.experiments import extremal_search
 from kakeya.serialization import (
     config_from_json,
@@ -121,6 +121,86 @@ class TestCertifyFlow:
         assert run(["certify", "--config", cfg, "--epsilon", 2.0, "--out", cert]) == 0
         data = load_json(cert)
         assert abs(data["epsilon_exponent"] - 2.0) < 1e-9
+
+
+class TestCertifyCheckValue:
+    """``certify --check`` tests the bound against ``exact_overlap_2d`` where that pays."""
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        """Record each ``evaluate_overlap`` call and pass it through."""
+        calls = []
+
+        def recorded(families, cube, grid):
+            calls.append(grid.cells_per_side)
+            return evaluator.evaluate_overlap(families, cube, grid)
+
+        monkeypatch.setattr(cli, "evaluate_overlap", recorded)
+        return calls
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_overlap called")
+
+        monkeypatch.setattr(evaluator, "evaluate_overlap", refuse)
+        monkeypatch.setattr(cli, "evaluate_overlap", refuse)
+
+    @staticmethod
+    def generated(tmp_path, counts):
+        """A generated n=2 configuration: ``counts`` lines at angles up to 0.2 in [-8, 8]^2."""
+        cfg = tmp_path / "cfg.json"
+        gen = genspec_file(tmp_path, seed=3, counts=counts, delta=0.2, side=16.0)
+        assert run(["gen", "--config", gen, "--out", cfg]) == 0
+        return cfg
+
+    def test_straight_n2_takes_the_exact_value(self, tmp_path, no_grid):
+        for cfg in (GOLDEN / "small_angle_n2.config.json", self.generated(tmp_path, (6, 6))):
+            assert run(["certify", "--config", cfg, "--delta", 0.2, "--check",
+                        "--out", tmp_path / "cert.json"]) == 0
+
+    @pytest.mark.parametrize("name, delta, grid", [
+        ("lipschitz_n2.config.json", 0.1, 128),
+        ("small_angle_n3.config.json", 0.1, 16),
+    ])
+    def test_curves_and_n3_take_the_grid(self, name, delta, grid, tmp_path, grid_calls):
+        assert run(["certify", "--config", GOLDEN / name, "--delta", delta, "--check",
+                    "--grid", grid, "--out", tmp_path / "cert.json"]) == 0
+        assert grid_calls == [grid]
+
+    def test_large_families_take_the_grid(self, tmp_path, grid_calls):
+        # 48 * 48 pairs cost more than the 128^2 + 64^2 cells of the grid check
+        assert 48 * 48 * cli.EXACT_PAIR_CELLS > 128**2 + 64**2
+        cfg = self.generated(tmp_path, (48, 48))
+        assert run(["certify", "--config", cfg, "--delta", 0.2, "--check", "--grid", 128,
+                    "--out", tmp_path / "cert.json"]) == 0
+        assert grid_calls == [128]
+
+    def test_a_bound_below_the_exact_value_is_a_violation(self, tmp_path, capsys,
+                                                          monkeypatch, no_grid):
+        config = config_from_json(load_json(GOLDEN / "small_angle_n2.config.json"))
+        exact = exact_overlap_2d(config.families, config.cube)
+        bound = exact * (1.0 - 1e-9)
+        certify = certifier.certify_multiscale
+
+        def low(*args):
+            return replace(certify(*args), final_bound=bound)
+
+        monkeypatch.setattr(certifier, "certify_multiscale", low)
+        capsys.readouterr()
+        assert run(["certify", "--config", GOLDEN / "small_angle_n2.config.json",
+                    "--delta", 0.2, "--check", "--tol", 0.0,
+                    "--out", tmp_path / "cert.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"violation: exact value {exact!r} exceeds bound {bound!r}\n"
+
+    def test_a_bad_grid_still_fails_on_the_exact_path(self, tmp_path, capsys, no_grid):
+        capsys.readouterr()
+        assert run(["certify", "--config", GOLDEN / "small_angle_n2.config.json",
+                    "--delta", 0.2, "--check", "--grid", 0,
+                    "--out", tmp_path / "cert.json"]) == 1
+        assert capsys.readouterr().err == "error: cells_per_side must be >= 1\n"
+        assert not (tmp_path / "cert.json").exists()
 
 
 class TestVerifyCommands:
@@ -421,6 +501,14 @@ def _set_every_weight_1e308(data):
             member["weight"] = 1e308
 
 
+def _set_anchor_x_1e200(data):
+    data["families"][0]["members"][0]["anchor"] = [1e200, 0.0]
+
+
+def _set_anchor_y_1e300(data):
+    data["families"][0]["members"][0]["anchor"] = [0.0, 1e300]
+
+
 def small_angle_weights_1e308(tmp_path):
     return edited_golden(tmp_path, "small_angle_n2.config.json", _set_every_weight_1e308)
 
@@ -634,6 +722,15 @@ BAD_INPUTS = {
         edited_golden(p, "small_angle_n2.config.json", _set_weight_1e308), "--delta", 0.2,
         "--check", "--grid", 32,
     ],
+    # squared distances from the far anchor would overflow in the rung counts
+    "certify_anchor_x_1e200": lambda p: [
+        "certify", "--config",
+        edited_golden(p, "small_angle_n2.config.json", _set_anchor_x_1e200), "--delta", 0.2,
+    ],
+    "certify_anchor_y_1e300": lambda p: [
+        "certify", "--config",
+        edited_golden(p, "small_angle_n2.config.json", _set_anchor_y_1e300), "--delta", 0.2,
+    ],
     "eval_counts_overflow": lambda p: [
         "eval", "--config", small_angle_weights_1e308(p), "--grid", 8
     ],
@@ -773,6 +870,12 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("reduce_cube_past_the_float_range",
          "the cube maps past the float range: non-finite coordinates"),
         ("certify_check_grid_zero", "cells_per_side must be >= 1"),
+        ("certify_anchor_x_1e200",
+         "coordinate 1e+200 is past the certifier's range: squared distances need every "
+         "|coordinate| <= 1e+100"),
+        ("certify_anchor_y_1e300",
+         "coordinate 1e+300 is past the certifier's range: squared distances need every "
+         "|coordinate| <= 1e+100"),
         ("reduce_distortion_product_overflows",
          "distortion factor (sigma_max W)^3 overflows at W = 5.6e+102"),
         ("eval_counts_overflow",

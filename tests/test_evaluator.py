@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from kakeya.errors import CellBudgetExceeded, ValidationError
 from kakeya.evaluator import (
     CELL_BUDGET,
+    _cut_area,
+    _half_planes,
     CountFields,
     GridSpec,
     cell_centers,
@@ -16,6 +18,7 @@ from kakeya.evaluator import (
     exact_overlap_2d,
     midpoint_rule,
     power_product,
+    tube_cube_polygon_2d,
 )
 from kakeya.geometry import (
     Cube,
@@ -28,9 +31,28 @@ from kakeya.geometry import (
 )
 
 from conftest import axis_tube_family, count_midpoint_sums, family, line_through
-from lemmas import overlap_integrand
+from lemmas import convex_intersection_area, overlap_integrand, pairwise_exact_overlap_2d
 
 TRICYLINDER = 8.0 * (2.0 - math.sqrt(2.0))
+
+
+#: anchors across the cube [-4, 4]^2 at radius 1: inside it, on a strip edge
+#: along a face (3, 4) or tangent to it from outside (5), and far past it
+_EXACT_COORDS = st.one_of(
+    st.floats(-6.0, 6.0),
+    st.sampled_from([-40.0, -5.0, -4.0, -3.0, 0.0, 3.0, 4.0, 5.0, 1e6]),
+)
+
+
+@st.composite
+def exact_members(draw, axis):
+    """A line of the axis family: axis-parallel, tilted, or reversed, with its weight."""
+    tilt = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5), st.just(1.0)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    direction = sign * (np.eye(2)[axis] + tilt * np.eye(2)[1 - axis])
+    anchor = [draw(_EXACT_COORDS), draw(_EXACT_COORDS)]
+    weight = draw(st.sampled_from([0.0, 1.0, 2.5, 3.0]))
+    return line_through(anchor, direction), weight
 
 
 def perpendicular(radius=1.0):
@@ -257,6 +279,40 @@ class TestExactOverlap2d:
             family(1, 2, [fams[1].members[0].geometry], weights=[3.0]),
         ]
         assert abs(exact_overlap_2d(weighted, cube2) - 2.5 * 3.0 * 4.0) < 1e-12
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(exact_members(0), max_size=5),
+        st.lists(exact_members(1), max_size=5),
+        st.sampled_from([0.5, 1.0]),
+    )
+    def test_bits_match_the_pairwise_oracle(self, first, second, radius):
+        fams = [
+            family(j, 2, [g for g, _ in ms], radius, [w for _, w in ms])
+            for j, ms in enumerate([first, second])
+        ]
+        cube = Cube.centered([0.0, 0.0], 8.0)
+        assert exact_overlap_2d(fams, cube).hex() == pairwise_exact_overlap_2d(fams, cube).hex()
+
+    @settings(max_examples=120, deadline=None)
+    @given(exact_members(0), exact_members(1), st.booleans(), st.booleans())
+    def test_cut_area_matches_the_pairwise_clip_in_either_orientation(
+        self, first, second, reverse_a, reverse_b
+    ):
+        # strips clipped to the cube come out counter-clockwise; a clockwise
+        # polygon gets its half-planes from its reversal
+        cube = Cube.centered([0.0, 0.0], 8.0)
+        pa = tube_cube_polygon_2d(first[0], 1.0, cube)
+        pb = tube_cube_polygon_2d(second[0], 1.0, cube)
+        pa, pb = (pa[::-1] if reverse_a else pa), (pb[::-1] if reverse_b else pb)
+        area = _cut_area(pa, _half_planes(pb)) if len(pa) >= 3 and len(pb) >= 3 else 0.0
+        assert area.hex() == convex_intersection_area(pa, pb).hex()
+
+    def test_tangent_strips_have_zero_area(self):
+        # the axis-0 strip [4, 6] meets the cube [-4, 4]^2 only along its top face
+        fams = [axis_tube_family(0, 2, [[0.0, 5.0]]), axis_tube_family(1, 2, [[0.0, 0.0]])]
+        cube = Cube.centered([0.0, 0.0], 8.0)
+        assert exact_overlap_2d(fams, cube) == pairwise_exact_overlap_2d(fams, cube) == 0.0
 
     def test_rejects_n3_and_curves(self):
         cube3 = Cube.centered([0.0, 0.0, 0.0], 4.0)
