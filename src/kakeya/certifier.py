@@ -62,10 +62,6 @@ MAX_STEP_DELTA = 0.9
 DETAIL_BUDGET = 200_000
 #: most band cells of a batch of lines in ``_subcube_counts``
 _ROWS = 1 << 16
-#: largest |coordinate| of the cube's corners and the members' anchors and
-#: vertices that ``_subcube_counts`` takes: below it, the squared distances
-#: and the rounding bounds built on them stay far inside the float range
-COORDINATE_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -227,21 +223,6 @@ def _line_box_distances(anchors, dirs, lo, hi) -> np.ndarray:
     return out
 
 
-def _check_coordinate_range(families, cube: Cube) -> None:
-    """Refuse a cube corner, anchor or vertex with a coordinate past ``COORDINATE_LIMIT``."""
-    points = [cube.min_corner, cube.max_corner]
-    for f in families:
-        for m in f.members:
-            g = m.geometry
-            points.append(g.anchor if isinstance(g, Line) else g.vertices().ravel())
-    largest = float(np.abs(np.concatenate(points)).max())
-    if largest > COORDINATE_LIMIT:
-        raise ValidationError(
-            f"coordinate {largest!r} is past the certifier's range: squared distances "
-            f"need every |coordinate| <= {COORDINATE_LIMIT!r}"
-        )
-
-
 def _subcube_counts(families, cube: Cube, delta: float, w: float):
     """Subdivide and count members per subcube; returns (side, counts, weights).
 
@@ -254,8 +235,7 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     its center lies within half a side of it, so ``grid_ranges`` on the
     reach widened by half a subcube gives them.  Every other subcube lies
     farther than w from the member by more than the rounding of the
-    computed distance.  A coordinate past ``COORDINATE_LIMIT`` is refused
-    first (``_check_coordinate_range``), as its squares would overflow.
+    computed distance.
 
     A candidate is decided by its center's computed squared distance c2~
     to the member first (``squared_distances``), with ``err2`` and ``e`` the
@@ -291,7 +271,6 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     from 0, across batches too: the bits of a test of every pair.  A
     per-batch ``np.bincount`` added to the total would reassociate that sum.
     """
-    _check_coordinate_range(families, cube)
     k, sub_side = subdivision_counts(cube, delta, w)
     n = cube.n
     grid = [cube.min_corner[c] + sub_side * np.arange(k) for c in range(n)]

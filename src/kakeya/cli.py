@@ -8,10 +8,10 @@ and changes nothing.
 
 ``certify --check`` tests ``value <= final_bound + --tol + error_estimate``.
 At n = 2 with straight members the value is ``exact_overlap_2d``, with
-error estimate 0, when its pairs cost less than the grid check
-(``_exact_pays``); otherwise it is ``evaluate_overlap`` at ``--grid``, with
-the half-grid difference as its estimate.  The exact value rounds to
-nearest, not outward, so that check is not yet a proof to the last ulp.
+error estimate 0; with polylines or at n >= 3 it is ``evaluate_overlap`` at
+``--grid``, with the half-grid difference as its estimate.  The exact value
+rounds to nearest, not outward, so that check is not yet a proof to the
+last ulp.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from dataclasses import asdict, is_dataclass, replace
@@ -123,25 +122,6 @@ def _resolve_delta(args, n: int) -> float:
     raise ValidationError("need --delta or --epsilon")
 
 
-#: grid cells of ``evaluate_overlap`` that take as long as one member pair of
-#: ``exact_overlap_2d``: 74-181 (medians) at 2-6 members per family on a 2-core
-#: x86-64 host, where the grid's cost is mostly per cell
-EXACT_PAIR_CELLS = 100
-
-
-def _exact_pays(families, grid: GridSpec) -> bool:
-    """Whether ``exact_overlap_2d`` applies to ``families`` and costs less than the grid check.
-
-    It applies at n = 2 with straight members.  It clips each pair of
-    nonzero-weight members, and the grid check sums m^2 + (m/2)^2 cells.
-    """
-    if len(families) != 2 or any(f.has_curves() for f in families):
-        return False
-    pairs = math.prod(sum(m.weight != 0.0 for m in f.members) for f in families)
-    m = grid.cells_per_side
-    return pairs * EXACT_PAIR_CELLS <= m**2 + (m // 2) ** 2
-
-
 def _cmd_certify(args) -> int:
     config = serialization.config_from_json(_load_config_file(args.config))
     delta = _resolve_delta(args, config.n)
@@ -150,7 +130,7 @@ def _cmd_certify(args) -> int:
     certificate = certifier.certify_multiscale(config.families, config.cube, delta)
     _write_output(certificate, args.out)
     if args.check:
-        if _exact_pays(config.families, grid):
+        if config.n == 2 and not any(f.has_curves() for f in config.families):
             kind = "exact value"
             # no grid: no error estimate and no cells per side
             value = OverlapValue(exact_overlap_2d(config.families, config.cube), 0.0, 0)
@@ -315,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--check", action="store_true",
                    help="also verify value <= bound: the exact value at n=2 with "
-                        "straight members and few pairs, else the --grid value")
+                        "straight members, else the --grid value")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify-lw", help="check the Loomis-Whitney inequality")

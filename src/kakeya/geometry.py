@@ -19,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CellBudgetExceeded
+from .errors import CellBudgetExceeded, ValidationError
 
 UNIT_NORM_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+#: largest |coordinate| of a cube corner, anchor or vertex that the distance
+#: tests take: below it, squared distances and the rounding bounds built on
+#: them (``_squared_rounding``, ``distance_rounding``) stay far inside the
+#: float range
+COORDINATE_LIMIT = 1e100
 # Most tangent-grid cells in one ``cap_cover`` (its arrays peak near 150 MB)
 CAP_NET_CELLS = 1 << 20
 
@@ -431,7 +436,18 @@ def _squared_rounding(origins, cube: Cube) -> float:
     sum bounds them for any n far below 1/u, and the bound returned is twice
     it, (n + 14) eps R^2.  A line's |direction| need not be 1, since t divides
     by v.v, so no term depends on it.
+
+    A coordinate past ``COORDINATE_LIMIT`` is refused with a
+    ``ValidationError``: R^2, or the squares callers build on it, would
+    overflow.
     """
+    coords = np.abs(np.concatenate([origins.ravel(), cube.min_corner, cube.max_corner]))
+    largest = float(coords.max())
+    if largest > COORDINATE_LIMIT:
+        raise ValidationError(
+            f"coordinate {largest!r} is past the distance tests' range: squared "
+            f"distances need every |coordinate| <= {COORDINATE_LIMIT!r}"
+        )
     # the farthest corner from an origin takes the farther face on every axis
     faces = np.maximum((cube.min_corner - origins) ** 2, (cube.max_corner - origins) ** 2)
     far2 = faces.sum(axis=1).max(initial=0.0)

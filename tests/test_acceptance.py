@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; plain ``pytest -v`` shows the same pass/fail status per test name.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -312,8 +313,24 @@ def test_criterion_09_known_value_quadrature():
     )
 
 
-def _run_cli(args, cwd):
-    """Run ``python -m kakeya.cli ARGS`` in ``cwd``; return the completed process.
+#: runs each JSON-listed argument list in turn as ``python -m kakeya.cli``
+#: would, in one interpreter; the first failing command is echoed to stderr
+#: and its exit code ends the child
+_CLI_CHILD = """\
+import json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["kakeya.cli", *argv]
+    try:
+        runpy.run_module("kakeya.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        if stop.code:
+            print("failed:", *argv, file=sys.stderr)
+            raise
+"""
+
+
+def _run_cli_commands(commands, cwd):
+    """Run each of ``commands`` as ``python -m kakeya.cli`` would, in one new interpreter.
 
     The child's PYTHONPATH starts with the absolute directory that holds the
     imported ``kakeya`` (``src/`` or an editable install), so it runs the same
@@ -323,23 +340,16 @@ def _run_cli(args, cwd):
     package_root = str(Path(kakeya.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
+    argvs = json.dumps([[str(a) for a in args] for args in commands])
     return subprocess.run(
-        [sys.executable, "-m", "kakeya.cli", *[str(a) for a in args]],
-        capture_output=True,
-        cwd=cwd,
-        env=env,
+        [sys.executable, "-c", _CLI_CHILD, argvs], capture_output=True, cwd=cwd, env=env
     )
 
 
-def _cli_failure(label, proc):
-    stderr = proc.stderr.decode("utf-8", errors="replace")
-    return f"{label}: exit {proc.returncode}\n{stderr}"
-
-
 def test_criterion_10_determinism(tmp_path, capsys):
-    # every command byte-identical across two runs in one process, and eval's
-    # bytes the same from the ``python -m kakeya.cli`` entry point in a fresh
-    # interpreter; --threads 8 is accepted and changes no byte
+    # every command byte-identical across two runs in this process and a third
+    # through the ``python -m kakeya.cli`` entry point in a fresh interpreter
+    # (its own hash seed and caches); --threads 8 is accepted and changes no byte
     from kakeya.serialization import dump_json
 
     gen_stanza = {
@@ -406,10 +416,15 @@ def test_criterion_10_determinism(tmp_path, capsys):
         run_main(name, [*args, "--out", a])
         run_main(name, [*args, "--out", b])
         assert a.read_bytes() == b.read_bytes(), name
-    fresh = tmp_path / "eval_fresh.json"
-    proc = _run_cli([*commands["eval"], "--out", fresh], tmp_path)
-    assert proc.returncode == 0, _cli_failure("python -m kakeya.cli eval", proc)
-    assert fresh.read_bytes() == (tmp_path / "eval_a.json").read_bytes()
+    proc = _run_cli_commands(
+        [[*args, "--out", tmp_path / f"{name}_fresh.json"] for name, args in commands.items()],
+        tmp_path,
+    )
+    stderr = proc.stderr.decode("utf-8", errors="replace")
+    assert proc.returncode == 0, f"python -m kakeya.cli: exit {proc.returncode}\n{stderr}"
+    for name in commands:
+        fresh = (tmp_path / f"{name}_fresh.json").read_bytes()
+        assert fresh == (tmp_path / f"{name}_a.json").read_bytes(), name
     t1 = tmp_path / "threads1.json"
     t8 = tmp_path / "threads8.json"
     base = ["eval", "--config", tmp_path / "cfg.json", "--grid", 32]
@@ -418,6 +433,6 @@ def test_criterion_10_determinism(tmp_path, capsys):
     assert t1.read_bytes() == t8.read_bytes()
     report(
         10,
-        f"{len(commands)} commands byte-identical; eval the same from a fresh interpreter "
-        "and for --threads 1 and 8",
+        f"{len(commands)} commands byte-identical in process and from a fresh interpreter; "
+        "eval the same for --threads 1 and 8",
     )

@@ -124,7 +124,7 @@ class TestCertifyFlow:
 
 
 class TestCertifyCheckValue:
-    """``certify --check`` tests the bound against ``exact_overlap_2d`` where that pays."""
+    """``certify --check`` tests the bound against ``exact_overlap_2d`` at n=2 with lines."""
 
     @pytest.fixture
     def grid_calls(self, monkeypatch):
@@ -149,13 +149,19 @@ class TestCertifyCheckValue:
     @staticmethod
     def generated(tmp_path, counts):
         """A generated n=2 configuration: ``counts`` lines at angles up to 0.2 in [-8, 8]^2."""
-        cfg = tmp_path / "cfg.json"
+        cfg = tmp_path / f"cfg_{counts[0]}_{counts[1]}.json"
         gen = genspec_file(tmp_path, seed=3, counts=counts, delta=0.2, side=16.0)
         assert run(["gen", "--config", gen, "--out", cfg]) == 0
         return cfg
 
     def test_straight_n2_takes_the_exact_value(self, tmp_path, no_grid):
-        for cfg in (GOLDEN / "small_angle_n2.config.json", self.generated(tmp_path, (6, 6))):
+        # at any family size: 48 + 48 members too, where the grid check at the
+        # default --grid 128 would take less time
+        for cfg in (
+            GOLDEN / "small_angle_n2.config.json",
+            self.generated(tmp_path, (6, 6)),
+            self.generated(tmp_path, (48, 48)),
+        ):
             assert run(["certify", "--config", cfg, "--delta", 0.2, "--check",
                         "--out", tmp_path / "cert.json"]) == 0
 
@@ -167,14 +173,6 @@ class TestCertifyCheckValue:
         assert run(["certify", "--config", GOLDEN / name, "--delta", delta, "--check",
                     "--grid", grid, "--out", tmp_path / "cert.json"]) == 0
         assert grid_calls == [grid]
-
-    def test_large_families_take_the_grid(self, tmp_path, grid_calls):
-        # 48 * 48 pairs cost more than the 128^2 + 64^2 cells of the grid check
-        assert 48 * 48 * cli.EXACT_PAIR_CELLS > 128**2 + 64**2
-        cfg = self.generated(tmp_path, (48, 48))
-        assert run(["certify", "--config", cfg, "--delta", 0.2, "--check", "--grid", 128,
-                    "--out", tmp_path / "cert.json"]) == 0
-        assert grid_calls == [128]
 
     def test_a_bound_below_the_exact_value_is_a_violation(self, tmp_path, capsys,
                                                           monkeypatch, no_grid):
@@ -501,6 +499,12 @@ def _set_every_weight_1e308(data):
             member["weight"] = 1e308
 
 
+FAR_ANCHOR_1E200 = (
+    "coordinate 1e+200 is past the distance tests' range: squared distances need every "
+    "|coordinate| <= 1e+100"
+)
+
+
 def _set_anchor_x_1e200(data):
     data["families"][0]["members"][0]["anchor"] = [1e200, 0.0]
 
@@ -723,6 +727,7 @@ BAD_INPUTS = {
         "--check", "--grid", 32,
     ],
     # squared distances from the far anchor would overflow in the rung counts
+    # and in the grid's reach bands
     "certify_anchor_x_1e200": lambda p: [
         "certify", "--config",
         edited_golden(p, "small_angle_n2.config.json", _set_anchor_x_1e200), "--delta", 0.2,
@@ -730,6 +735,15 @@ BAD_INPUTS = {
     "certify_anchor_y_1e300": lambda p: [
         "certify", "--config",
         edited_golden(p, "small_angle_n2.config.json", _set_anchor_y_1e300), "--delta", 0.2,
+    ],
+    "eval_anchor_x_1e200": lambda p: [
+        "eval", "--config",
+        edited_golden(p, "small_angle_n2.config.json", _set_anchor_x_1e200), "--grid", 64,
+    ],
+    "verify_step_anchor_x_1e200": lambda p: [
+        "verify-step", "--config",
+        edited_golden(p, "small_angle_n2.config.json", _set_anchor_x_1e200), "--delta", 0.2,
+        "--grid", 32,
     ],
     "eval_counts_overflow": lambda p: [
         "eval", "--config", small_angle_weights_1e308(p), "--grid", 8
@@ -870,12 +884,12 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("reduce_cube_past_the_float_range",
          "the cube maps past the float range: non-finite coordinates"),
         ("certify_check_grid_zero", "cells_per_side must be >= 1"),
-        ("certify_anchor_x_1e200",
-         "coordinate 1e+200 is past the certifier's range: squared distances need every "
-         "|coordinate| <= 1e+100"),
+        ("certify_anchor_x_1e200", FAR_ANCHOR_1E200),
         ("certify_anchor_y_1e300",
-         "coordinate 1e+300 is past the certifier's range: squared distances need every "
+         "coordinate 1e+300 is past the distance tests' range: squared distances need every "
          "|coordinate| <= 1e+100"),
+        ("eval_anchor_x_1e200", FAR_ANCHOR_1E200),
+        ("verify_step_anchor_x_1e200", FAR_ANCHOR_1E200),
         ("reduce_distortion_product_overflows",
          "distortion factor (sigma_max W)^3 overflows at W = 5.6e+102"),
         ("eval_counts_overflow",

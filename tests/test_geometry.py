@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kakeya.errors import CellBudgetExceeded
+from kakeya.errors import CellBudgetExceeded, ValidationError
 from kakeya.geometry import (
+    COORDINATE_LIMIT,
     Cap,
     Cube,
     Direction,
@@ -283,6 +285,24 @@ def kernel_cases(draw):
     points = np.concatenate([cube.min_corner + cube.side * rng.uniform(0.0, 1.0, (20, n)),
                              cube.corners()])
     return member, cube, points
+
+
+class TestCoordinateLimit:
+    def test_rounding_bounds_stop_at_the_limit(self):
+        cube = Cube.centered([0.0, 0.0], 4.0)
+        axis = Direction.axis(2, 0)
+        edge = Line(np.array([COORDINATE_LIMIT, 0.0]), axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(distance_rounding([edge], cube, 1.0)[0])
+            assert np.all(np.isfinite(member_reach([edge], 0, 1.0, cube)))
+        past = Line(np.array([0.0, -2.0 * COORDINATE_LIMIT]), axis)
+        far_cube = Cube.centered([2.0 * COORDINATE_LIMIT, 0.0], 4.0)
+        near = Line(np.array([2.0 * COORDINATE_LIMIT, 0.0]), axis)
+        for members, box in (([past], cube), ([near], far_cube)):
+            for call in (distance_rounding, lambda m, c, r: member_reach(m, 0, r, c)):
+                with pytest.raises(ValidationError, match="past the distance tests' range"):
+                    call(members, box, 1.0)
 
 
 class TestSquaredDistances:
