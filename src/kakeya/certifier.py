@@ -46,12 +46,10 @@ from .geometry import (
     Line,
     LipschitzCurve,
     angle_from_axis,
+    boxes_within,
     distance_rounding,
     grid_ranges,
-    line_box_distance,
     member_reach,
-    polyline_box_distance,
-    squared_distances,
     subcube_grid,
     subdivision_counts,
 )
@@ -207,22 +205,6 @@ def _member_batches(sizes: np.ndarray, is_line: np.ndarray):
         start = stop
 
 
-def _line_box_distances(anchors, dirs, lo, hi) -> np.ndarray:
-    """``line_box_distance`` from each row's line to its box, one call per zero pattern.
-
-    ``anchors``, ``dirs``, ``lo`` and ``hi`` are (rows, n) arrays.
-    """
-    key = (dirs != 0.0) @ (1 << np.arange(dirs.shape[1]))
-    if (key == key[0]).all():
-        return line_box_distance((anchors, dirs), lo, hi)
-    out = np.empty(key.size)
-    # not np.unique, whose first call imports numpy.ma (1-2 MB of resident memory)
-    for p in sorted(set(key.tolist())):
-        rows = key == p
-        out[rows] = line_box_distance((anchors[rows], dirs[rows]), lo[rows], hi[rows])
-    return out
-
-
 def _subcube_counts(families, cube: Cube, delta: float, w: float):
     """Subdivide and count members per subcube; returns (side, counts, weights).
 
@@ -235,48 +217,22 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
     its center lies within half a side of it, so ``grid_ranges`` on the
     reach widened by half a subcube gives them.  Every other subcube lies
     farther than w from the member by more than the rounding of the
-    computed distance.
-
-    A candidate is decided by its center's computed squared distance c2~
-    to the member first (``squared_distances``), with ``err2`` and ``e`` the
-    rounding bounds of ``distance_rounding``, s the subcube side and hd half
-    its diagonal.  The true distance c from the computed center to the
-    member has |c^2 - c2~| <= err2.  The box lies within hd of its center,
-    and it holds the ball of radius s/2 around it (the inscribed ball), so
-    its true distance D to the member, a line or a polyline alike, lies in
-    [c - hd, max(0, c - s/2)].  So
-
-      * c2~ + err2 <= (w + s/2 - 2e)^2 gives D <= w - e: it touches;
-      * c2~ - err2 > (w + hd + e)^2 gives D >= c - hd > w + e: it does not;
-      * any other subcube gets the exact ``line_box_distance`` /
-        ``polyline_box_distance`` test against w.
-
-    The first class's second e covers the computed corners and center.
-    With u = eps/2 and L as in ``distance_rounding``, the corners lo~ and
-    fl(lo~ + s) of the box that the exact test takes lie s - u L apart or
-    more on each axis, and the center fl(lo~ + s/2) lies within 1.5 u L of
-    their midpoint, so that box holds the ball of radius s/2 - 2u L around
-    the computed center; the class's square and sum round by 4u (w + s + L)
-    more.  Both are far below e >= 28 eps (L + w), as s <= 2L.  A computed
-    box distance is within ``e`` of D when either is at most w, so the
-    first two classes are the exact test's answers, and the counts equal a
-    test of every pair.
+    computed distance, and ``boxes_within`` decides the candidates as the
+    exact test does, so the counts equal a test of every pair.
 
     A family's candidates are stacked as rows, member by member
-    (``_member_batches``): a run of lines is one pass of the center kernel
-    with each row's own line, and one exact test per zero pattern of the
-    directions; a polyline is a pass of its own.  The rows are scattered in
-    row order with ``np.add.at``, which adds one at a time, so each
-    subcube's weight is the sum over its members in member order, starting
-    from 0, across batches too: the bits of a test of every pair.  A
-    per-batch ``np.bincount`` added to the total would reassociate that sum.
+    (``_member_batches``): a run of lines is one ``boxes_within`` call with
+    each row's own line, and a polyline is a call of its own.  The rows are
+    scattered in row order with ``np.add.at``, which adds one at a time, so
+    each subcube's weight is the sum over its members in member order,
+    starting from 0, across batches too: the bits of a test of every pair.
+    A per-batch ``np.bincount`` added to the total would reassociate that sum.
     """
     k, sub_side = subdivision_counts(cube, delta, w)
     n = cube.n
     grid = [cube.min_corner[c] + sub_side * np.arange(k) for c in range(n)]
     layers = np.arange(k)
     half = np.array([[-0.5 * sub_side], [0.5 * sub_side]])
-    half_diagonal = 0.5 * sub_side * math.sqrt(n)
     counts = np.zeros((n, k**n), dtype=np.int64)
     weights = np.zeros(counts.shape)
     for f in families:
@@ -287,15 +243,8 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
         bands[:, :, j] = np.stack([layers, layers + 1], axis=-1)
         first, stop = bands[..., 0], bands[..., 1]
         sizes = np.prod(np.maximum(stop - first, 0), axis=-1).sum(axis=1)
-        err2, e = distance_rounding(members, cube, w)
-        reach_in = w + 0.5 * sub_side - 2.0 * e
-        inside = reach_in**2 - err2 if reach_in > 0.0 else -math.inf
-        outside = (w + half_diagonal + e) ** 2 + err2
+        bounds = distance_rounding(members, cube, w)
         is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
-        anchors = np.array([g.anchor if isinstance(g, Line) else np.zeros(n)
-                            for g in members]).reshape(-1, n)
-        dirs = np.array([g.direction.components if isinstance(g, Line) else np.ones(n)
-                         for g in members]).reshape(-1, n)
         member_weights = np.array([m.weight for m in f.members])
         for a, b in _member_batches(sizes, is_line):
             idx = _band_cells(first[a:b].reshape(-1, n), stop[a:b].reshape(-1, n)).T
@@ -303,19 +252,11 @@ def _subcube_counts(families, cube: Cube, delta: float, w: float):
                 continue
             cells = sizes[a:b]
             if is_line[a]:
-                g = np.repeat(anchors[a:b], cells, axis=0), np.repeat(dirs[a:b], cells, axis=0)
+                g = (np.repeat([m.anchor for m in members[a:b]], cells, axis=0),
+                     np.repeat([m.direction.components for m in members[a:b]], cells, axis=0))
             else:
                 g = members[a]
-            c2 = squared_distances([grid[c][idx[c]] + 0.5 * sub_side for c in range(n)], g)
-            near = c2 <= inside
-            test = np.flatnonzero(~near & (c2 <= outside))
-            if test.size:
-                lo = np.stack([grid[c][idx[c, test]] for c in range(n)], axis=1)
-                if is_line[a]:
-                    dist = _line_box_distances(g[0][test], g[1][test], lo, lo + sub_side)
-                else:
-                    dist = polyline_box_distance(g, lo, lo + sub_side)
-                near[test] = dist <= w
+            near = boxes_within(g, [grid[c][idx[c]] for c in range(n)], sub_side, w, bounds)
             # each cell's index in the C order of the k^n subcubes
             flat = idx[0]
             for c in range(1, n):

@@ -99,7 +99,7 @@ def _cmd_eval(args) -> int:
         value = evaluate_overlap(config.families, config.cube, GridSpec(args.grid))
     _write_output(value, args.out)
     if not value.converged:
-        print("quadrature did not converge", file=sys.stderr)
+        print("non-convergence: quadrature did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 
@@ -221,7 +221,7 @@ def _cmd_sweep(args) -> int:
         print(f"violation: {len(violated)} sweep rows exceed their certificates", file=sys.stderr)
         return EXIT_VIOLATION
     if any(r.flagged for r in result.rows):
-        print("some sweep rows did not converge", file=sys.stderr)
+        print("non-convergence: some sweep rows did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 

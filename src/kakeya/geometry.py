@@ -124,8 +124,9 @@ class LipschitzCurve:
         dt = np.diff(bps)
         if np.any(dt <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        dg = np.linalg.norm(np.diff(vals, axis=0), axis=1)
-        bad = dg > self.lip * dt * (1.0 + 1e-12) + 1e-300
+        with np.errstate(over="ignore"):  # a norm or a bound past the float range is inf
+            dg = np.linalg.norm(np.diff(vals, axis=0), axis=1)
+            bad = dg > self.lip * dt * (1.0 + 1e-12) + 1e-300
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(
@@ -379,11 +380,22 @@ def line_box_distance(lines: Line | tuple, lo, hi) -> np.ndarray:
 
     ``lines`` is one ``Line`` for every box, or stacked lines
     ``(anchors, directions)`` as in ``squared_distances``: (B, n) arrays,
-    one line per box, whose directions share one zero pattern.
+    one line per box.  Stacked rows go to the kernel one zero pattern of
+    their directions at a time, so each row has the bits of its one-line call.
     """
     if isinstance(lines, Line):
-        lines = lines.anchor, lines.direction.components
-    d2 = _segment_box_distance_sq(*lines, lo, hi, -math.inf, math.inf)
+        d2 = _segment_box_distance_sq(lines.anchor, lines.direction.components, lo, hi,
+                                      -math.inf, math.inf)
+    else:
+        anchors, dirs = lines
+        key = (dirs != 0.0) @ (1 << np.arange(dirs.shape[1]))
+        # not np.unique, whose first call imports numpy.ma (1-2 MB of resident memory)
+        patterns = set(key.tolist())
+        d2 = np.empty(key.size)
+        for p in patterns:
+            rows = key == p if len(patterns) > 1 else slice(None)
+            d2[rows] = _segment_box_distance_sq(anchors[rows], dirs[rows], lo[rows], hi[rows],
+                                                -math.inf, math.inf)
     return np.sqrt(np.maximum(d2, 0.0))
 
 
@@ -465,12 +477,10 @@ def distance_rounding(members, cube: Cube, r: float) -> tuple[float, float]:
     cube whose corners ``lo``, ``lo + side`` and center ``lo + side / 2``
     are computed in floats.  Its computed distance (``line_box_distance``,
     ``polyline_box_distance``) and its true one differ by less than ``e``
-    whenever either is at most ``r``, counting also the rounding of the
-    corners and the center, and of the squares a caller compares with
-    (r - e)^2 or (r + hd + e)^2, hd half the box's diagonal.  With
-    L = sqrt(n) M, M the largest |coordinate| of the cube's corners,
-    anchors and vertices, so that every such point has norm at most L, and
-    u = eps/2, the first-order terms are:
+    whenever either is at most ``r``, with room left for the center classes
+    of ``boxes_within``.  With L = sqrt(n) M, M the largest |coordinate| of
+    the cube's corners, anchors and vertices, so that every such point has
+    norm at most L, and u = eps/2, the first-order terms are:
 
       * a computed breakpoint (b - a_k) / d_k is off by 2u relative, which
         moves the line point by 2u |t d| <= 2u (2L + r), since the nearest
@@ -486,7 +496,7 @@ def distance_rounding(members, cube: Cube, r: float) -> tuple[float, float]:
       * a polyline's segment vector v1 - v0 moves v1 by 2u L;
       * the box corners and center computed from the cube move the box by
         at most 3u L;
-      * the squares of the class tests round by 4u (r + L).
+      * the squares ``boxes_within`` compares round by 4u (r + L).
 
     Their sum is below (2n + 10) eps (L + r); ``e`` is twice that, to cover
     the second-order terms.
@@ -497,6 +507,55 @@ def distance_rounding(members, cube: Cube, r: float) -> tuple[float, float]:
     coords = np.abs(np.concatenate([origins.ravel(), cube.min_corner, cube.max_corner]))
     e = 4.0 * (n + 5) * _EPS * (math.sqrt(n) * float(coords.max()) + r)
     return _squared_rounding(origins, cube), e
+
+
+def boxes_within(member, lo, side: float, r: float, bounds) -> np.ndarray:
+    """Whether each box lies within ``r`` of its member: the exact box test, centers first.
+
+    ``lo`` holds the boxes' min corners as n coordinate columns, the form
+    ``squared_distances`` takes, and box i runs from lo_i to lo_i + ``side``.
+    ``member`` is one ``LipschitzCurve`` for every box, or stacked lines
+    ``(anchors, directions)``, one per box.  ``bounds`` is ``(err2, e)``
+    from ``distance_rounding`` on members that include these and a cube
+    that holds the boxes.
+
+    The answer is the exact ``line_box_distance`` / ``polyline_box_distance``
+    <= r on every box.  Most boxes are decided by their center's computed
+    squared distance c2~ (``squared_distances``) instead, with s the side and
+    hd = s sqrt(n) / 2 half the diagonal.  The true distance c from the
+    computed center has |c^2 - c2~| <= err2.  The box lies within hd of its
+    center, and it holds the ball of radius s/2 around it (the inscribed
+    ball), so its true distance D to the member, a line or a polyline alike,
+    lies in [c - hd, max(0, c - s/2)].  So
+
+      * c2~ + err2 <= (r + s/2 - 2e)^2 gives D <= r - e: within;
+      * c2~ - err2 > (r + hd + e)^2 gives D >= c - hd > r + e: not within;
+      * any other box gets the exact test.
+
+    The first class's second e covers the computed corners and center.
+    With u = eps/2 and L as in ``distance_rounding``, the corners lo~ and
+    fl(lo~ + s) of the box that the exact test takes lie s - u L apart or
+    more on each axis, and the center fl(lo~ + s/2) lies within 1.5 u L of
+    their midpoint, so that box holds the ball of radius s/2 - 2u L around
+    the computed center; the class's square and sum round by 4u (r + s + L)
+    more.  Both are far below e >= 28 eps (L + r), as s <= 2L.  A computed
+    box distance is within e of D when either is at most r, so the first two
+    classes give the exact test's answers.
+    """
+    err2, e = bounds
+    c2 = squared_distances([x + 0.5 * side for x in lo], member)
+    reach_in = r + 0.5 * side - 2.0 * e
+    within = c2 <= (reach_in**2 - err2 if reach_in > 0.0 else -math.inf)
+    outside = (r + 0.5 * side * math.sqrt(len(lo)) + e) ** 2 + err2
+    test = np.flatnonzero(~within & (c2 <= outside))
+    if test.size:
+        box = np.stack([x[test] for x in lo], axis=1)
+        if isinstance(member, LipschitzCurve):
+            dist = polyline_box_distance(member, box, box + side)
+        else:
+            dist = line_box_distance((member[0][test], member[1][test]), box, box + side)
+        within[test] = dist <= r
+    return within
 
 
 def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kakeya import certifier
+from kakeya import certifier, geometry
 from kakeya.certifier import (
     Constants,
     _step_detail,
@@ -28,7 +28,10 @@ from kakeya.geometry import (
     Direction,
     Line,
     LipschitzCurve,
+    boxes_within,
+    distance_rounding,
     line_box_distance,
+    subcube_grid,
     subdivision_counts,
 )
 from kakeya.serialization import config_from_json, load_json
@@ -59,16 +62,38 @@ def with_weights(families, weights):
 
 
 def count_box_distance_rows(monkeypatch) -> list:
-    """Record the number of boxes of every ``certifier.line_box_distance`` call."""
+    """Record the number of boxes of every ``geometry.line_box_distance`` call."""
     rows = []
-    kernel = certifier.line_box_distance
+    kernel = geometry.line_box_distance
 
     def counted(line, lo, hi):
         rows.append(np.atleast_2d(lo).shape[0])
         return kernel(line, lo, hi)
 
-    monkeypatch.setattr(certifier, "line_box_distance", counted)
+    monkeypatch.setattr(geometry, "line_box_distance", counted)
     return rows
+
+
+def assert_boxes_within_match_exact(families, cube, delta, w):
+    """``boxes_within`` on every subcube equals the exact box distance <= w: for each
+    polyline, and for a family's lines stacked."""
+    k, sub_side = subdivision_counts(cube, delta, w)
+    los = subcube_grid(cube, k)
+    for f in families:
+        members = [m.geometry for m in f.members]
+        bounds = distance_rounding(members, cube, w)
+        exact = member_box_distances(f, los, los + sub_side) <= w
+        is_line = np.array([isinstance(g, Line) for g in members])
+        for g, want in zip(members, exact):
+            if not isinstance(g, Line):
+                assert np.array_equal(boxes_within(g, list(los.T), sub_side, w, bounds), want)
+        lines = [g for g in members if isinstance(g, Line)]
+        if lines:
+            stacked = (np.repeat([g.anchor for g in lines], len(los), axis=0),
+                       np.repeat([g.direction.components for g in lines], len(los), axis=0))
+            cols = list(np.tile(los, (len(lines), 1)).T)
+            assert np.array_equal(boxes_within(stacked, cols, sub_side, w, bounds),
+                                  exact[is_line].ravel())
 
 
 def assert_counts_match_dense(families, cube, delta, w):
@@ -174,7 +199,7 @@ def far_anchor_case(direction, far=1.4e6):
 
 @st.composite
 def margin_cases(draw):
-    """Members on the margins of the subcube classes of ``_subcube_counts``.
+    """Members on the margins of the center classes of ``geometry.boxes_within``.
 
     Axis-parallel lines and constant polylines put a row of subcube centers,
     or a row of subcube faces, at distance w across one axis, then move by
@@ -413,6 +438,7 @@ class TestStepBound:
     @example(far_anchor_case(Direction.normalized([1.0, 0.25]).components, 2e15))
     def test_sparse_counts_match_dense_on_the_class_margins(self, case):
         assert_counts_match_dense(*case)
+        assert_boxes_within_match_exact(*case)
 
     def test_sparse_counts_match_dense_past_a_curve_span(self):
         # the curve's span [2, 7] ends inside the cube [0, 10] on its axis

@@ -513,6 +513,11 @@ def _set_anchor_y_1e300(data):
     data["families"][0]["members"][0]["anchor"] = [0.0, 1e300]
 
 
+def _set_polyline_value_1e155(data):
+    # the segment's squared length overflows inside the norm
+    data["families"][0]["members"][1]["polyline"]["values"][0][0] = 1.2662663808076654e155
+
+
 def small_angle_weights_1e308(tmp_path):
     return edited_golden(tmp_path, "small_angle_n2.config.json", _set_every_weight_1e308)
 
@@ -736,6 +741,10 @@ BAD_INPUTS = {
         "certify", "--config",
         edited_golden(p, "small_angle_n2.config.json", _set_anchor_y_1e300), "--delta", 0.2,
     ],
+    "certify_polyline_value_1e155": lambda p: [
+        "certify", "--config",
+        edited_golden(p, "lipschitz_n2.config.json", _set_polyline_value_1e155), "--delta", 0.2,
+    ],
     "eval_anchor_x_1e200": lambda p: [
         "eval", "--config",
         edited_golden(p, "small_angle_n2.config.json", _set_anchor_x_1e200), "--grid", 64,
@@ -888,6 +897,8 @@ def test_bad_input_exits_1_with_message(case, tmp_path, capsys):
         ("certify_anchor_y_1e300",
          "coordinate 1e+300 is past the distance tests' range: squared distances need every "
          "|coordinate| <= 1e+100"),
+        ("certify_polyline_value_1e155",
+         "segment 0 violates the declared Lipschitz constant: |dg|/dt = inf > 0.1"),
         ("eval_anchor_x_1e200", FAR_ANCHOR_1E200),
         ("verify_step_anchor_x_1e200", FAR_ANCHOR_1E200),
         ("reduce_distortion_product_overflows",
@@ -951,6 +962,21 @@ def test_search_over_the_cell_budget_exits_3_before_allocating(tmp_path, capsys)
     assert not out.exists()
     # one count field of 20000^2 cells would take 3.2 GB
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--config", GOLDEN / "small_angle_n2.config.json", "--refine",
+      "--max-doublings", 0], "quadrature did not converge"),
+    (["sweep", "--config", GOLDEN / "small_angle_n2.sweep.input.json", "--max-doublings", 0],
+     "some sweep rows did not converge"),
+])
+def test_unconverged_result_exits_3_with_one_message(argv, message, tmp_path, capsys):
+    # the result is written, and the one line says why the exit is 3
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 3
+    assert capsys.readouterr().err == f"non-convergence: {message}\n"
+    assert out.exists()
 
 
 def test_reduce_over_the_cap_net_budget_exits_3_before_allocating(tmp_path, capsys):
@@ -1145,6 +1171,21 @@ def reduce_fuzz_cases(draw):
     return data, flags
 
 
+def assert_one_message(data, argv):
+    """``argv`` with ``data`` as its config, in process: exit 0-3, and one message line if not 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "cfg.json", Path(tmp) / "out.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(config), "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1
+        assert lines[0].startswith(("error: ", "violation: ", "non-convergence: "))
+
+
 # a numpy warning is a second line on stderr, and fails the case
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
@@ -1152,14 +1193,33 @@ def reduce_fuzz_cases(draw):
 @given(reduce_fuzz_cases())
 def test_reduce_on_mutated_inputs_exits_with_one_message(case):
     data, flags = case
-    with tempfile.TemporaryDirectory() as tmp:
-        config, out = Path(tmp) / "cfg.json", Path(tmp) / "out.json"
-        config.write_text(json.dumps(data), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["reduce", "--config", str(config), *flags, "--out", str(out)])
-    assert code in (0, 1, 2, 3)
-    lines = err.getvalue().splitlines()
-    if code:
-        assert len(lines) == 1
-        assert lines[0].startswith(("error: ", "violation: ", "non-convergence: "))
+    assert_one_message(data, ["reduce", *flags])
+
+
+#: the commands that read a tube-family config, at small grids
+CONFIG_COMMANDS = (
+    ["certify", "--delta", "0.2"],
+    ["certify", "--delta", "0.2", "--check", "--grid", "16"],
+    ["eval", "--grid", "16"],
+    ["eval", "--grid", "16", "--refine", "--max-doublings", "1"],
+    ["verify-step", "--delta", "0.2", "--grid", "16"],
+    ["exact2d"],
+)
+
+
+@st.composite
+def config_fuzz_cases(draw):
+    name = draw(st.sampled_from(["small_angle_n2.config.json", "lipschitz_n2.config.json",
+                                 "small_angle_n3.config.json"]))
+    data = load_json(GOLDEN / name)
+    if draw(st.booleans()):
+        data = draw(mutated_json(data))
+    return data, draw(st.sampled_from(CONFIG_COMMANDS))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config_fuzz_cases())
+def test_config_commands_on_mutated_inputs_exit_with_one_message(case):
+    assert_one_message(case[0], case[1])

@@ -141,6 +141,14 @@ class TestCurveIndicator:
         with pytest.raises(ValueError):
             LipschitzCurve(0, [0.0, 1.0], [[0.0], [1.0]], 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lip_validation_past_the_float_range(self):
+        # a segment length, or a Lipschitz bound lip * dt, whose square or
+        # product overflows is inf: compared without a warning
+        with pytest.raises(ValueError, match=r"\|dg\|/dt = inf > 0.1"):
+            LipschitzCurve(0, [0.0, 1.0], [[0.0], [1.3e155]], 0.1)
+        assert LipschitzCurve(0, [-1e10, 1e10], [[0.0], [1.0]], 1e300).lip == 1e300
+
 
 @st.composite
 def reach_cases(draw):
@@ -332,8 +340,8 @@ class TestSquaredDistances:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_stacked_lines_give_the_bits_of_one_line_each(self, n, rng):
         # each point's own line, in the point and the box kernel; the last two
-        # lines run along axis 0, and go to the box kernel together with
-        # their shared zero pattern
+        # lines run along axis 0, and go to the box kernel with their shared
+        # zero pattern alone, and mixed with the other lines' rows
         dirs = rng.normal(size=(6, n))
         dirs[4:, 1:] = 0.0
         lines = [Line(rng.uniform(-9.0, 9.0, n), Direction.normalized(d)) for d in dirs]
@@ -343,7 +351,7 @@ class TestSquaredDistances:
         points = rng.uniform(-5.0, 5.0, (owner.size, n))
         hi = points + rng.uniform(0.0, 2.0, points.shape)
         stacked = squared_distances(points.T, (anchors, directions))
-        for rows in (slice(0, 200), slice(200, 300)):
+        for rows in (slice(0, 200), slice(200, 300), slice(0, 300)):
             boxes = line_box_distance((anchors[rows], directions[rows]), points[rows], hi[rows])
             for i, box in zip(range(owner.size)[rows], boxes.tolist()):
                 line = lines[owner[i]]
