@@ -229,13 +229,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_search(args) -> int:
     search = serialization.search_from_json(_load_config_file(args.config), args.seed)
     result = experiments.extremal_search(**search, grid=GridSpec(args.grid))
-    _write_output(result, args.out)
+    columns = experiments.SEARCH_CSV_COLUMNS
+    rows = [(t.iteration, t.restart, t.accepted_ratio, t.best_ratio) for t in result.trace]
+    # the trace points' fields, in declaration order, are the CSV columns
+    trace = [dict(zip(columns, row)) for row in rows]
+    _write_output({"best_ratio": result.best_ratio, "trace": trace}, args.out)
     if args.csv:
-        _write_csv(
-            args.csv,
-            experiments.SEARCH_CSV_COLUMNS,
-            [(t.iteration, t.restart, t.accepted_ratio, t.best_ratio) for t in result.trace],
-        )
+        _write_csv(args.csv, columns, rows)
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 1,
-PropertyViolation -> 2, NonConvergence/CellBudgetExceeded -> 3.
+PropertyViolation -> 2, NonConvergence and its budget subclasses -> 3.
 """
 
 
@@ -23,3 +23,7 @@ class NonConvergence(KakeyaError):
 
 class CellBudgetExceeded(NonConvergence):
     """A requested grid exceeds the configured cell budget."""
+
+
+class MemberBudgetExceeded(NonConvergence):
+    """A generator spec or a search asks for more members than the member budget."""

@@ -9,10 +9,11 @@ one radius around it.
 Grid sums are computed on the calling thread in fixed-size blocks keyed by
 flattened cell index and folded in index order; that partition fixes the bits
 of every value.
-``_add_member`` alone adds a member's weighted indicator to a grid (a block's
-slab, or the whole grid of ``CountFields``), only on the member's band, the
-cells it can reach (``geometry.member_reach`` and ``geometry.grid_ranges``);
-the cells outside add exactly zero, so the bits match a dense sum.
+``_strip`` alone computes a member's weighted indicator ``w * (d <= r)``,
+only on the member's band, the cells it can reach (``geometry.member_reach``
+and ``geometry.grid_ranges``): ``midpoint_rule`` adds it to a block's slab,
+and ``CountFields`` keeps it for each member and adds it to the whole grid.
+The cells outside the band add exactly zero, so the bits match a dense sum.
 
 ``midpoint_rule`` builds every block in the calling thread's work buffers
 (``_work_buffers``), flat arrays of one slab each that outlive the block and
@@ -198,10 +199,11 @@ def power_product(factors, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def midpoint_sum(integrand, lo, h, m: int) -> float:
-    """Sum of ``integrand`` over the centers of the m^n cells of sides ``h``.
+def midpoint_sum(integrand, centers) -> float:
+    """Sum of ``integrand`` over the m^n cells whose centers are ``centers``.
 
-    The centers are ``cell_centers(lo, h, m)``.  The cells are walked in
+    ``centers[k]`` holds the m cell centers along axis k, as from
+    ``cell_centers``.  The cells are walked in
     flat C order in blocks of ``_BLOCK``.  For each block,
     ``integrand(axes, starts)`` is called on the boxes of ``_slabs`` that
     cover it: ``axes[k]`` holds the box's cell centers along axis k and
@@ -214,9 +216,8 @@ def midpoint_sum(integrand, lo, h, m: int) -> float:
     is taken; the block sums are folded with ``math.fsum`` in block order.
     The caller multiplies by the cell volume.
     """
-    n = len(lo)
+    n, m = len(centers), len(centers[0])
     total = m**n
-    centers = cell_centers(lo, h, m)
 
     def box_values(box) -> np.ndarray:
         return integrand([c[a:b] for c, (a, b) in zip(centers, box)], [a for a, _ in box]).ravel()
@@ -252,18 +253,18 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: float,
-                work=None) -> None:
-    """Add ``sign * w * (d <= r)`` of the member to ``field`` on the index box [first, stop).
+def _strip(axes, member: FamilyMember, r: float, first, stop, work=None):
+    """The member's ``w * (d <= r)`` on the index box [first, stop) as ``(box, values)``.
 
-    ``axes[k]`` holds the cell centers of ``field`` along axis k.  The
-    distances are computed on the box's open mesh, and the indicator is
-    written over them as 1.0 or 0.0.  ``work``, four flat buffers of at
-    least the box's cell count, holds the distance kernel's arrays; without
-    it they are allocated.
+    ``axes[k]`` holds the grid's cell centers along axis k, and ``box`` is
+    the box's tuple of slices; an empty box gives None.  The distances are
+    computed on the box's open mesh, and the indicator is written over them
+    as 1.0 or 0.0 and scaled by ``w``.  ``work``, four flat buffers of at
+    least the box's cell count, holds the distance kernel's arrays and the
+    values; without it they are allocated.
     """
     if any(a >= b for a, b in zip(first, stop)):
-        return
+        return None
     n = len(axes)
     box = tuple(map(slice, first, stop))
     mesh = [x[s].reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
@@ -274,8 +275,8 @@ def _add_member(field, axes, member: FamilyMember, r: float, first, stop, sign: 
         work = [w[:size].reshape(shape) for w in work]
     d = squared_distances(mesh, member.geometry, work)
     inside = np.less_equal(np.sqrt(d, out=d), r, out=d)
-    inside *= sign * member.weight
-    field[box] += inside
+    inside *= member.weight
+    return box, inside
 
 
 def _check_cell_budget(m: int, n: int) -> None:
@@ -323,13 +324,15 @@ def midpoint_rule(families, cube: Cube, radii: list[float] | None = None):
                 # the bands clipped to the slab, in its own indices
                 ranges = np.clip(band - lo, 0, span).transpose(0, 2, 1)
                 for member, (first, stop) in zip(f.members, ranges.tolist()):
-                    _add_member(field, axes, member, r, first, stop, 1.0, kernel)
+                    strip = _strip(axes, member, r, first, stop, kernel)
+                    if strip is not None:
+                        field[strip[0]] += strip[1]
             return power_product(fields, p, fields[0])
 
         # a count or product past the float range is inf, or NaN times 0: the
         # value is checked once, and numpy's warnings on the way are dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            total = midpoint_sum(integrand, cube.min_corner, (h,) * n, m)
+            total = midpoint_sum(integrand, cell_centers(cube.min_corner, (h,) * n, m))
         return _finite(h**n * total, f"the overlap value at {m} cells per side")
 
     return value
@@ -350,20 +353,27 @@ class CountFields:
     """The overlap quadrature on one m^n grid, held as one count field per family.
 
     ``fields[j]`` is ``sum_a w_a 1_tube`` at every cell center for the j-th
-    family by axis, each member added by ``_add_member`` on its band.
-    ``moved`` swaps one member: it copies that family's field and subtracts
-    the old member and adds the new one on bands from one ``member_reach``
-    call on the two; every other field is shared.  Any band that holds a
-    member's reach gives the same bits, as a cell outside it adds exactly
-    0.0.  The weights are integers whose family sums stay below 2**53, so
-    every field holds exact integers in any order of adds and subtracts, and
-    ``value`` has the bits of ``midpoint_rule(families, cube)(m)``.
+    family by axis, and ``strips[j][a]`` is what member a added to it: the
+    ``(box, values)`` of ``_strip`` on the member's band, or None for an
+    empty band.  ``centers`` holds the grid's cell centers along each axis.
+    All of them are read-only.  ``moved`` swaps one member: it copies that
+    family's field, subtracts the old member's stored strip and adds a strip
+    computed for the new member alone, on its band from one
+    ``member_reach`` call; every other field and strip is shared.  Any band
+    that holds a member's reach gives the same bits, as a cell outside it
+    adds exactly 0.0.  The weights are integers whose family sums stay below
+    2**53, so every field holds exact integers in any order of adds and
+    subtracts, and ``value`` has the bits of
+    ``midpoint_rule(families, cube)(m)``.  The strips hold about as many
+    cells as the members' bands.
     """
 
     families: tuple
     cube: Cube
     m: int
     fields: tuple
+    strips: tuple
+    centers: tuple
 
     @classmethod
     def build(cls, families, cube: Cube, m: int) -> "CountFields":
@@ -379,11 +389,16 @@ class CountFields:
         for f in fams:
             _check_integer_weights(f)
         _check_cell_budget(m, n)
-        fields = tuple(
-            _read_only(_add_members(np.zeros((m,) * n), f, f.members, [1.0] * f.size, cube))
-            for f in fams
-        )
-        return cls(fams, cube, m, fields)
+        centers = tuple(map(_read_only, cell_centers(cube.min_corner, (cube.side / m,) * n, m)))
+        fields, strips = [], []
+        for f in fams:
+            field = np.zeros((m,) * n)
+            strips.append(_strips(f, f.members, cube, centers))
+            for strip in strips[-1]:
+                if strip is not None:
+                    field[strip[0]] += strip[1]
+            fields.append(_read_only(field))
+        return cls(fams, cube, m, tuple(fields), tuple(strips), centers)
 
     def moved(self, j: int, a: int, member: FamilyMember) -> "CountFields":
         """The fields with ``member`` in place of member ``a`` of the j-th family by axis."""
@@ -393,11 +408,18 @@ class CountFields:
         new = TubeFamily(old.axis, old.dim, tuple(members), old.base_radius)
         _check_integer_weights(new)
         _check_curve_spans([new], self.cube)
-        swap = (old.members[a], member)
-        field = _add_members(self.fields[j].copy(), old, swap, (-1.0, 1.0), self.cube)
-        families, fields = list(self.families), list(self.fields)
+        field = self.fields[j].copy()
+        gone = self.strips[j][a]
+        if gone is not None:
+            field[gone[0]] -= gone[1]
+        (strip,) = _strips(new, (member,), self.cube, self.centers)
+        if strip is not None:
+            field[strip[0]] += strip[1]
+        families, fields, strips = list(self.families), list(self.fields), list(self.strips)
         families[j], fields[j] = new, _read_only(field)
-        return CountFields(tuple(families), self.cube, self.m, tuple(fields))
+        strips[j] = strips[j][:a] + (strip,) + strips[j][a + 1 :]
+        return CountFields(tuple(families), self.cube, self.m, tuple(fields), tuple(strips),
+                           self.centers)
 
     def value(self) -> float:
         """The midpoint-rule value, through ``midpoint_sum`` on slices of the fields."""
@@ -410,19 +432,16 @@ class CountFields:
             out = np.empty(tuple(x.size for x in axes))
             return power_product([f[box] for f in self.fields], p, out)
 
-        return h**n * midpoint_sum(integrand, self.cube.min_corner, (h,) * n, self.m)
+        return h**n * midpoint_sum(integrand, self.centers)
 
 
-def _add_members(field, family: TubeFamily, members, signs, cube: Cube) -> np.ndarray:
-    """``field`` (m^n cells) plus each family member's indicator times its sign, on its band."""
-    m, r = field.shape[0], family.base_radius
-    h = cube.side / m
+def _strips(family: TubeFamily, members, cube: Cube, centers) -> tuple:
+    """The read-only ``_strip`` of each of ``members`` of ``family`` on the grid of ``centers``."""
+    m, r = len(centers[0]), family.base_radius
     reach = member_reach([x.geometry for x in members], family.axis, r, cube)[:, 0]
-    bands = grid_ranges(reach, cube.min_corner, h, m).transpose(0, 2, 1).tolist()
-    centers = cell_centers(cube.min_corner, (h,) * cube.n, m)
-    for member, (first, stop), sign in zip(members, bands, signs):
-        _add_member(field, centers, member, r, first, stop, sign)
-    return field
+    bands = grid_ranges(reach, cube.min_corner, cube.side / m, m).transpose(0, 2, 1).tolist()
+    strips = [_strip(centers, x, r, first, stop) for x, (first, stop) in zip(members, bands)]
+    return tuple(None if s is None else (s[0], _read_only(s[1])) for s in strips)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

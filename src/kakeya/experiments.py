@@ -5,7 +5,8 @@ overlap integral, certifies it, and fits the slope of log(ratio) against
 log(S).  The search is greedy hill climbing with restarts (optionally
 annealed) over anchor/direction perturbations; its objective is a fixed-grid
 midpoint rule kept as per-family count fields (``CountFields``), updated on
-each step for the moved member's band only, so traces are deterministic and
+each step for the moved member's band only: the old member's stored strip is
+subtracted and the new member's computed, so traces are deterministic and
 exactly reproducible.
 """
 
@@ -20,7 +21,15 @@ from .certifier import Certificate, certify_multiscale
 from .errors import ValidationError
 from .evaluator import CountFields, FamilyMember, GridSpec, OverlapValue, evaluate_refined
 from .geometry import Cube, Line
-from .generators import AxisParallel, GenSpec, SmallAngle, Weighted, _direction_in_cap, generate
+from .generators import (
+    AxisParallel,
+    GenSpec,
+    SmallAngle,
+    Weighted,
+    _direction_in_cap,
+    check_member_budget,
+    generate,
+)
 
 SWEEP_CSV_COLUMNS = (
     "s",
@@ -169,6 +178,7 @@ def extremal_search(
         raise ValidationError("budget must be >= 1")
     if any(c < 1 for c in counts):
         raise ValidationError("every family count must be >= 1")
+    check_member_budget(counts)
     limit = 1.0 / (10.0 * n)
     rng = np.random.default_rng(seed)
     norm = float(np.prod([c ** (1.0 / (n - 1.0)) for c in counts]))

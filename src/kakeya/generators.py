@@ -16,10 +16,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MemberBudgetExceeded, ValidationError
 from .evaluator import FamilyMember, GridSpec, TubeFamily
 from .geometry import Cube, Direction, Line, LipschitzCurve, tangent_basis
 from .loomis_whitney import Box, ProjectionFunction
+
+
+#: most members in all, over every family, that a generator spec or a search may ask for;
+#: a curve counts once per breakpoint
+MEMBER_BUDGET = 10**5
+
+
+def check_member_budget(counts, breakpoints: int = 1) -> None:
+    """Refuse counts past ``MEMBER_BUDGET``, before any member exists.
+
+    Each member is a line, or a curve of ``breakpoints`` breakpoints.
+    """
+    total = sum(counts) * breakpoints
+    if total > MEMBER_BUDGET:
+        size = str(total) if total < 10**15 else f"10^{len(str(total)) - 1} or more"
+        what = "members" if breakpoints == 1 else "curve breakpoints"
+        raise MemberBudgetExceeded(
+            f"the counts ask for {size} {what}, exceeding the budget of {MEMBER_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -88,6 +107,7 @@ class GenSpec:
             raise ValidationError("dimension must be >= 2")
         if len(self.counts) != self.n or any(c < 0 for c in self.counts):
             raise ValidationError("need one nonnegative count per axis")
+        check_member_budget(self.counts, getattr(self.regime, "breakpoints", 1))
         if self.cube.n != self.n:
             raise ValidationError("cube dimension mismatch")
         if not (self.radius > 0.0):
@@ -162,7 +182,11 @@ def _lipschitz_member(rng, spec: GenSpec, axis: int) -> LipschitzCurve:
     for i in range(regime.breakpoints - 1):
         slope = _uniform_in_ball(rng, spec.n - 1, regime.delta)
         values.append(values[-1] + slope * (bps[i + 1] - bps[i]))
-    return LipschitzCurve(axis, bps, np.stack(values), regime.delta)
+    try:
+        return LipschitzCurve(axis, bps, np.stack(values), regime.delta)
+    except ValueError as exc:
+        # far from the origin, rounding can merge breakpoints or steepen a segment
+        raise ValidationError(f"cannot build a lipschitz curve over this cube: {exc}") from None
 
 
 def generate(spec: GenSpec) -> list[TubeFamily]:

@@ -572,9 +572,9 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     ``_squared_rounding`` puts on the rounding of ``squared_distances``.
     """
     n = cube.n
-    is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
-    lines = [g for g in members if isinstance(g, Line)]
-    curves = [g.vertices() for g in members if not isinstance(g, Line)]
+    is_line = [isinstance(g, Line) for g in members]
+    lines = [g for g, line in zip(members, is_line) if line]
+    curves = [g.vertices() for g, line in zip(members, is_line) if not line]
     anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
     dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
     err2 = _squared_rounding(np.concatenate([anchors, *curves]), cube)
@@ -582,24 +582,35 @@ def member_reach(members, axis: int, r: float, cube: Cube, layers: int = 1) -> n
     # slab i runs from edge i to edge i + 1; widened by rr on both sides
     edges = np.arange(layers)[:, None] + [0.0, 1.0]
     slabs = cube.min_corner[axis] + cube.side / layers * edges + [-rr, rr]
-    out = np.empty((is_line.size, layers, 2, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    out = np.empty((len(members), layers, 2, n))
+    boxes = np.empty((len(lines), layers, 2, n)) if curves else out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a line with no x_axis motion gets t from -inf to inf when it lies in
         # the range, both ends at one infinity (an empty box) when it misses
-        # it, and 0/0 on a face of the range, which counts as lying in it
+        # it, and 0/0 on a face of the range, which counts as lying in it; a
+        # coordinate with no motion stays at the anchor's, not inf * 0, and t
+        # past the float range (an axis motion of 1e-310) is inf
         t = (slabs - anchors[:, axis, None, None]) / dirs[:, axis, None, None]
-        t[np.isnan(t).any(axis=-1)] = -np.inf, np.inf
-        moved = anchors[:, None, None] + t[..., None] * dirs[:, None, None]
-        ends = np.where(dirs[:, None, None] == 0.0, anchors[:, None, None], moved)
-    out[is_line] = np.stack([ends.min(axis=2), ends.max(axis=2)], axis=2)
-    for a, verts in zip(np.flatnonzero(~is_line), curves):
+        still = dirs[:, None] == 0.0
+        fixes = bool(still.any())
+        if fixes:
+            t[np.isnan(t).any(axis=-1)] = -np.inf, np.inf
+        ends = [anchors[:, None] + t[..., e, None] * dirs[:, None] for e in (0, 1)]
+        if fixes:
+            ends = [np.where(still, anchors[:, None], e) for e in ends]
+    np.subtract(np.minimum(*ends), rr, out=boxes[:, :, 0])
+    np.add(np.maximum(*ends), rr, out=boxes[:, :, 1])
+    if not curves:
+        return out
+    out[is_line] = boxes
+    for a, verts in zip(np.flatnonzero(np.logical_not(is_line)), curves):
         bps = verts[:, axis]
         pts = np.stack([np.interp(slabs, bps, verts[:, c]) for c in range(n)], axis=-1)
         inside = ((bps > slabs[:, :1]) & (bps < slabs[:, 1:]))[..., None]
-        out[a, :, 0] = np.minimum(pts.min(axis=1), np.where(inside, verts, np.inf).min(axis=1))
-        out[a, :, 1] = np.maximum(pts.max(axis=1), np.where(inside, verts, -np.inf).max(axis=1))
-    out[:, :, 0] -= rr
-    out[:, :, 1] += rr
+        low = np.minimum(pts.min(axis=1), np.where(inside, verts, np.inf).min(axis=1))
+        high = np.maximum(pts.max(axis=1), np.where(inside, verts, -np.inf).max(axis=1))
+        out[a, :, 0] = low - rr
+        out[a, :, 1] = high + rr
     return out
 
 

@@ -44,9 +44,9 @@ def count_midpoint_sums(monkeypatch) -> list:
     calls = []
     kernel = evaluator.midpoint_sum
 
-    def counted(integrand, lo, h, m):
-        calls.append(m)
-        return kernel(integrand, lo, h, m)
+    def counted(integrand, centers):
+        calls.append(len(centers[0]))
+        return kernel(integrand, centers)
 
     monkeypatch.setattr(evaluator, "midpoint_sum", counted)
     return calls

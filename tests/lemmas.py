@@ -35,6 +35,10 @@ choice one cap at a time: each kept tangent-grid cell goes through the scalar
 exponential map into a ``Direction``, and each cap is tested in turn by the
 angle between unoriented directions.
 
+``member_reach_reference`` is ``geometry.member_reach`` in its first form:
+every line's two slab ends stacked, the 0/0 and zero-motion fix-ups applied
+to every call, and the ``r`` widening applied last to the whole array.
+
 ``frame_map``, ``wedge_volume`` and ``reduce_per_tuple`` are the reduction
 one cap tuple at a time: a ``Direction`` per cap center, one determinant,
 inverse and singular-value call per frame, and every member mapped into new
@@ -63,6 +67,7 @@ from kakeya.geometry import (
     Direction,
     LinearMap,
     Line,
+    _squared_rounding,
     angle_from_axis,
     lattice,
     line_box_distance,
@@ -178,6 +183,36 @@ def dense_subcube_counts(families, cube: Cube, delta: float, w: float):
             member_weights = np.array([[m.weight] for m in f.members])
             weights[j] = np.sum(np.where(near, member_weights, 0.0), axis=0)
     return sub_side, counts, weights
+
+
+def member_reach_reference(members, axis: int, r: float, cube: Cube, layers: int = 1):
+    """``geometry.member_reach``'s boxes, by its first formula."""
+    n = cube.n
+    is_line = np.array([isinstance(g, Line) for g in members], dtype=bool)
+    lines = [g for g in members if isinstance(g, Line)]
+    curves = [g.vertices() for g in members if not isinstance(g, Line)]
+    anchors = np.array([line.anchor for line in lines]).reshape(-1, n)
+    dirs = np.array([line.direction.components for line in lines]).reshape(-1, n)
+    err2 = _squared_rounding(np.concatenate([anchors, *curves]), cube)
+    rr = r + err2 / (math.sqrt(r * r + err2) + r)
+    edges = np.arange(layers)[:, None] + [0.0, 1.0]
+    slabs = cube.min_corner[axis] + cube.side / layers * edges + [-rr, rr]
+    out = np.empty((is_line.size, layers, 2, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (slabs - anchors[:, axis, None, None]) / dirs[:, axis, None, None]
+        t[np.isnan(t).any(axis=-1)] = -np.inf, np.inf
+        moved = anchors[:, None, None] + t[..., None] * dirs[:, None, None]
+        ends = np.where(dirs[:, None, None] == 0.0, anchors[:, None, None], moved)
+    out[is_line] = np.stack([ends.min(axis=2), ends.max(axis=2)], axis=2)
+    for a, verts in zip(np.flatnonzero(~is_line), curves):
+        bps = verts[:, axis]
+        pts = np.stack([np.interp(slabs, bps, verts[:, c]) for c in range(n)], axis=-1)
+        inside = ((bps > slabs[:, :1]) & (bps < slabs[:, 1:]))[..., None]
+        out[a, :, 0] = np.minimum(pts.min(axis=1), np.where(inside, verts, np.inf).min(axis=1))
+        out[a, :, 1] = np.maximum(pts.max(axis=1), np.where(inside, verts, -np.inf).max(axis=1))
+    out[:, :, 0] -= rr
+    out[:, :, 1] += rr
+    return out
 
 
 def family_values(family: TubeFamily, points, radius: float | None = None) -> np.ndarray:

@@ -4,7 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -939,6 +939,26 @@ def test_bad_input_message_names_the_field(case, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n, annealing, with_csv", [
+    (2, False, True), (2, True, True), (3, True, False),
+])
+def test_search_writes_its_result_fields(n, annealing, with_csv, tmp_path):
+    """The search output is ``asdict`` of its result, and the CSV its trace rows."""
+    cfg = search_file(tmp_path, n=n, counts=[2] * n, annealing=annealing, budget=12,
+                      cube={"min_corner": [-3.0] * n, "side": 6.0})
+    out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+    assert run(["search", "--config", cfg, "--grid", 16, "--out", out,
+                *(["--csv", trace] if with_csv else [])]) == 0
+    result = extremal_search(**search_from_json(load_json(cfg)), grid=GridSpec(16))
+    fh = io.StringIO()
+    write_json({"schema_version": 1, **asdict(result)}, fh)
+    assert out.read_text(encoding="utf-8") == fh.getvalue()
+    if with_csv:
+        rows = [",".join(map(repr, astuple(t))) for t in result.trace]
+        want = "iteration,restart,accepted_ratio,best_ratio\n" + "".join(r + "\n" for r in rows)
+        assert trace.read_text(encoding="utf-8") == want
+
+
 def test_integral_float_fields_are_accepted(tmp_path):
     """A whole number written as a float still counts as an integer."""
     out = tmp_path / "cfg.json"
@@ -962,6 +982,67 @@ def test_search_over_the_cell_budget_exits_3_before_allocating(tmp_path, capsys)
     assert not out.exists()
     # one count field of 20000^2 cells would take 3.2 GB
     assert peak < 16 << 20
+
+
+def _set_counts(stanza, counts):
+    def edit(data):
+        data[stanza]["counts"] = counts
+    return edit
+
+
+def _set_breakpoints(data):
+    data["gen"]["regime"]["breakpoints"] = 4e300
+
+
+#: inputs that ask for more than ``MEMBER_BUDGET`` members, with their messages
+OVER_MEMBER_BUDGET = {
+    "gen_counts_4e223": (
+        lambda p: ["gen", "--config",
+                   edited_golden(p, "lipschitz_n2.gen.json", _set_counts("gen", [4e223, 4]))],
+        "the counts ask for 10^224 or more curve breakpoints, exceeding the budget of 100000",
+    ),
+    "gen_counts_one_past_the_budget": (
+        lambda p: ["gen", "--config",
+                   edited_golden(p, "small_angle_n3.gen.json", _set_counts("gen", [99999, 1, 1]))],
+        "the counts ask for 100001 members, exceeding the budget of 100000",
+    ),
+    "gen_breakpoints_4e300": (
+        lambda p: ["gen", "--config", edited_golden(p, "lipschitz_n2.gen.json", _set_breakpoints)],
+        "the counts ask for 10^301 or more curve breakpoints, exceeding the budget of 100000",
+    ),
+    "search_counts_3e44": (
+        lambda p: ["search", "--grid", 16, "--config",
+                   edited_golden(p, "search_n2.input.json", _set_counts("search", [3e44, 3]))],
+        "the counts ask for 10^44 or more members, exceeding the budget of 100000",
+    ),
+    "search_counts_one_past_the_budget": (
+        lambda p: ["search", "--grid", 16, "--config",
+                   edited_golden(p, "search_n2.input.json", _set_counts("search", [2, 99999]))],
+        "the counts ask for 100001 members, exceeding the budget of 100000",
+    ),
+    "sweep_template_counts_2e300": (
+        lambda p: ["sweep", "--config", sweep_file(p, template={
+            **SWEEP_STANZA["template"], "counts": [2e300, 3]})],
+        "the counts ask for 10^300 or more members, exceeding the budget of 100000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVER_MEMBER_BUDGET))
+def test_over_the_member_budget_exits_3_before_any_member(case, tmp_path, capsys):
+    argv, message = OVER_MEMBER_BUDGET[case]
+    argv = argv(tmp_path)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--out", out]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"non-convergence: {message}\n"
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1223,3 +1304,24 @@ def config_fuzz_cases(draw):
 @given(config_fuzz_cases())
 def test_config_commands_on_mutated_inputs_exit_with_one_message(case):
     assert_one_message(case[0], case[1])
+
+
+@st.composite
+def gen_fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(p.name for p in GOLDEN.glob("*.gen.json"))))
+    data = load_json(GOLDEN / name)
+    if draw(st.booleans()):
+        data = draw(mutated_json(data))
+    seed = draw(st.none() | st.sampled_from([0, -1, 2**64]))
+    return data, [] if seed is None else [f"--seed={seed}"]
+
+
+# ``search`` stays out until its step budget has a bound: a mutated budget
+# of 10^300 steps would run until killed
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gen_fuzz_cases())
+def test_gen_on_mutated_inputs_exits_with_one_message(case):
+    data, flags = case
+    assert_one_message(data, ["gen", *flags])

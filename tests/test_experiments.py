@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kakeya import evaluator
 from kakeya.certifier import check_certificate_soundness
 from kakeya.errors import ValidationError
 from kakeya.evaluator import GridSpec, evaluate_overlap
@@ -74,6 +75,32 @@ class TestSearch:
         result = extremal_search(2, (3, 3), cube, budget=8, seed=3, grid=GridSpec(64))
         assert len(result.trace) == 8
         assert sums == [64] * 8
+
+    def test_each_step_computes_the_new_member_alone(self, monkeypatch):
+        # a restart builds its fields: the cell centers once, one reach call
+        # per family and one kernel call per member; a step then makes one
+        # reach call on the new member and one kernel call
+        calls = []
+
+        def counting(name):
+            fn = getattr(evaluator, name)
+
+            def counted(*args):
+                # a reach call is recorded by its member count
+                calls.append(len(args[0]) if name == "member_reach" else name)
+                return fn(*args)
+
+            return counted
+
+        for name in ("cell_centers", "member_reach", "squared_distances"):
+            monkeypatch.setattr(evaluator, name, counting(name))
+        cube = Cube.centered([0.0, 0.0], 6.0)
+        result = extremal_search(2, (3, 3), cube, budget=20, seed=3, grid=GridSpec(64))
+        assert len(result.trace) == 20
+        build = ["cell_centers", 3] + ["squared_distances"] * 3
+        build += [3] + ["squared_distances"] * 3
+        step = [1, "squared_distances"]
+        assert calls == (build + step * 4) * 4
 
     def test_budget_one_returns_initial(self):
         cube = Cube.centered([0.0, 0.0], 6.0)

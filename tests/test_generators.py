@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kakeya.errors import ValidationError
+from kakeya.errors import MemberBudgetExceeded, ValidationError
 from kakeya.evaluator import exact_overlap_2d
 from kakeya.generators import (
+    MEMBER_BUDGET,
     AxisParallel,
     GeneralAngle,
     GenSpec,
@@ -116,6 +117,22 @@ class TestRegimeValidity:
             GenSpec(2, (3,), SmallAngle(0.1), CUBE, seed=0)
         with pytest.raises(ValidationError):
             GenSpec(2, (3, 3), SmallAngle(1.5), CUBE, seed=0)
+
+    def test_member_budget_counts_members_and_curve_breakpoints(self):
+        # specs only: at the budget nothing is refused, and nothing is generated
+        GenSpec(2, (MEMBER_BUDGET - 1, 1), SmallAngle(0.1), CUBE, seed=0)
+        GenSpec(2, (MEMBER_BUDGET // 8, MEMBER_BUDGET // 8), Lipschitz(0.1, 4), CUBE, seed=0)
+        with pytest.raises(MemberBudgetExceeded, match="100001 members"):
+            GenSpec(2, (MEMBER_BUDGET, 1), SmallAngle(0.1), CUBE, seed=0)
+        with pytest.raises(MemberBudgetExceeded, match="100004 curve breakpoints"):
+            GenSpec(2, (MEMBER_BUDGET // 8, MEMBER_BUDGET // 8 + 1), Lipschitz(0.1, 4), CUBE,
+                    seed=0)
+
+    def test_lipschitz_curves_past_float_resolution_are_bad_input(self):
+        # at x_0 = -3e16 a float's spacing is 4, so breakpoints 3 apart merge
+        cube = Cube(np.array([-3e16, -3.0]), 6.0)
+        with pytest.raises(ValidationError, match="breakpoints must be strictly increasing"):
+            generate(GenSpec(2, (4, 4), Lipschitz(0.1, 4), cube, seed=1409))
 
 
 class TestGridEnumeration:

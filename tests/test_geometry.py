@@ -17,6 +17,7 @@ from kakeya.geometry import (
     Line,
     LinearMap,
     LipschitzCurve,
+    _squared_rounding,
     angle_from_axis,
     cap_cover,
     distance_rounding,
@@ -40,6 +41,7 @@ from lemmas import (
     fatten_axis_parallel,
     frame_map,
     line_angle,
+    member_reach_reference,
     point_distances,
     scalar_cap_net,
     wedge_volume,
@@ -189,7 +191,64 @@ def reach_cases(draw):
     return members, axis, r, cube, layers
 
 
+@st.composite
+def reach_oracle_cases(draw):
+    """``reach_cases``, with lines that take each of ``member_reach``'s fix-ups.
+
+    A far line fixes the rounding bound, so that a line with no motion along
+    the axis can lie exactly on a widened slab face, where t is 0/0.  A line
+    with an axis motion of 1e-310 and a zero coordinate has t past the float
+    range, so inf * 0 arises.  Anchors can lie near ``COORDINATE_LIMIT``.
+    """
+    members, axis, r, cube, layers = draw(reach_cases())
+    n, lo, side = cube.n, cube.min_corner, cube.side
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    center = lo + 0.5 * side
+    if draw(st.booleans()):
+        anchor = rng.uniform(-1.0, 1.0, n) * COORDINATE_LIMIT
+        direction = rng.normal(size=n)
+        direction[axis] *= draw(st.sampled_from([0.0, 1.0]))
+        members.append(Line(anchor, Direction.normalized(direction)))
+    if draw(st.booleans()):
+        direction = np.zeros(n)
+        direction[[axis, (axis + 1) % n]] = 1e-310, 1.0
+        members.append(Line(center + rng.uniform(-side, side, n), Direction(direction)))
+    if draw(st.booleans()):
+        far = Line(center + 1e3 * side * np.eye(n)[(axis + 1) % n], Direction.axis(n, axis))
+        members.insert(0, far)
+        origins = [g.anchor[None] if isinstance(g, Line) else g.vertices() for g in members]
+        err2 = _squared_rounding(np.concatenate(origins), cube)
+        rr = r + err2 / (math.sqrt(r * r + err2) + r)
+        edges = np.arange(layers)[:, None] + [0.0, 1.0]
+        slabs = lo[axis] + side / layers * edges + [-rr, rr]
+        anchor = center.copy()
+        anchor[axis] = slabs[int(rng.integers(layers)), int(rng.integers(2))]
+        direction = rng.normal(size=n)
+        direction[axis] = 0.0
+        members.append(Line(anchor, Direction.normalized(direction)))
+    order = rng.permutation(len(members))
+    return [members[i] for i in order], axis, r, cube, layers
+
+
+def hexes(array) -> list:
+    return [x.hex() for x in np.ravel(array).tolist()]
+
+
 class TestMemberReach:
+    # t past the float range is inf, not a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(reach_oracle_cases())
+    def test_boxes_match_the_first_formula_bit_for_bit(self, case):
+        members, axis, r, cube, layers = case
+        got = member_reach(members, axis, r, cube, layers)
+        assert hexes(got) == hexes(member_reach_reference(members, axis, r, cube, layers))
+        # each member alone, and the lines alone: calls with no polyline
+        lines = [g for g in members if isinstance(g, Line)]
+        for alone in [[g] for g in members] + [lines]:
+            got = member_reach(alone, axis, r, cube, layers)
+            assert hexes(got) == hexes(member_reach_reference(alone, axis, r, cube, layers))
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(reach_cases())
     def test_cells_outside_the_bands_test_outside_the_member(self, case):

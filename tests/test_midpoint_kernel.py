@@ -195,10 +195,21 @@ def move_cases(draw):
     for _ in range(draw(st.integers(1, 4))):
         j = int(rng.integers(n))
         a = int(rng.integers(families[j].size))
-        # small moves stay near the cube; the largest can leave it wholly
+        # small moves stay near the cube; the largest can leave it partly, and
+        # a "gone" move puts a line 1000 sides from it; a "zero" move gives
+        # the moved member weight 0
+        kind = draw(st.sampled_from(["near", "near", "gone", "zero"]))
         offset = draw(st.sampled_from([0.05, 0.5, 1.5])) * cube.side * rng.uniform(-1.0, 1.0, n)
-        moves.append((j, a, offset))
+        moves.append((j, a, kind, offset))
     return families, cube, m, moves, rng
+
+
+def scattered(strip, m: int, n: int) -> np.ndarray:
+    """A stored strip's values on the whole m^n grid, zero off its box."""
+    grid = np.zeros((m,) * n)
+    if strip is not None:
+        grid[strip[0]] = strip[1]
+    return grid
 
 
 def assert_fields_match_full_kernel(fields: CountFields) -> None:
@@ -207,17 +218,33 @@ def assert_fields_match_full_kernel(fields: CountFields) -> None:
     rebuilt = CountFields.build(fields.families, fields.cube, fields.m)
     for got, want in zip(fields.fields, rebuilt.fields):
         assert np.array_equal(got, want)
+    # every stored strip is its member's indicator, whatever band it was taken on
+    m, n = fields.m, fields.cube.n
+    for got, want in zip(fields.strips, rebuilt.strips):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(scattered(a, m, n), scattered(b, m, n))
 
 
 @settings(PROPERTY, max_examples=40)
 @given(move_cases())
 def test_count_fields_match_full_kernel_after_each_move(case):
     families, cube, m, moves, rng = case
+    n = cube.n
     fields = CountFields.build(families, cube, m)
     assert_fields_match_full_kernel(fields)
-    for j, a, offset in moves:
-        member = moved_member(fields.families[j].members[a], j, offset, rng)
+    for j, a, kind, offset in moves:
+        old = fields.families[j].members[a]
+        member = moved_member(old, j, offset, rng)
+        if kind == "gone":
+            away = cube.min_corner + 0.5 * cube.side + 1e3 * cube.side * np.eye(n)[(j + 1) % n]
+            member = moved_member(FamilyMember(line_through(away, np.eye(n)[j]), old.weight),
+                                  j, np.zeros(n), rng)
+        elif kind == "zero":
+            member = FamilyMember(member.geometry, 0.0)
         fields = fields.moved(j, a, member)
+        if kind == "gone":
+            assert fields.strips[j][a] is None
         assert_fields_match_full_kernel(fields)
 
 
@@ -238,6 +265,32 @@ def test_count_fields_member_moved_out_of_the_cube():
     back = moved.moved(0, 1, families[0].members[1])
     assert np.array_equal(back.fields[0], fields.fields[0])
     assert back.value().hex() == fields.value().hex()
+
+
+def test_count_fields_keep_read_only_state_that_a_discarded_move_leaves_alone():
+    cube = Cube(np.array([-3.0, -3.0, -3.0]), 6.0)
+    families = generate(GenSpec(3, (3, 2, 2), SmallAngle(0.1), cube, seed=4))
+    fields = CountFields.build(families, cube, 44)
+    arrays = [*fields.fields, *fields.centers,
+              *(s[1] for strips in fields.strips for s in strips if s is not None)]
+    assert len(arrays) == 3 + 3 + 7
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1.0
+    saved = [array.copy() for array in arrays]
+    boxes = [[None if s is None else s[0] for s in strips] for strips in fields.strips]
+    value = fields.value().hex()
+    # a move the search discards, one member moved away and back, and a move
+    # refused for its weight: none of them writes to the parent
+    rng = np.random.default_rng(5)
+    fields.moved(0, 1, moved_member(families[0].members[1], 0, np.full(3, 0.7), rng)).value()
+    away = fields.moved(2, 0, moved_member(families[2].members[0], 2, np.full(3, 90.0), rng))
+    away.moved(2, 0, families[2].members[0])
+    with pytest.raises(ValidationError, match="not an integer"):
+        fields.moved(1, 1, FamilyMember(families[1].members[1].geometry, 0.5))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, saved))
+    assert [[None if s is None else s[0] for s in strips] for strips in fields.strips] == boxes
+    assert fields.value().hex() == value
 
 
 def test_count_fields_reject_non_integer_weights():
@@ -401,7 +454,7 @@ def test_midpoint_sum_matches_dense_blocks(m, n):
         return out
 
     want = dense_sum(values, centers(lo, h, m))
-    assert midpoint_sum(integrand, lo, h, m).hex() == want.hex()
+    assert midpoint_sum(integrand, full).hex() == want.hex()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
